@@ -22,6 +22,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"raidsim/internal/campaign"
@@ -210,16 +211,24 @@ func main() {
 // inflates the per-run estimate the ETA extrapolates. FreshEvents /
 // ExecElapsedSec (measured from the first fresh run) and the fresh-only
 // remaining count (total - done counts only never-run points — replays
-// complete before any fresh run finishes) keep both honest.
+// complete before any fresh run finishes) keep both honest. The ev/s
+// part is left out while the registry has no rate yet (the execution
+// window is under obs.MinRateWindowSec).
 func progressSuffix(f obs.FleetStatus, done, total int) string {
 	if f.Finished == 0 || f.ExecElapsedSec <= 0 {
 		return ""
 	}
-	s := fmt.Sprintf(" — %.0f ev/s", f.FreshEventsPerSec)
-	if rem := total - done; rem > 0 {
-		s += fmt.Sprintf(", eta %.0fs", f.ExecElapsedSec/float64(f.Finished)*float64(rem))
+	var parts []string
+	if f.FreshEventsPerSec > 0 {
+		parts = append(parts, fmt.Sprintf("%.0f ev/s", f.FreshEventsPerSec))
 	}
-	return s
+	if rem := total - done; rem > 0 {
+		parts = append(parts, fmt.Sprintf("eta %.0fs", f.ExecElapsedSec/float64(f.Finished)*float64(rem)))
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return " — " + strings.Join(parts, ", ")
 }
 
 // fleetStats translates a campaign outcome into the report layer's

@@ -73,3 +73,22 @@ func TestProgressSuffixNoFreshClock(t *testing.T) {
 		t.Errorf("zero ExecElapsedSec printed %q, want no suffix", s)
 	}
 }
+
+// TestProgressSuffixNoRateYet: a fresh run finished inside the rate
+// floor, so the registry reports no rate. The suffix keeps the ETA and
+// drops the ev/s figure instead of printing "0 ev/s".
+func TestProgressSuffixNoRateYet(t *testing.T) {
+	f := obs.FleetStatus{
+		Total:          4,
+		Finished:       1,
+		FreshEvents:    700,
+		ExecElapsedSec: obs.MinRateWindowSec / 4,
+	}
+	if got, want := progressSuffix(f, 1, 4), " — eta 0s"; got != want {
+		t.Errorf("no-rate suffix = %q, want %q", got, want)
+	}
+	// Nothing left to run and no rate: nothing to say.
+	if got := progressSuffix(f, 4, 4); got != "" {
+		t.Errorf("no-rate, nothing-remaining suffix = %q, want none", got)
+	}
+}

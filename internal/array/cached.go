@@ -96,7 +96,7 @@ func (cc *cachedCtrl) initDestage() {
 // in flight keep running — their disk writes are harmless — but their
 // completion bookkeeping is epoch-guarded away.
 func (cc *cachedCtrl) cacheFailed() {
-	lost := len(cc.c.DirtyNotDestaging())
+	lost := cc.c.DirtyNotDestagingCount()
 	cc.fs.dirtyLost += int64(lost)
 	cc.cfg.Rec.Note(obs.Event{At: cc.eng.Now(), Kind: obs.EvCacheFail, Blocks: lost})
 	cc.epoch++

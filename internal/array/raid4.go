@@ -20,8 +20,11 @@ type raid4Scheme struct {
 	cc *cachedCtrl // the front-end whose cache hosts the parity spool
 
 	spooling bool
-	scanPos  int64 // C-SCAN position on the parity disk
-	stalled  []func()
+	scanPos  cache.ParityKey // C-SCAN position on the parity disk
+	// stalled is the FIFO of parity admissions waiting for a spool slot.
+	// Dequeueing reslices past the head, O(1); append's regrowth copies
+	// only the live tail, so the consumed prefix is reclaimed.
+	stalled []func()
 }
 
 func (s *raid4Scheme) write(w writeOp) {
@@ -100,18 +103,11 @@ func (s *raid4Scheme) spool() {
 	if s.spooling {
 		return
 	}
-	pending := s.cc.c.ParityPending()
-	if len(pending) == 0 {
-		return
-	}
 	// C-SCAN: first pending block at or after the sweep position, else
 	// wrap to the lowest.
-	pick := pending[0]
-	for _, p := range pending {
-		if p.Key.Block >= s.scanPos {
-			pick = p
-			break
-		}
+	pick, ok := s.cc.c.NextParity(s.scanPos)
+	if !ok {
+		return
 	}
 	s.spooling = true
 	s.c.parityAccesses++
@@ -133,7 +129,7 @@ func (s *raid4Scheme) spool() {
 			if root != nil {
 				s.c.tr.FinishBackground(root, s.c.eng.Now())
 			}
-			s.scanPos = pick.Key.Block + 1
+			s.scanPos = cache.ParityKey{Disk: pick.Key.Disk, Block: pick.Key.Block + 1}
 			// Guard against an NVRAM failure that replaced the cache (and
 			// its spool) while this access was in flight.
 			if s.cc.epoch == ep {
@@ -143,8 +139,8 @@ func (s *raid4Scheme) spool() {
 			// A freed slot may unblock stalled destages.
 			if len(s.stalled) > 0 {
 				w := s.stalled[0]
-				copy(s.stalled, s.stalled[1:])
-				s.stalled = s.stalled[:len(s.stalled)-1]
+				s.stalled[0] = nil
+				s.stalled = s.stalled[1:]
 				w()
 			}
 			s.spool()

@@ -6,12 +6,16 @@
 // for the dedicated parity disk.
 //
 // The cache is pure bookkeeping — all timing lives in the array
-// controllers that drive it.
+// controllers that drive it. The two candidate sets the controllers poll
+// — dirty blocks with no write-back in flight, and the parity spool — are
+// kept incrementally, so each query costs what it returns, not the cache
+// size.
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Config sizes and configures a cache.
@@ -32,9 +36,10 @@ type Config struct {
 type Entry struct {
 	LBA       int64
 	Dirty     bool
-	HasOld    bool // an old-data shadow slot is held for this block
-	Destaging bool // a write-back is in flight
-	redirtied bool // written again while the write-back was in flight
+	HasOld    bool  // an old-data shadow slot is held for this block
+	Destaging bool  // a write-back is in flight
+	redirtied bool  // written again while the write-back was in flight
+	idleAt    int32 // 1 + index in Cache.idle while Dirty && !Destaging, else 0
 
 	prev, next *Entry // LRU list, most recent at head
 }
@@ -62,7 +67,9 @@ type Cache struct {
 	used  int    // slots: entries + old shadows + pending parity
 	dirty int    // dirty entries, kept incrementally so DirtyCount is O(1)
 
-	parity map[ParityKey]bool
+	idle []*Entry // dirty entries with no write-back in flight, unordered
+
+	parity []PendingParity // the parity spool, sorted by (Disk, Block)
 	S      Stats
 }
 
@@ -80,11 +87,7 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.ParityReserve < 0 || cfg.ParityReserve >= cfg.Blocks {
 		cfg.ParityReserve = cfg.Blocks / 16
 	}
-	return &Cache{
-		cfg:    cfg,
-		m:      make(map[int64]*Entry),
-		parity: make(map[ParityKey]bool),
-	}, nil
+	return &Cache{cfg: cfg, m: make(map[int64]*Entry)}, nil
 }
 
 // Capacity returns the slot capacity.
@@ -135,6 +138,26 @@ func (c *Cache) unlink(e *Entry) {
 	e.prev, e.next = nil, nil
 }
 
+// idleAdd adds e to the idle-dirty set. Callers invoke it on every
+// transition into Dirty && !Destaging.
+func (c *Cache) idleAdd(e *Entry) {
+	c.idle = append(c.idle, e)
+	e.idleAt = int32(len(c.idle))
+}
+
+// idleRemove removes e from the idle-dirty set by moving the last member
+// into its slot. Callers invoke it on every transition out of
+// Dirty && !Destaging.
+func (c *Cache) idleRemove(e *Entry) {
+	i, last := int(e.idleAt)-1, len(c.idle)-1
+	moved := c.idle[last]
+	c.idle[i] = moved
+	moved.idleAt = int32(i + 1)
+	c.idle[last] = nil
+	c.idle = c.idle[:last]
+	e.idleAt = 0
+}
+
 func (c *Cache) pushFront(e *Entry) {
 	e.next = c.head
 	e.prev = nil
@@ -179,6 +202,7 @@ func (c *Cache) MarkDirty(lba int64) {
 	}
 	if !e.Dirty {
 		c.dirty++
+		c.idleAdd(e)
 	}
 	if !e.Dirty && c.cfg.KeepOldData && !e.HasOld {
 		if c.used < c.cfg.Blocks {
@@ -207,6 +231,7 @@ func (c *Cache) Insert(lba int64, dirty bool) *Entry {
 	e := &Entry{LBA: lba, Dirty: dirty}
 	if dirty {
 		c.dirty++
+		c.idleAdd(e)
 	}
 	c.m[lba] = e
 	c.pushFront(e)
@@ -246,6 +271,9 @@ func (c *Cache) Drop(lba int64) {
 	delete(c.m, lba)
 	if e.Dirty {
 		c.dirty--
+		if !e.Destaging {
+			c.idleRemove(e)
+		}
 	}
 	n := 1
 	if e.HasOld {
@@ -268,6 +296,7 @@ func (c *Cache) BeginDestage(lba int64) {
 		panic(fmt.Sprintf("cache: BeginDestage of block %d in wrong state", lba))
 	}
 	e.Destaging = true
+	c.idleRemove(e)
 }
 
 // CompleteDestage marks the write-back done: the block becomes clean and
@@ -284,6 +313,7 @@ func (c *Cache) CompleteDestage(lba int64) {
 		// shadow (if any) is released and the next destage reads old
 		// data from disk.
 		e.redirtied = false
+		c.idleAdd(e)
 	} else {
 		e.Dirty = false
 		c.dirty--
@@ -296,17 +326,22 @@ func (c *Cache) CompleteDestage(lba int64) {
 }
 
 // DirtyNotDestaging returns the LBAs of dirty blocks with no write-back
-// in flight, sorted ascending — the destage scan's candidate set.
+// in flight, sorted ascending — the destage scan's candidate set. It
+// walks only those blocks, never the whole cache.
 func (c *Cache) DirtyNotDestaging() []int64 {
-	var out []int64
-	for lba, e := range c.m {
-		if e.Dirty && !e.Destaging {
-			out = append(out, lba)
-		}
+	if len(c.idle) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]int64, len(c.idle))
+	for i, e := range c.idle {
+		out[i] = e.LBA
+	}
+	slices.Sort(out)
 	return out
 }
+
+// DirtyNotDestagingCount returns len(DirtyNotDestaging()) in O(1).
+func (c *Cache) DirtyNotDestagingCount() int { return len(c.idle) }
 
 // DirtyCount returns the number of dirty blocks (in flight or not).
 func (c *Cache) DirtyCount() int { return c.dirty }
@@ -320,20 +355,38 @@ type PendingParity struct {
 	Full bool
 }
 
+// compareParityKey orders parity blocks by (disk, block) — the order a
+// SCAN sweep of the parity disks visits them.
+func compareParityKey(a, b ParityKey) int {
+	if c := cmp.Compare(a.Disk, b.Disk); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Block, b.Block)
+}
+
+// parityIndex binary-searches the spool for k: its position if present,
+// else the position it would be inserted at.
+func (c *Cache) parityIndex(k ParityKey) (int, bool) {
+	return slices.BinarySearchFunc(c.parity, k, func(p PendingParity, k ParityKey) int {
+		return compareParityKey(p.Key, k)
+	})
+}
+
 // AddParityPending buffers a parity update for the given physical parity
 // block. It reports false — a stall, per section 4.4 — when the parity
 // spool may not grow further. Duplicate keys coalesce (the update is an
 // XOR accumulation; a full image absorbs later deltas) and always succeed.
 func (c *Cache) AddParityPending(k ParityKey, full bool) bool {
-	if old, ok := c.parity[k]; ok {
-		c.parity[k] = old || full
+	i, ok := c.parityIndex(k)
+	if ok {
+		c.parity[i].Full = c.parity[i].Full || full
 		return true
 	}
 	if len(c.parity) >= c.cfg.Blocks-c.cfg.ParityReserve || c.used >= c.cfg.Blocks {
 		c.S.ParityStalls++
 		return false
 	}
-	c.parity[k] = full
+	c.parity = slices.Insert(c.parity, i, PendingParity{Key: k, Full: full})
 	c.bumpUsed(1)
 	c.S.ParityQueued++
 	if len(c.parity) > c.S.PeakParity {
@@ -344,31 +397,30 @@ func (c *Cache) AddParityPending(k ParityKey, full bool) bool {
 
 // HasParityPending reports whether the key is buffered.
 func (c *Cache) HasParityPending(k ParityKey) bool {
-	_, ok := c.parity[k]
+	_, ok := c.parityIndex(k)
 	return ok
 }
 
 // RemoveParityPending releases a buffered parity update's slot.
 func (c *Cache) RemoveParityPending(k ParityKey) {
-	if _, ok := c.parity[k]; !ok {
+	i, ok := c.parityIndex(k)
+	if !ok {
 		panic(fmt.Sprintf("cache: removing absent parity update %+v", k))
 	}
-	delete(c.parity, k)
+	c.parity = slices.Delete(c.parity, i, i+1)
 	c.bumpUsed(-1)
 }
 
-// ParityPending returns the buffered parity updates sorted by (disk,
-// block) — the order a SCAN sweep of the parity disk visits them.
-func (c *Cache) ParityPending() []PendingParity {
-	out := make([]PendingParity, 0, len(c.parity))
-	for k, full := range c.parity {
-		out = append(out, PendingParity{Key: k, Full: full})
+// NextParity is the C-SCAN pick of the parity spool: the first buffered
+// update at or after from in (disk, block) order, else — the sweep wraps
+// — the lowest one. It reports false when the spool is empty.
+func (c *Cache) NextParity(from ParityKey) (PendingParity, bool) {
+	if len(c.parity) == 0 {
+		return PendingParity{}, false
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Disk != out[j].Key.Disk {
-			return out[i].Key.Disk < out[j].Key.Disk
-		}
-		return out[i].Key.Block < out[j].Key.Block
-	})
-	return out
+	i, _ := c.parityIndex(from)
+	if i == len(c.parity) {
+		i = 0
+	}
+	return c.parity[i], true
 }

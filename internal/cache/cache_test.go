@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -171,12 +173,26 @@ func TestParityPending(t *testing.T) {
 	if c.ParityPendingCount() != 2 {
 		t.Fatal("duplicate consumed a slot")
 	}
-	pend := c.ParityPending()
-	if pend[0].Key != k2 || pend[1].Key != k1 {
-		t.Fatalf("SCAN order wrong: %v", pend)
+	// C-SCAN picks: from the start of the disk, between the two blocks,
+	// and past the last one (wrap to the lowest).
+	for _, tc := range []struct {
+		from ParityKey
+		want ParityKey
+	}{
+		{ParityKey{Disk: 10, Block: 0}, k2},
+		{ParityKey{Disk: 10, Block: 3}, k1},
+		{ParityKey{Disk: 10, Block: 5}, k1},
+		{ParityKey{Disk: 10, Block: 6}, k2},
+	} {
+		if p, ok := c.NextParity(tc.from); !ok || p.Key != tc.want {
+			t.Fatalf("NextParity(%v) = %v, %v; want %v", tc.from, p, ok, tc.want)
+		}
 	}
-	if !pend[1].Full {
+	if p, _ := c.NextParity(k1); !p.Full {
 		t.Fatal("full flag not sticky across coalescing")
+	}
+	if p, _ := c.NextParity(k2); !p.Full {
+		t.Fatal("full flag lost")
 	}
 	c.RemoveParityPending(k1)
 	if c.Used() != 1 {
@@ -184,6 +200,10 @@ func TestParityPending(t *testing.T) {
 	}
 	if c.HasParityPending(k1) {
 		t.Fatal("removed key still pending")
+	}
+	c.RemoveParityPending(k2)
+	if _, ok := c.NextParity(ParityKey{}); ok {
+		t.Fatal("NextParity on an empty spool reported a pick")
 	}
 }
 
@@ -240,25 +260,67 @@ func TestAccountingPanics(t *testing.T) {
 	}
 }
 
+// bruteDirtyNotDestaging is the reference for the idle-dirty index: a
+// sorted scan of every entry.
+func bruteDirtyNotDestaging(c *Cache) []int64 {
+	var out []int64
+	for lba, e := range c.m {
+		if e.Dirty && !e.Destaging {
+			out = append(out, lba)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// bruteNextParity is the reference C-SCAN pick over a single parity disk:
+// copy the spool, sort it, and take the first block at or after from,
+// else the lowest.
+func bruteNextParity(pending map[ParityKey]bool, from int64) (ParityKey, bool) {
+	keys := make([]ParityKey, 0, len(pending))
+	for k := range pending {
+		keys = append(keys, k)
+	}
+	if len(keys) == 0 {
+		return ParityKey{}, false
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Disk != keys[j].Disk {
+			return keys[i].Disk < keys[j].Disk
+		}
+		return keys[i].Block < keys[j].Block
+	})
+	for _, k := range keys {
+		if k.Block >= from {
+			return k, true
+		}
+	}
+	return keys[0], true
+}
+
 // TestQuickOccupancyInvariant drives the cache with random operations and
 // checks that used slots always equal entries + shadows + pending parity
-// and never exceed capacity.
+// and never exceed capacity, and that both incremental indexes — the
+// idle-dirty set and the sorted parity spool — agree with brute-force
+// references after every operation. The small cache fills often, so
+// shadow captures are regularly skipped; dirty blocks are redirtied
+// mid-destage and dropped.
 func TestQuickOccupancyInvariant(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		c := mustNew(Config{Blocks: 16, KeepOldData: true, ParityReserve: 4})
 		inCache := map[int64]bool{}
 		destaging := map[int64]bool{}
-		pending := map[ParityKey]bool{}
+		pending := map[ParityKey]bool{} // key -> full
 		for op := 0; op < 500; op++ {
 			lba := int64(src.Intn(40))
-			switch src.Intn(6) {
+			switch src.Intn(7) {
 			case 0: // insert
 				if !inCache[lba] && c.FreeSlots() > 0 {
 					c.Insert(lba, src.Bool(0.5))
 					inCache[lba] = true
 				}
-			case 1: // write hit
+			case 1: // write hit, possibly redirtying a block mid-destage
 				if inCache[lba] {
 					c.MarkDirty(lba)
 				}
@@ -281,12 +343,18 @@ func TestQuickOccupancyInvariant(t *testing.T) {
 			case 5: // parity traffic
 				k := ParityKey{Disk: 0, Block: int64(src.Intn(10))}
 				if src.Bool(0.5) {
-					if c.AddParityPending(k, src.Bool(0.3)) {
-						pending[k] = true
+					full := src.Bool(0.3)
+					if c.AddParityPending(k, full) {
+						pending[k] = pending[k] || full
 					}
-				} else if pending[k] {
+				} else if _, ok := pending[k]; ok {
 					c.RemoveParityPending(k)
 					delete(pending, k)
+				}
+			case 6: // drop a block with no write-back in flight, dirty or not
+				if e := c.Lookup(lba); e != nil && !e.Destaging {
+					delete(inCache, lba)
+					c.Drop(lba)
 				}
 			}
 			// Invariant.
@@ -312,10 +380,103 @@ func TestQuickOccupancyInvariant(t *testing.T) {
 			if c.DirtyCount() != dirty {
 				return false
 			}
+			// Idle-dirty index against a full scan.
+			ref := bruteDirtyNotDestaging(c)
+			if !slices.Equal(c.DirtyNotDestaging(), ref) || c.DirtyNotDestagingCount() != len(ref) {
+				t.Logf("seed %d op %d: DirtyNotDestaging %v, scan %v", seed, op, c.DirtyNotDestaging(), ref)
+				return false
+			}
+			// Parity spool against copy-sort-scan, from a random sweep
+			// position that includes past-the-end (the wrap).
+			if c.ParityPendingCount() != len(pending) {
+				return false
+			}
+			pos := int64(src.Intn(12))
+			got, gotOK := c.NextParity(ParityKey{Disk: 0, Block: pos})
+			wantKey, wantOK := bruteNextParity(pending, pos)
+			if gotOK != wantOK || (gotOK && (got.Key != wantKey || got.Full != pending[wantKey])) {
+				t.Logf("seed %d op %d: NextParity(%d) = %v %v, reference %v %v", seed, op, pos, got, gotOK, wantKey, wantOK)
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNextParityMultiDisk: with several parity disks in the spool the
+// pick follows (disk, block) order and wraps from the last disk's last
+// block to the first disk's first.
+func TestNextParityMultiDisk(t *testing.T) {
+	c := newCache(16, false)
+	for _, k := range []ParityKey{{2, 1}, {1, 9}, {1, 3}, {2, 7}} {
+		if !c.AddParityPending(k, false) {
+			t.Fatalf("admission of %v failed", k)
+		}
+	}
+	for _, tc := range []struct{ from, want ParityKey }{
+		{ParityKey{0, 50}, ParityKey{1, 3}},
+		{ParityKey{1, 4}, ParityKey{1, 9}},
+		{ParityKey{1, 10}, ParityKey{2, 1}},
+		{ParityKey{2, 7}, ParityKey{2, 7}},
+		{ParityKey{2, 8}, ParityKey{1, 3}},
+	} {
+		if p, ok := c.NextParity(tc.from); !ok || p.Key != tc.want {
+			t.Errorf("NextParity(%v) = %v, want %v", tc.from, p.Key, tc.want)
+		}
+	}
+}
+
+// TestIndexAllocBudgets pins the per-call cost of the cache's two polled
+// indexes in allocations, which unlike host time is the same on every
+// machine: a regression to a whole-cache scan or a spool copy fails here
+// instead of hiding in timing noise.
+func TestIndexAllocBudgets(t *testing.T) {
+	// A full cache of clean blocks has no destage candidates: the tick's
+	// query must not allocate.
+	c := newCache(4096, true)
+	for i := int64(0); i < 4096; i++ {
+		c.Insert(i, false)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.DirtyNotDestaging() }); n != 0 {
+		t.Errorf("DirtyNotDestaging on a clean cache allocates %.0f, want 0", n)
+	}
+	// With candidates, the result slice is the only allocation.
+	for _, l := range []int64{4000, 7, 1234} {
+		c.MarkDirty(l)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.DirtyNotDestaging() }); n != 1 {
+		t.Errorf("DirtyNotDestaging with 3 candidates allocates %.0f, want 1", n)
+	}
+	// The spool pick reads in place.
+	p := newCache(4096, true)
+	for b := int64(0); b < 2048; b++ {
+		p.AddParityPending(ParityKey{Disk: 5, Block: 3 * b}, b%4 == 0)
+	}
+	from := ParityKey{Disk: 5}
+	if n := testing.AllocsPerRun(100, func() {
+		pick, _ := p.NextParity(from)
+		from.Block = pick.Key.Block + 1
+	}); n != 0 {
+		t.Errorf("NextParity allocates %.0f, want 0", n)
+	}
+}
+
+// TestDirtyNotDestagingSkipsEntryMap: the destage query reads only the
+// idle-dirty index. With the entry map hidden, a full-cache walk would
+// find nothing; the index still yields every candidate, in order.
+func TestDirtyNotDestagingSkipsEntryMap(t *testing.T) {
+	c := newCache(4096, false)
+	for i := int64(0); i < 4000; i++ {
+		c.Insert(i, i == 3999 || i == 17 || i == 512)
+	}
+	m := c.m
+	c.m = nil
+	got := c.DirtyNotDestaging()
+	c.m = m
+	if want := []int64{17, 512, 3999}; !slices.Equal(got, want) {
+		t.Fatalf("DirtyNotDestaging without the entry map = %v, want %v", got, want)
 	}
 }

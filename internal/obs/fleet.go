@@ -87,7 +87,8 @@ type FleetStatus struct {
 	// anything); ExecElapsedSec is wall time since the first fresh run
 	// started. FreshEventsPerSec = FreshEvents / ExecElapsedSec is the
 	// honest live throughput on a resumed campaign — replayed events over
-	// replay microseconds would report absurd rates.
+	// replay microseconds would report absurd rates. It stays 0 until
+	// ExecElapsedSec reaches MinRateWindowSec (see freshRate).
 	FreshEvents       uint64  `json:"fresh_events"`
 	FreshEventsPerSec float64 `json:"fresh_events_per_sec"`
 	ExecElapsedSec    float64 `json:"exec_elapsed_sec"`
@@ -95,6 +96,22 @@ type FleetStatus struct {
 	Workers []WorkerStatus   `json:"workers,omitempty"`
 	Shards  []ShardStatus    `json:"shards,omitempty"`
 	Groups  []GroupAggregate `json:"groups,omitempty"`
+}
+
+// MinRateWindowSec is the shortest execution window FleetStatus derives a
+// fresh events/sec rate from. Below it the clock is too coarse, relative
+// to one run's events, for the quotient to mean anything: a run that
+// finishes microseconds after the first RunStarted would report billions
+// of events per second.
+const MinRateWindowSec = 0.010
+
+// freshRate returns events / elapsedSec, or 0 — no rate yet — while
+// elapsedSec is below MinRateWindowSec.
+func freshRate(events uint64, elapsedSec float64) float64 {
+	if elapsedSec < MinRateWindowSec {
+		return 0
+	}
+	return float64(events) / elapsedSec
 }
 
 // Done returns finished+failed+resumed: points that left the pending set.
@@ -263,9 +280,7 @@ func (l *Live) Fleet() FleetStatus {
 	if !l.execStart.IsZero() {
 		f.ExecElapsedSec = time.Since(l.execStart).Seconds()
 	}
-	if f.ExecElapsedSec > 0 {
-		f.FreshEventsPerSec = float64(f.FreshEvents) / f.ExecElapsedSec
-	}
+	f.FreshEventsPerSec = freshRate(f.FreshEvents, f.ExecElapsedSec)
 	for name, g := range l.groups {
 		ga := GroupAggregate{Group: name, Runs: g.runs, Requests: g.requests}
 		if g.requests > 0 {

@@ -94,8 +94,31 @@ func TestFleetFreshAccounting(t *testing.T) {
 	if f.ExecElapsedSec <= 0 {
 		t.Errorf("exec clock never started: %+v", f)
 	}
-	if f.FreshEventsPerSec > 1e9 {
-		t.Errorf("fresh rate %g absurd: replayed events must not feed it", f.FreshEventsPerSec)
+	if want := freshRate(700, f.ExecElapsedSec); f.FreshEventsPerSec != want {
+		t.Errorf("fresh rate %g, want freshRate(700, %g) = %g: replayed events must not feed it",
+			f.FreshEventsPerSec, f.ExecElapsedSec, want)
+	}
+}
+
+// TestFreshRateFloor pins the rate floor with fixed elapsed times, so it
+// holds however fast the host's clock advances between calls: no rate
+// below MinRateWindowSec, the plain quotient from it on.
+func TestFreshRateFloor(t *testing.T) {
+	for _, tc := range []struct {
+		events  uint64
+		elapsed float64
+		want    float64
+	}{
+		{700, 0, 0},
+		{700, 1e-9, 0}, // a nanosecond window would read 7e11 ev/s
+		{700, MinRateWindowSec / 2, 0},
+		{1000, MinRateWindowSec, 1000 / MinRateWindowSec},
+		{50_000, 0.5, 100_000},
+		{0, 2, 0},
+	} {
+		if got := freshRate(tc.events, tc.elapsed); got != tc.want {
+			t.Errorf("freshRate(%d, %g) = %g, want %g", tc.events, tc.elapsed, got, tc.want)
+		}
 	}
 }
 
