@@ -339,8 +339,11 @@ func BenchmarkCampaign(b *testing.B) {
 // a windowed observability recorder armed; the *Spans variants
 // additionally arm the per-request span tracer; the *Meter variants arm
 // the engine self-meter. Each gap to the matching plain/Obs run is that
-// layer's overhead budget (≤5% for obs, ≤1% for the meter). Baselines
-// live in BENCH_array.json.
+// layer's overhead budget (≤5% for obs, ≤1% for the meter). These are
+// micro-benchmarks for profiling one layer; performance claims use the
+// workloads of bench/ (see bench/README.md), which supersede the history
+// kept in BENCH_array.json. TestSubmitAllocBudgets in internal/array
+// pins this path's steady-state allocations at 0 per request.
 func BenchmarkArraySubmit(b *testing.B) {
 	points := []struct {
 		name   string
@@ -402,6 +405,7 @@ func BenchmarkArraySubmit(b *testing.B) {
 			// without bound.
 			const mpl = 8
 			outstanding := 0
+			onComplete := func() { outstanding-- } // one closure, not one per request
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for outstanding >= mpl {
@@ -414,7 +418,7 @@ func BenchmarkArraySubmit(b *testing.B) {
 				outstanding++
 				ctrl.Submit(array.Request{
 					Op: op, LBA: src.Int63n(capacity - 8), Blocks: 1 + src.Intn(4),
-					OnComplete: func() { outstanding-- },
+					OnComplete: onComplete,
 				})
 			}
 			for j := 0; j < 1000000 && !ctrl.Drained(); j++ {

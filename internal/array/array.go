@@ -519,8 +519,9 @@ type common struct {
 	// entry; empty on classless arrays.
 	cls []classAcct
 
-	fs faultState
-	rb robustState
+	fs   faultState
+	rb   robustState
+	recs recPools
 }
 
 func newCommon(eng *sim.Engine, cfg Config, ndisks int) (*common, error) {
@@ -730,11 +731,8 @@ func newLatch(n int, fn func()) *latch {
 }
 
 func (l *latch) done() {
-	l.n--
-	if l.n == 0 {
+	if countDown(&l.n) {
 		l.fn()
-	} else if l.n < 0 {
-		panic("array: latch over-released")
 	}
 }
 

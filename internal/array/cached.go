@@ -271,8 +271,8 @@ func (cc *cachedCtrl) read(r Request, start sim.Time, sp *obs.Span) {
 			cc.chanXferSpan(r.Blocks, sp, func() { cc.finish(r, start, sp) })
 			return
 		}
-		runs := cc.s.fetchRuns(fetch)
-		cc.readRuns(runs, r.Blocks, sp, func() { cc.finish(r, start, sp) })
+		q := cc.newReq(r, start, sp)
+		cc.readRuns(q, cc.s.fetchRuns(&q.rb, fetch))
 	})
 }
 

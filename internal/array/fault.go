@@ -296,52 +296,68 @@ func (c *common) readRun(rn run, pri disk.Priority, op *obs.Span, onDone func())
 // (robustness-layer-bounded, with backoff) — independent budgets for
 // independent failure modes.
 func (c *common) mediaRead(rn run, pri disk.Priority, tries, att int, op *obs.Span, onDone func()) {
-	c.disks[rn.disk].Submit(&disk.Request{
+	m := c.recs.reads.take()
+	if m == nil {
+		m = &readRec{c: c}
+		m.doneFn = m.done
+	}
+	m.rn, m.pri, m.tries, m.att, m.op, m.onDone = rn, pri, tries, att, op, onDone
+	m.req = disk.Request{
 		StartBlock: rn.start, Blocks: rn.blocks, Priority: pri, Span: op,
-		OnDone: func() {
-			// The drive may have died while this access was queued (it was
-			// dropped) — the "data" cannot be trusted either way.
-			if c.fs.nfailed > 0 && c.fs.failed[rn.disk] {
-				c.fallbackRead(rn, pri, op, onDone)
-				return
-			}
-			if c.fs.inj != nil && c.fs.inj.TransientFaulty(rn.disk, rn.blocks) {
-				c.fs.transientErrors++
-				if att < c.rb.cfg.Retries {
-					c.rb.retries++
-					c.cfg.Rec.Retry(c.eng.Now(), rn.disk, att+1)
-					issuedAt := c.eng.Now()
-					c.eng.After(c.retryDelay(att), func() {
-						if now := c.eng.Now(); now > issuedAt {
-							op.ChildSpan("retry-backoff", issuedAt, now)
-						}
-						c.mediaRead(rn, pri, tries, att+1, op, onDone)
-					})
-					return
+		OnDone: m.doneFn,
+	}
+	c.disks[rn.disk].Submit(&m.req)
+}
+
+// done is the read's OnDone. The record is returned first, so a retry
+// below may take it back and resubmit its request from inside this
+// OnDone, which the drive allows.
+func (m *readRec) done() {
+	c, rn, pri, tries, att, op, onDone := m.c, m.rn, m.pri, m.tries, m.att, m.op, m.onDone
+	m.rn, m.op, m.onDone = run{}, nil, nil
+	c.recs.reads.put(m)
+
+	// The drive may have died while this access was queued (it was
+	// dropped) — the "data" cannot be trusted either way.
+	if c.fs.nfailed > 0 && c.fs.failed[rn.disk] {
+		c.fallbackRead(rn, pri, op, onDone)
+		return
+	}
+	if c.fs.inj != nil && c.fs.inj.TransientFaulty(rn.disk, rn.blocks) {
+		c.fs.transientErrors++
+		if att < c.rb.cfg.Retries {
+			c.rb.retries++
+			c.cfg.Rec.Retry(c.eng.Now(), rn.disk, att+1)
+			issuedAt := c.eng.Now()
+			c.eng.After(c.retryDelay(att), func() {
+				if now := c.eng.Now(); now > issuedAt {
+					op.ChildSpan("retry-backoff", issuedAt, now)
 				}
-				// Budget spent (or no retries configured): recover the run
-				// from redundancy instead of hammering the sick drive.
-				if c.rb.cfg.Retries > 0 {
-					c.rb.retriesExhausted++
-					c.rb.attemptsExhausted += int64(c.rb.cfg.Retries)
-				}
-				c.fallbackRead(rn, pri, op, onDone)
-				return
-			}
-			if c.fs.inj == nil || !c.fs.inj.SectorFaulty(rn.blocks) {
-				onDone()
-				return
-			}
-			c.fs.sectorErrors++
-			if tries < c.fs.inj.MaxReadRetries() {
-				c.fs.sectorRetries++
-				c.mediaRead(rn, pri, tries+1, att, op, onDone)
-				return
-			}
-			c.fs.sectorReconstructs++
-			c.fallbackRead(rn, pri, op, onDone)
-		},
-	})
+				c.mediaRead(rn, pri, tries, att+1, op, onDone)
+			})
+			return
+		}
+		// Budget spent (or no retries configured): recover the run
+		// from redundancy instead of hammering the sick drive.
+		if c.rb.cfg.Retries > 0 {
+			c.rb.retriesExhausted++
+			c.rb.attemptsExhausted += int64(c.rb.cfg.Retries)
+		}
+		c.fallbackRead(rn, pri, op, onDone)
+		return
+	}
+	if c.fs.inj == nil || !c.fs.inj.SectorFaulty(rn.blocks) {
+		onDone()
+		return
+	}
+	c.fs.sectorErrors++
+	if tries < c.fs.inj.MaxReadRetries() {
+		c.fs.sectorRetries++
+		c.mediaRead(rn, pri, tries+1, att, op, onDone)
+		return
+	}
+	c.fs.sectorReconstructs++
+	c.fallbackRead(rn, pri, op, onDone)
 }
 
 // fallbackRead recovers a read run from redundancy, or counts it lost.

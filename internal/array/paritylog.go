@@ -74,13 +74,14 @@ func (pl *parityLogCtrl) Submit(r Request) {
 	pl.checkRequest(r, pl.lay.DataBlocks())
 	start, sp := pl.begin(r.Op != trace.Read)
 	if r.Op == trace.Read {
-		pl.readRuns(dataRunsSpan(pl.lay, r.LBA, r.Blocks), r.Blocks, sp, func() { pl.finish(r, start, sp) })
+		q := pl.newReq(r, start, sp)
+		pl.readRuns(q, q.rb.dataRuns(pl.lay, q.lbas))
 		return
 	}
 	// Writes: data RMW (the old data is needed for the parity-update
 	// image) unless the stripe is fully overwritten; no parity disk
 	// access in the foreground — the update image goes to the log.
-	plan := planUpdate(pl.lay, spanLBAs(r.LBA, r.Blocks), nil)
+	plan := planUpdate(pl.lay, appendSpan(nil, r.LBA, r.Blocks), nil)
 	n := len(plan.dataRuns)
 	admitStart := pl.eng.Now()
 	pl.buf.Acquire(n, func() {

@@ -35,27 +35,23 @@ func (s *raid4Scheme) write(w writeOp) {
 		s.c.parityDegradedWrite(s.lay, w)
 		return
 	}
-	plan := planUpdate(s.lay, w.lbas, w.hasOld)
-	nbuf := len(plan.dataRuns)
-	var stagger sim.Time
-	if len(plan.dataRuns) > 1 && w.spread > 0 {
-		stagger = w.spread / sim.Time(len(plan.dataRuns))
+	b := s.c.newBatch(w)
+	b.plan.build(&b.rb, s.lay, w.lbas, w.hasOld)
+	nbuf := len(b.plan.dataRuns)
+	if nbuf > 1 && w.spread > 0 {
+		b.stagger = w.spread / sim.Time(nbuf)
 	}
-	s.c.acquireAndXfer(nbuf, w.xfer, w.span, func() {
-		s.c.executeUpdate(plan, updateOpts{
-			policy:  RF, // enqueue parity once its inputs are read
-			pri:     w.pri,
-			stagger: stagger,
-			span:    w.span,
-			parityIssuer: func(pr parityRun, ready func() bool, done func()) {
-				s.enqueueParityRun(pr, 0, done)
-			},
-			// Track buffers serve the data disks; spooled parity lives in
-			// cache slots, so release as soon as the data writes land.
-			onDataDone: func() { s.c.buf.Release(nbuf) },
-			onDone:     w.onDone,
-		})
-	})
+	b.policy = RF // enqueue parity once its inputs are read
+	b.parityIssuer = s.issueParity
+	// Track buffers serve the data disks; spooled parity lives in cache
+	// slots, so release as soon as the data writes land.
+	b.onDataDone = func() { s.c.buf.Release(nbuf) }
+	b.admit(nbuf, b.updateFn)
+}
+
+// issueParity is the batch's parity issuer: admit the run to the spool.
+func (s *raid4Scheme) issueParity(pr parityRun, _ func() bool, done func()) {
+	s.enqueueParityRun(pr, 0, done)
 }
 
 // enqueueParityRun admits the run's parity blocks into the spool one by

@@ -1,0 +1,296 @@
+package array
+
+import (
+	"raidsim/internal/disk"
+	"raidsim/internal/obs"
+	"raidsim/internal/sim"
+)
+
+// Pooled request records.
+//
+// The common request path takes its working state from per-controller
+// free lists instead of allocating closures, latches and slices for
+// every request. A record's continuations are method values bound once,
+// when the record is first made, so handing one to the buffer pool, the
+// channel or a drive as a func() allocates nothing. A record goes back
+// to its free list in its own final callback, after copying out what
+// that callback still needs, and nothing reads it afterwards: a
+// continuation that submits new work (a closed-loop client's OnComplete)
+// may be handed the same record back. A record is never released while
+// the loop issuing its accesses is still running: its final completion
+// waits on at least one device access, and a drive reports completions
+// as later engine events, never inside the Submit that issued them.
+
+// pool is a free list of one record type.
+type pool[T any] struct {
+	free []*T
+	live int // records taken and not yet returned
+}
+
+// take pops a free record, or returns nil for the caller to make one;
+// either way the record counts as live until put.
+func (p *pool[T]) take() *T {
+	p.live++
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	x := p.free[n-1]
+	p.free = p.free[:n-1]
+	return x
+}
+
+func (p *pool[T]) put(x *T) {
+	p.live--
+	p.free = append(p.free, x)
+}
+
+// recPools holds a controller's free lists.
+type recPools struct {
+	reqs    pool[reqRec]
+	reads   pool[readRec]
+	batches pool[batchRec]
+}
+
+// liveRecords counts records taken and not yet returned: zero once the
+// controller has drained and no destage batch is in flight.
+func (c *common) liveRecords() int {
+	return c.recs.reqs.live + c.recs.reads.live + c.recs.batches.live
+}
+
+// countDown signals one completion on an outstanding count (a latch's
+// or a record's) and reports whether it was the last. It panics when
+// signalled more often than counted.
+func countDown(n *int) bool {
+	*n--
+	if *n < 0 {
+		panic("array: latch over-released")
+	}
+	return *n == 0
+}
+
+// reqRec is one foreground request in flight: the request with its start
+// time and trace root, its logical blocks, and for reads the runs being
+// fetched and how many are still outstanding.
+type reqRec struct {
+	c     *common
+	r     Request
+	start sim.Time
+	sp    *obs.Span
+	lbas  []int64 // [r.LBA, r.LBA+r.Blocks)
+	rb    runBuf
+	runs  []run
+	left  int // run reads outstanding
+
+	admitStart sim.Time
+
+	admitFn, runDoneFn, xferDoneFn, finishFn func()
+}
+
+// newReq takes a request record for r, which began at start under the
+// trace root sp.
+func (c *common) newReq(r Request, start sim.Time, sp *obs.Span) *reqRec {
+	q := c.recs.reqs.take()
+	if q == nil {
+		q = &reqRec{c: c}
+		q.admitFn, q.runDoneFn, q.xferDoneFn, q.finishFn = q.admit, q.runDone, q.xferDone, q.finish
+	}
+	q.r, q.start, q.sp = r, start, sp
+	q.lbas = appendSpan(q.lbas[:0], r.LBA, r.Blocks)
+	return q
+}
+
+// finish is the request's final callback. The record is returned before
+// the response is accounted, because accounting runs OnComplete.
+func (q *reqRec) finish() {
+	c, r, start, sp := q.c, q.r, q.start, q.sp
+	q.r, q.sp, q.runs = Request{}, nil, nil
+	c.recs.reqs.put(q)
+	c.finish(r, start, sp)
+}
+
+// readRuns performs the reads of runs for request q, then one channel
+// transfer of the whole request, then completes it. Shared by every
+// organization; readRun makes every path failure- and sector-error-aware.
+func (c *common) readRuns(q *reqRec, runs []run) {
+	q.runs = runs
+	q.admitStart = c.eng.Now()
+	c.buf.Acquire(len(runs), q.admitFn)
+}
+
+// admit runs once the read's track buffers are granted.
+func (q *reqRec) admit() {
+	c, sp := q.c, q.sp
+	if now := c.eng.Now(); now > q.admitStart {
+		sp.ChildSpan(obs.SpanAdmit, q.admitStart, now)
+	}
+	q.left = len(q.runs)
+	for _, rn := range q.runs {
+		var op *obs.Span
+		if sp != nil {
+			op = sp.Child("read-data", c.eng.Now())
+			op.SetBlocks(rn.blocks)
+		}
+		c.readRunHedged(rn, disk.PriNormal, op, q.runDoneFn)
+	}
+}
+
+func (q *reqRec) runDone() {
+	if countDown(&q.left) {
+		q.c.chanXferSpan(q.r.Blocks, q.sp, q.xferDoneFn)
+	}
+}
+
+func (q *reqRec) xferDone() {
+	q.c.buf.Release(len(q.runs))
+	q.finish()
+}
+
+// readRec is one device read pass in flight (see mediaRead), with the
+// disk.Request it submits embedded.
+type readRec struct {
+	c          *common
+	rn         run
+	pri        disk.Priority
+	tries, att int
+	op         *obs.Span
+	onDone     func()
+	req        disk.Request
+	doneFn     func()
+}
+
+// batchRec is one write batch in flight, a foreground write or a destage
+// chunk, from track-buffer admission to its last device write. Plain
+// organizations issue runs; parity organizations execute plan.
+type batchRec struct {
+	c    *common
+	w    writeOp
+	rb   runBuf
+	runs []run // plain writes: the runs to issue
+	plan updatePlan
+
+	// Parity update execution (see executeUpdate).
+	policy  SyncPolicy
+	stagger sim.Time // spacing between successive data-run issues
+	// parityIssuer, when non-nil, replaces the default parity disk access
+	// (RAID4 spools parity into the cache instead). It must call done
+	// exactly once; ready reports whether all old-data inputs are read.
+	parityIssuer func(pr parityRun, ready func() bool, done func())
+	// onDataDone, when non-nil, fires once all data runs complete —
+	// before parity necessarily does. RAID4 releases its track buffers
+	// here, since spooled parity needs cache slots, not buffers.
+	onDataDone func()
+	parityPri  disk.Priority
+
+	nbuf       int // track buffers released when the batch completes
+	admitStart sim.Time
+	issue      func() // runs once buffers and the channel are through
+
+	// legs holds one record per device write: data runs first, then
+	// parity run i at legs[nd+i]. Legs persist with the batch record.
+	legs           []*legRec
+	nd             int
+	left, dataLeft int // legs and data legs outstanding
+
+	admitFn, legDoneFn, dataDoneFn, finishFn, plainFn, updateFn func()
+}
+
+// legRec is one device write of a batch. Data legs list the parity runs
+// their old data feeds; parity legs count the feeding reads and starts
+// still outstanding.
+type legRec struct {
+	b                     *batchRec
+	req                   disk.Request
+	feeds                 []int
+	readsLeft, startsLeft int
+	issued                bool
+
+	onStartFn, onReadDoneFn func()
+	readyFn                 func() bool
+}
+
+// newBatch takes a batch record for w.
+func (c *common) newBatch(w writeOp) *batchRec {
+	b := c.recs.batches.take()
+	if b == nil {
+		b = &batchRec{c: c}
+		b.admitFn, b.legDoneFn, b.dataDoneFn, b.finishFn = b.admitted, b.legDone, b.dataDone, b.finish
+		b.plainFn, b.updateFn = b.issuePlain, b.executeUpdate
+	}
+	b.w = w
+	return b
+}
+
+// finish is the batch's final callback: return the record, release the
+// track buffers still held, and report completion.
+func (b *batchRec) finish() {
+	c, n, onDone := b.c, b.nbuf, b.w.onDone
+	b.w, b.runs, b.issue = writeOp{}, nil, nil
+	b.policy, b.stagger, b.parityIssuer, b.onDataDone, b.nbuf = SI, 0, nil, nil, 0
+	c.recs.batches.put(b)
+	c.buf.Release(n)
+	onDone()
+}
+
+// admit acquires n track buffers, then — for foreground writes — moves
+// the data over the channel, then runs issue.
+func (b *batchRec) admit(n int, issue func()) {
+	b.issue = issue
+	b.admitStart = b.c.eng.Now()
+	b.c.buf.Acquire(n, b.admitFn)
+}
+
+func (b *batchRec) admitted() {
+	c := b.c
+	if now := c.eng.Now(); now > b.admitStart {
+		b.w.span.ChildSpan(obs.SpanAdmit, b.admitStart, now)
+	}
+	if b.w.xfer > 0 {
+		c.chanXferSpan(b.w.xfer, b.w.span, b.issue)
+	} else {
+		b.issue()
+	}
+}
+
+// leg returns the batch's i-th leg, making legs up to it on first use.
+func (b *batchRec) leg(i int) *legRec {
+	for len(b.legs) <= i {
+		lg := &legRec{b: b}
+		lg.onStartFn, lg.onReadDoneFn, lg.readyFn = lg.onStart, lg.onReadDone, lg.ready
+		b.legs = append(b.legs, lg)
+	}
+	return b.legs[i]
+}
+
+func (b *batchRec) legDone() {
+	if countDown(&b.left) {
+		b.finish()
+	}
+}
+
+func (b *batchRec) dataDone() {
+	if countDown(&b.dataLeft) && b.onDataDone != nil {
+		b.onDataDone()
+	}
+	b.legDone()
+}
+
+// submitLeg issues a data write: staggered by i slots when the batch
+// spreads its issues, else now under its device-op span.
+func (b *batchRec) submitLeg(i int, d *disk.Disk, req *disk.Request) {
+	c := b.c
+	if b.stagger > 0 && i > 0 {
+		cl := c.eng.AfterCall(b.stagger*sim.Time(i), submitWriteFire)
+		cl.A, cl.B, cl.C = d, req, b.w.span
+		return
+	}
+	if b.w.span != nil {
+		name := "write-data"
+		if req.RMW {
+			name = "rmw-data"
+		}
+		req.Span = b.w.span.Child(name, c.eng.Now())
+		req.Span.SetBlocks(req.Blocks)
+	}
+	d.Submit(req)
+}

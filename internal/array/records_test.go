@@ -1,0 +1,227 @@
+package array
+
+import (
+	"fmt"
+	"testing"
+
+	"raidsim/internal/fault"
+	"raidsim/internal/geom"
+	"raidsim/internal/rng"
+	"raidsim/internal/sim"
+	"raidsim/internal/trace"
+)
+
+// commonOf returns the shared controller state behind a Controller.
+func commonOf(t *testing.T, ctrl Controller) *common {
+	t.Helper()
+	switch c := ctrl.(type) {
+	case *schemeCtrl:
+		return c.common
+	case *cachedCtrl:
+		return c.common
+	}
+	t.Fatalf("no common state in %T", ctrl)
+	return nil
+}
+
+// TestSubmitAllocBudgets pins the steady-state allocations of one
+// request on warmed, closed-loop, non-cached controllers, in the style
+// of BenchmarkArraySubmit. Allocation counts are the same on every host,
+// so an allocation that creeps back into the request path fails here
+// instead of hiding in timing noise.
+func TestSubmitAllocBudgets(t *testing.T) {
+	type tc struct {
+		org  Org
+		op   trace.Op
+		sync SyncPolicy
+	}
+	var cases []tc
+	for _, org := range []Org{OrgBase, OrgMirror, OrgRAID5, OrgParityStriping} {
+		cases = append(cases, tc{org, trace.Read, DF})
+		if org == OrgBase || org == OrgMirror {
+			cases = append(cases, tc{org, trace.Write, DF})
+			continue
+		}
+		for _, pol := range []SyncPolicy{SI, RF, RFPR, DF, DFPR} {
+			cases = append(cases, tc{org, trace.Write, pol})
+		}
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("%v/%v", c.org, c.op)
+		if c.op == trace.Write && (c.org == OrgRAID5 || c.org == OrgParityStriping) {
+			name += "/" + c.sync.String()
+		}
+		t.Run(name, func(t *testing.T) {
+			eng, ctrl := build(t, Config{
+				Org: c.org, N: 10, Spec: geom.Default(), Sync: c.sync, Seed: 1,
+			})
+			src := rng.New(42)
+			capacity := ctrl.DataBlocks()
+			// Closed loop: a fixed number of requests outstanding keeps
+			// every queue at its steady-state depth.
+			const mpl = 8
+			outstanding := 0
+			onComplete := func() { outstanding-- }
+			submit := func() {
+				for outstanding >= mpl {
+					eng.RunFor(sim.Millisecond)
+				}
+				outstanding++
+				ctrl.Submit(Request{
+					Op: c.op, LBA: src.Int63n(capacity - 8), Blocks: 1 + src.Intn(4),
+					OnComplete: onComplete,
+				})
+			}
+			for i := 0; i < 4000; i++ {
+				submit()
+			}
+			if n := testing.AllocsPerRun(2000, submit); n != 0 {
+				t.Errorf("%.0f allocations per request, want 0", n)
+			}
+			drain(t, eng, ctrl)
+			if n := commonOf(t, ctrl).liveRecords(); n != 0 {
+				t.Errorf("%d records still live after drain", n)
+			}
+		})
+	}
+}
+
+// TestRecordsBalanceUnderFaults drives each failure path that detours a
+// pooled record — drops, retries, hedges, reconstruction, rebuild — and
+// checks that every record taken was returned once the run drained.
+func TestRecordsBalanceUnderFaults(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   func() Config
+		check func(t *testing.T, c *common, reqs []Request)
+	}{{
+		name: "drop",
+		cfg: func() Config {
+			cfg := faultConfig(OrgRAID5, false)
+			cfg.Fault = fault.Config{DiskFails: []fault.DiskFail{{Disk: 0, At: 150 * sim.Millisecond}}}
+			return cfg
+		},
+		check: func(t *testing.T, c *common, _ []Request) {
+			if c.disks[0].S.Dropped == 0 {
+				t.Error("no queued access was dropped")
+			}
+		},
+	}, {
+		name: "sector-retry",
+		cfg: func() Config {
+			cfg := faultConfig(OrgRAID5, false)
+			cfg.Fault = fault.Config{SectorErrorRate: 0.3, MaxReadRetries: 1, Seed: 3}
+			return cfg
+		},
+		check: func(t *testing.T, c *common, _ []Request) {
+			if c.fs.sectorRetries == 0 || c.fs.sectorReconstructs == 0 {
+				t.Errorf("sector retries %d, reconstructs %d; want both", c.fs.sectorRetries, c.fs.sectorReconstructs)
+			}
+		},
+	}, {
+		name: "transient-backoff",
+		cfg: func() Config {
+			cfg := faultConfig(OrgRAID5, false)
+			cfg.Fault = fault.Config{SickDisks: []fault.SickDisk{{Disk: 1, TransientRate: 0.3}}, Seed: 5}
+			cfg.Robust = RobustConfig{Retries: 2}
+			return cfg
+		},
+		check: func(t *testing.T, c *common, _ []Request) {
+			if c.rb.retries == 0 || c.rb.retriesExhausted == 0 {
+				t.Errorf("retries %d, exhausted %d; want both", c.rb.retries, c.rb.retriesExhausted)
+			}
+		},
+	}, {
+		name: "hedge",
+		cfg: func() Config {
+			cfg := faultConfig(OrgMirror, false)
+			cfg.Robust = RobustConfig{HedgeAfter: 2 * sim.Millisecond}
+			return cfg
+		},
+		check: func(t *testing.T, c *common, _ []Request) {
+			if c.rb.hedgeWins == 0 || c.rb.hedgeLosses == 0 {
+				t.Errorf("hedge wins %d, losses %d; want both", c.rb.hedgeWins, c.rb.hedgeLosses)
+			}
+		},
+	}, {
+		name: "reconstruct-rebuild",
+		cfg: func() Config {
+			cfg := faultConfig(OrgRAID5, false)
+			cfg.Fault = fault.Config{DiskFails: []fault.DiskFail{{Disk: 2, At: 100 * sim.Millisecond}}}
+			cfg.Spares = 1
+			return cfg
+		},
+		check: func(t *testing.T, c *common, reqs []Request) {
+			if c.fs.rebuilds != 1 {
+				t.Errorf("%d rebuilds, want 1", c.fs.rebuilds)
+			}
+			if c.disks[2].S.Dropped == 0 {
+				t.Error("no access to the failed disk was dropped")
+			}
+			// Reads of the dead slot that arrived while it rebuilt were
+			// reconstructed from the survivors.
+			lay := c.sch.(*parityScheme).lay
+			from, until := 100*sim.Millisecond, 100*sim.Millisecond+c.fs.rebuildBusy
+			n := 0
+			for i, r := range reqs {
+				at := burstAt(i)
+				if r.Op == trace.Read && at > from && at < until && lay.Map(r.LBA).Disk == 2 {
+					n++
+				}
+			}
+			if n < 5 || c.fs.lostReadBlocks != 0 {
+				t.Errorf("%d reads of the dead slot during rebuild, %d blocks lost; want >= 5 and 0", n, c.fs.lostReadBlocks)
+			}
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, ctrl := build(t, tc.cfg())
+			c := commonOf(t, ctrl)
+			reqs := burst(ctrl.DataBlocks())
+			for i, r := range reqs {
+				eng.At(burstAt(i), func() { ctrl.Submit(r) })
+			}
+			eng.RunUntil(sim.Second)
+			runUntilRepaired(t, eng, ctrl)
+			tc.check(t, c, reqs)
+			if n := c.liveRecords(); n != 0 {
+				t.Errorf("%d records still live after drain", n)
+			}
+		})
+	}
+}
+
+// burst returns 600 mixed requests, 30% writes of 1-4 blocks, arriving
+// at burstAt(i): well above the array's service rate, so queues are
+// deep when a failure lands.
+func burst(capacity int64) []Request {
+	src := rng.New(11)
+	reqs := make([]Request, 600)
+	for i := range reqs {
+		op := trace.Read
+		if src.Bool(0.3) {
+			op = trace.Write
+		}
+		reqs[i] = Request{Op: op, LBA: src.Int63n(capacity - 8), Blocks: 1 + src.Intn(4)}
+	}
+	return reqs
+}
+
+func burstAt(i int) sim.Time { return sim.Time(i) * sim.Millisecond / 2 }
+
+// TestRecordCountDownOverReleasePanics: the pooled records keep the
+// latch's guard against a completion signalled more often than counted.
+func TestRecordCountDownOverReleasePanics(t *testing.T) {
+	_, ctrl := build(t, testConfig(OrgRAID5, false))
+	c := commonOf(t, ctrl)
+	b := c.newBatch(writeOp{onDone: func() {}})
+	b.left = 1
+	b.legDone() // the last leg: the batch completes and is returned
+	defer func() {
+		if recover() == nil {
+			t.Fatal("over-release should panic")
+		}
+	}()
+	b.legDone()
+}

@@ -384,6 +384,11 @@ func (c *common) readRunHedged(rn run, pri disk.Priority, op *obs.Span, onDone f
 		c.readRun(rn, pri, op, onDone)
 		return
 	}
+	// The primary leg may outlive its request (a hedge win completes the
+	// request first), and with it the record whose arena rn.lbas points
+	// into. A late leg's only detour, the mirror fallback, reads no
+	// lbas, so the leg carries none.
+	rn.lbas = nil
 	h := &hedgeOp{c: c, alt: alt, pri: pri, op: op, onDone: onDone}
 	h.timer = c.eng.AfterCall(delay, hedgeFire)
 	h.timer.A = h

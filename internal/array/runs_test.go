@@ -6,6 +6,14 @@ import (
 	"raidsim/internal/layout"
 )
 
+// spanLBAs returns the logical blocks [lba, lba+n).
+func spanLBAs(lba int64, n int) []int64 { return appendSpan(nil, lba, n) }
+
+// dataRunsSpan maps the logical span [lba, lba+n) into a fresh runBuf.
+func dataRunsSpan(lay layout.DataLayout, lba int64, n int) []run {
+	return new(runBuf).dataRuns(lay, spanLBAs(lba, n))
+}
+
 func TestDataRunsBaseContiguous(t *testing.T) {
 	lay := layout.NewBase(4, 100)
 	runs := dataRunsSpan(lay, 95, 10) // crosses from disk 0 into disk 1

@@ -22,9 +22,9 @@ type scheme interface {
 	// keepOldData reports whether the NV cache should keep pre-write
 	// images (parity schemes destage cheaper with old-data shadows).
 	keepOldData() bool
-	// fetchRuns lays out a read of the given blocks in normal mode;
-	// degraded reads recover per-run via readFallback.
-	fetchRuns(lbas []int64) []run
+	// fetchRuns lays out a read of the given blocks in normal mode, in
+	// rb's storage; degraded reads recover per-run via readFallback.
+	fetchRuns(rb *runBuf, lbas []int64) []run
 	// write persists a batch of blocks, honoring degraded mode. The
 	// writeOp says whether this is a foreground write (xfer > 0: move
 	// the data over the channel first) or a cache destage (xfer == 0).
@@ -83,90 +83,43 @@ func (sc *schemeCtrl) Submit(r Request) {
 		return
 	}
 	start, sp := sc.begin(r.Op != trace.Read)
-	lbas := spanLBAs(r.LBA, r.Blocks)
+	q := sc.newReq(r, start, sp)
 	if r.Op == trace.Read {
-		sc.readRuns(sc.s.fetchRuns(lbas), r.Blocks, sp, func() { sc.finish(r, start, sp) })
+		sc.readRuns(q, sc.s.fetchRuns(&q.rb, q.lbas))
 		return
 	}
 	sc.s.write(writeOp{
-		lbas: lbas, xfer: r.Blocks, pri: disk.PriNormal, span: sp,
-		onDone: func() { sc.finish(r, start, sp) },
-	})
-}
-
-// readRuns performs reads for the runs, then one channel transfer of the
-// full request, then onDone. Shared by every organization; readRun makes
-// every path failure- and sector-error-aware.
-func (c *common) readRuns(runs []run, totalBlocks int, sp *obs.Span, onDone func()) {
-	admitStart := c.eng.Now()
-	c.buf.Acquire(len(runs), func() {
-		if now := c.eng.Now(); now > admitStart {
-			sp.ChildSpan(obs.SpanAdmit, admitStart, now)
-		}
-		done := newLatch(len(runs), func() {
-			c.chanXferSpan(totalBlocks, sp, func() {
-				c.buf.Release(len(runs))
-				onDone()
-			})
-		})
-		for _, rn := range runs {
-			var op *obs.Span
-			if sp != nil {
-				op = sp.Child("read-data", c.eng.Now())
-				op.SetBlocks(rn.blocks)
-			}
-			c.readRunHedged(rn, disk.PriNormal, op, done.done)
-		}
-	})
-}
-
-// acquireAndXfer acquires n track buffers, then — for foreground writes
-// (xfer > 0) — moves the request over the channel, then runs issue.
-func (c *common) acquireAndXfer(n, xfer int, sp *obs.Span, issue func()) {
-	admitStart := c.eng.Now()
-	c.buf.Acquire(n, func() {
-		if now := c.eng.Now(); now > admitStart {
-			sp.ChildSpan(obs.SpanAdmit, admitStart, now)
-		}
-		if xfer > 0 {
-			c.chanXferSpan(xfer, sp, issue)
-		} else {
-			issue()
-		}
+		lbas: q.lbas, xfer: r.Blocks, pri: disk.PriNormal, span: sp,
+		onDone: q.finishFn,
 	})
 }
 
 // plainWrite issues plain (non-parity) write runs behind the standard
 // envelope: track buffers, foreground channel transfer, and the optional
 // stagger that spaces background batches out.
-func (c *common) plainWrite(runs []run, w writeOp) {
-	var stagger sim.Time
-	if len(runs) > 1 && w.spread > 0 {
-		stagger = w.spread / sim.Time(len(runs))
+func (b *batchRec) plainWrite(runs []run) {
+	b.runs = runs
+	if len(runs) > 1 && b.w.spread > 0 {
+		b.stagger = b.w.spread / sim.Time(len(runs))
 	}
-	c.acquireAndXfer(len(runs), w.xfer, w.span, func() {
-		done := newLatch(len(runs), func() {
-			c.buf.Release(len(runs))
-			w.onDone()
-		})
-		for i, rn := range runs {
-			req := &disk.Request{
-				StartBlock: rn.start, Blocks: rn.blocks, Write: true,
-				Priority: w.pri, OnDone: done.done,
-			}
-			d := c.disks[rn.disk]
-			if stagger > 0 && i > 0 {
-				cl := c.eng.AfterCall(stagger*sim.Time(i), submitWriteFire)
-				cl.A, cl.B, cl.C = d, req, w.span
-				continue
-			}
-			if w.span != nil {
-				req.Span = w.span.Child("write-data", c.eng.Now())
-				req.Span.SetBlocks(rn.blocks)
-			}
-			d.Submit(req)
+	b.nbuf = len(runs)
+	b.admit(len(runs), b.plainFn)
+}
+
+func (b *batchRec) issuePlain() {
+	b.left = len(b.runs)
+	if b.left == 0 {
+		b.finish()
+		return
+	}
+	for i, rn := range b.runs {
+		lg := b.leg(i)
+		lg.req = disk.Request{
+			StartBlock: rn.start, Blocks: rn.blocks, Write: true,
+			Priority: b.w.pri, OnDone: b.legDoneFn,
 		}
-	})
+		b.submitLeg(i, b.c.disks[rn.disk], &lg.req)
+	}
 }
 
 // submitWriteFire issues a staggered device write: A = disk, B =
@@ -187,10 +140,10 @@ func submitWriteFire(e *sim.Engine, cl *sim.Call) {
 	d.Submit(req)
 }
 
-func spanLBAs(lba int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = lba + int64(i)
+// appendSpan appends the logical blocks [lba, lba+n) to dst.
+func appendSpan(dst []int64, lba int64, n int) []int64 {
+	for i := 0; i < n; i++ {
+		dst = append(dst, lba+int64(i))
 	}
-	return out
+	return dst
 }

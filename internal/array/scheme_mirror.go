@@ -28,8 +28,8 @@ func (s *mirrorScheme) keepOldData() bool { return false }
 
 // fetchRuns picks, per run, the mirror copy with the shorter seek. A
 // dead copy never wins: reads fail over to the survivor.
-func (s *mirrorScheme) fetchRuns(lbas []int64) []run {
-	prim := dataRuns(s.lay, lbas)
+func (s *mirrorScheme) fetchRuns(rb *runBuf, lbas []int64) []run {
+	prim := rb.dataRuns(s.lay, lbas)
 	for i := range prim {
 		rn := &prim[i]
 		if pickMirrorCopy(s.c, rn.disk, rn.start) {
@@ -54,14 +54,15 @@ func pickMirrorCopy(c *common, primary int, start int64) bool {
 		}
 	}
 	d0, d1 := c.disks[primary], c.disks[primary+1]
-	cyl := c.cfg.Spec.ToCHS(start).Cylinder
+	cyl := d0.CylinderOf(start)
 	dist0 := max(d0.Cylinder()-cyl, cyl-d0.Cylinder())
 	dist1 := max(d1.Cylinder()-cyl, cyl-d1.Cylinder())
 	return dist1 < dist0 || (dist1 == dist0 && d1.QueueLen() < d0.QueueLen())
 }
 
 func (s *mirrorScheme) write(w writeOp) {
-	runs := append(dataRuns(s.lay, w.lbas), altRuns(s.lay, w.lbas)...)
+	b := s.c.newBatch(w)
+	runs := b.rb.mirrorRuns(s.lay, w.lbas)
 	if s.c.degradedNow() {
 		// Writes degrade to the surviving copy (or the rebuilding spare);
 		// a block is lost only when both copies of its pair are gone.
@@ -75,7 +76,7 @@ func (s *mirrorScheme) write(w writeOp) {
 			}
 		}
 	}
-	s.c.plainWrite(runs, w)
+	b.plainWrite(runs)
 }
 
 // Mirrored-pair degraded mapping: reads fail over to the partner copy,

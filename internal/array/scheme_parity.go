@@ -21,31 +21,21 @@ func (s *parityScheme) org() Org          { return s.o }
 func (s *parityScheme) dataBlocks() int64 { return s.lay.DataBlocks() }
 func (s *parityScheme) keepOldData() bool { return true }
 
-func (s *parityScheme) fetchRuns(lbas []int64) []run { return dataRuns(s.lay, lbas) }
+func (s *parityScheme) fetchRuns(rb *runBuf, lbas []int64) []run { return rb.dataRuns(s.lay, lbas) }
 
 func (s *parityScheme) write(w writeOp) {
 	if s.c.degradedNow() {
 		s.c.parityDegradedWrite(s.lay, w)
 		return
 	}
-	plan := planUpdate(s.lay, w.lbas, w.hasOld)
-	n := plan.totalRuns()
-	var stagger sim.Time
-	if len(plan.dataRuns) > 1 && w.spread > 0 {
-		stagger = w.spread / sim.Time(len(plan.dataRuns))
+	b := s.c.newBatch(w)
+	b.plan.build(&b.rb, s.lay, w.lbas, w.hasOld)
+	if nd := len(b.plan.dataRuns); nd > 1 && w.spread > 0 {
+		b.stagger = w.spread / sim.Time(nd)
 	}
-	s.c.acquireAndXfer(n, w.xfer, w.span, func() {
-		s.c.executeUpdate(plan, updateOpts{
-			policy:  s.c.cfg.Sync,
-			pri:     w.pri,
-			stagger: stagger,
-			span:    w.span,
-			onDone: func() {
-				s.c.buf.Release(n)
-				w.onDone()
-			},
-		})
-	})
+	b.policy = s.c.cfg.Sync
+	b.nbuf = b.plan.totalRuns()
+	b.admit(b.nbuf, b.updateFn)
 }
 
 func (s *parityScheme) onFail(d int)               { s.c.parityOnFail(d) }
@@ -120,13 +110,9 @@ func (c *common) parityReadFallback(lay layout.ParityLayout, rn run, pri disk.Pr
 // parityDegradedWrite applies a write batch to a parity layout with
 // failures present, behind the standard envelope.
 func (c *common) parityDegradedWrite(lay layout.ParityLayout, w writeOp) {
-	n := len(w.lbas)
-	c.acquireAndXfer(n, w.xfer, w.span, func() {
-		c.degradedUpdate(lay, w.lbas, w.pri, w.span, func() {
-			c.buf.Release(n)
-			w.onDone()
-		})
-	})
+	b := c.newBatch(w)
+	b.nbuf = len(w.lbas)
+	b.admit(b.nbuf, func() { c.degradedUpdate(lay, w.lbas, w.pri, w.span, b.finishFn) })
 }
 
 // degradedUpdate applies a batch of block writes to a parity layout with

@@ -20,13 +20,13 @@ func (s *plainScheme) org() Org          { return s.o }
 func (s *plainScheme) dataBlocks() int64 { return s.lay.DataBlocks() }
 func (s *plainScheme) keepOldData() bool { return false }
 
-func (s *plainScheme) fetchRuns(lbas []int64) []run { return dataRuns(s.lay, lbas) }
+func (s *plainScheme) fetchRuns(rb *runBuf, lbas []int64) []run { return rb.dataRuns(s.lay, lbas) }
 
 func (s *plainScheme) write(w writeOp) {
-	runs := dataRuns(s.lay, w.lbas)
-	runs, dropped := s.c.filterWriteRuns(runs)
+	b := s.c.newBatch(w)
+	runs, dropped := s.c.filterWriteRuns(b.rb.dataRuns(s.lay, w.lbas))
 	s.c.fs.lostWriteBlocks += int64(dropped)
-	s.c.plainWrite(runs, w)
+	b.plainWrite(runs)
 }
 
 // No redundancy: every failure loses data, nothing can rebuild a spare,

@@ -1,32 +1,10 @@
 package array
 
-import (
-	"raidsim/internal/disk"
-	"raidsim/internal/obs"
-	"raidsim/internal/sim"
-)
+import "raidsim/internal/disk"
 
-// updateOpts controls how an updatePlan is executed.
-type updateOpts struct {
-	policy  SyncPolicy
-	pri     disk.Priority // priority of data accesses (and non-/PR parity)
-	stagger sim.Time      // spacing between successive data-run issues
-	// parityIssuer, when non-nil, replaces the default parity disk access
-	// (RAID4 spools parity into the cache instead). It must call done
-	// exactly once; ready reports whether all old-data inputs are read.
-	parityIssuer func(pr parityRun, ready func() bool, done func())
-	// onDataDone, when non-nil, fires once all data runs complete —
-	// before parity necessarily does. RAID4 releases its track buffers
-	// here, since spooled parity needs cache slots, not buffers.
-	onDataDone func()
-	// span, when non-nil, is the trace span the update's device-op spans
-	// nest under (the request root, or a destage batch's background root).
-	span   *obs.Span
-	onDone func()
-}
-
-// executeUpdate applies a batch of writes plus their parity updates to the
-// array, honoring the configured data/parity synchronization policy:
+// executeUpdate applies the batch's plan — a batch of writes plus their
+// parity updates — to the array, honoring the batch's data/parity
+// synchronization policy:
 //
 //   - SI    parity issued immediately; the parity disk holds rotations
 //     until the old data has been read.
@@ -37,128 +15,125 @@ type updateOpts struct {
 //
 // Full-stripe parity runs and parity runs whose old data is already in
 // the controller have no feeders and are issued immediately regardless of
-// policy.
-func (c *common) executeUpdate(plan updatePlan, o updateOpts) {
+// policy. Data accesses run at the batch's priority, staggered by its
+// stagger; the device-op spans nest under the batch's span.
+func (b *batchRec) executeUpdate() {
+	plan := &b.plan
 	nd, np := len(plan.dataRuns), len(plan.parityRuns)
-	dataDone := o.onDataDone
-	if dataDone == nil {
-		dataDone = func() {}
-	}
-	all := newLatch(nd+np, o.onDone)
-	dl := newLatch(nd, dataDone)
-	if nd+np == 0 {
-		return
-	}
-
-	readsLeft := make([]int, np)  // pending old-data reads per parity run
-	startsLeft := make([]int, np) // pending data-run starts per parity run
-	issued := make([]bool, np)
+	b.nd, b.left, b.dataLeft = nd, nd+np, nd
 	for i, d := range plan.deps {
-		readsLeft[i] = len(d)
-		startsLeft[i] = len(d)
+		p := b.leg(nd + i)
+		p.readsLeft = len(d)  // pending old-data reads
+		p.startsLeft = len(d) // pending data-run starts
+		p.issued = false
 	}
-
-	parityPri := o.pri
-	if o.policy.priority() {
-		parityPri = disk.PriHigh
-	}
-
-	issueParity := func(i int) {
-		if issued[i] {
-			return
-		}
-		issued[i] = true
-		pr := plan.parityRuns[i]
-		ready := func() bool { return readsLeft[i] == 0 }
-		if o.parityIssuer != nil {
-			o.parityIssuer(pr, ready, all.done)
-			return
-		}
-		c.parityAccesses++
-		req := &disk.Request{
-			StartBlock: pr.start,
-			Blocks:     pr.blocks,
-			Write:      true,
-			Priority:   parityPri,
-			OnDone:     all.done,
-		}
-		if !pr.full {
-			req.RMW = true
-			req.Ready = ready
-		}
-		if o.span != nil {
-			name := "write-parity"
-			if req.RMW {
-				name = "rmw-parity"
-			}
-			req.Span = o.span.Child(name, c.eng.Now())
-			req.Span.SetBlocks(pr.blocks)
-		}
-		c.disks[pr.disk].Submit(req)
+	b.parityPri = b.w.pri
+	if b.policy.priority() {
+		b.parityPri = disk.PriHigh
 	}
 
 	// Parity runs with no feeders are unconstrained by the policy.
 	for i := range plan.parityRuns {
-		if readsLeft[i] == 0 {
-			issueParity(i)
-		} else if o.policy == SI {
-			issueParity(i)
+		if b.legs[nd+i].readsLeft == 0 || b.policy == SI {
+			b.issueParity(i)
 		}
 	}
 
 	// Reverse maps: data run -> parity runs it feeds.
-	feeds := make([][]int, nd)
+	for ri := 0; ri < nd; ri++ {
+		lg := b.leg(ri)
+		lg.feeds = lg.feeds[:0]
+	}
 	for pi, d := range plan.deps {
 		for _, ri := range d {
-			feeds[ri] = append(feeds[ri], pi)
+			b.legs[ri].feeds = append(b.legs[ri].feeds, pi)
 		}
 	}
 
-	for ri := range plan.dataRuns {
-		ri := ri
-		r := plan.dataRuns[ri]
-		req := &disk.Request{
+	for ri, r := range plan.dataRuns {
+		lg := b.legs[ri]
+		lg.req = disk.Request{
 			StartBlock: r.start,
 			Blocks:     r.blocks,
 			Write:      true,
-			Priority:   o.pri,
-			OnDone:     func() { dl.done(); all.done() },
+			Priority:   b.w.pri,
+			OnDone:     b.dataDoneFn,
 		}
 		if plan.dataRMW[ri] {
-			req.RMW = true // new data is in the controller; no Ready gate
-			req.OnStart = func() {
-				if !o.policy.diskFirst() {
-					return
-				}
-				for _, pi := range feeds[ri] {
-					startsLeft[pi]--
-					if startsLeft[pi] == 0 {
-						issueParity(pi)
-					}
-				}
-			}
-			req.OnReadDone = func() {
-				for _, pi := range feeds[ri] {
-					readsLeft[pi]--
-					if readsLeft[pi] == 0 && (o.policy == RF || o.policy == RFPR) {
-						issueParity(pi)
-					}
-				}
-			}
+			// New data is in the controller; no Ready gate.
+			lg.req.RMW = true
+			lg.req.OnStart = lg.onStartFn
+			lg.req.OnReadDone = lg.onReadDoneFn
 		}
-		if o.stagger > 0 && ri > 0 {
-			cl := c.eng.AfterCall(o.stagger*sim.Time(ri), submitWriteFire)
-			cl.A, cl.B, cl.C = c.disks[r.disk], req, o.span
-			continue
-		}
-		if o.span != nil {
-			name := "write-data"
-			if req.RMW {
-				name = "rmw-data"
-			}
-			req.Span = o.span.Child(name, c.eng.Now())
-			req.Span.SetBlocks(r.blocks)
-		}
-		c.disks[r.disk].Submit(req)
+		b.submitLeg(ri, b.c.disks[r.disk], &lg.req)
 	}
 }
+
+// issueParity issues parity run i, once.
+func (b *batchRec) issueParity(i int) {
+	lg := b.legs[b.nd+i]
+	if lg.issued {
+		return
+	}
+	lg.issued = true
+	pr := b.plan.parityRuns[i]
+	if b.parityIssuer != nil {
+		b.parityIssuer(pr, lg.readyFn, b.legDoneFn)
+		return
+	}
+	c := b.c
+	c.parityAccesses++
+	lg.req = disk.Request{
+		StartBlock: pr.start,
+		Blocks:     pr.blocks,
+		Write:      true,
+		Priority:   b.parityPri,
+		OnDone:     b.legDoneFn,
+	}
+	if !pr.full {
+		lg.req.RMW = true
+		lg.req.Ready = lg.readyFn
+	}
+	if b.w.span != nil {
+		name := "write-parity"
+		if lg.req.RMW {
+			name = "rmw-parity"
+		}
+		lg.req.Span = b.w.span.Child(name, c.eng.Now())
+		lg.req.Span.SetBlocks(pr.blocks)
+	}
+	c.disks[pr.disk].Submit(&lg.req)
+}
+
+// onStart fires when an RMW data leg acquires its disk: under the Disk
+// First policies, the parity runs it feeds are issued once all their
+// feeders have started.
+func (lg *legRec) onStart() {
+	b := lg.b
+	if !b.policy.diskFirst() {
+		return
+	}
+	for _, pi := range lg.feeds {
+		p := b.legs[b.nd+pi]
+		p.startsLeft--
+		if p.startsLeft == 0 {
+			b.issueParity(pi)
+		}
+	}
+}
+
+// onReadDone fires when an RMW data leg has read its old data: parity
+// runs it feeds become ready, and under Read First are issued.
+func (lg *legRec) onReadDone() {
+	b := lg.b
+	for _, pi := range lg.feeds {
+		p := b.legs[b.nd+pi]
+		p.readsLeft--
+		if p.readsLeft == 0 && (b.policy == RF || b.policy == RFPR) {
+			b.issueParity(pi)
+		}
+	}
+}
+
+// ready gates a parity leg's RMW write phase: all old-data inputs read.
+func (lg *legRec) ready() bool { return lg.readsLeft == 0 }

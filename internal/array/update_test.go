@@ -53,21 +53,19 @@ func TestUpdateOnDataDoneFiresBeforeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := c.(*schemeCtrl)
-	plan := planUpdate(p.s.(*parityScheme).lay, spanLBAs(0, 1), nil)
 	var dataAt, parityAt, doneAt sim.Time
-	p.executeUpdate(plan, updateOpts{
-		policy: RF,
-		pri:    disk.PriNormal,
-		parityIssuer: func(pr parityRun, ready func() bool, done func()) {
-			// Simulate a slow spool admission.
-			eng.After(500*sim.Millisecond, func() {
-				parityAt = eng.Now()
-				done()
-			})
-		},
-		onDataDone: func() { dataAt = eng.Now() },
-		onDone:     func() { doneAt = eng.Now() },
-	})
+	b := p.newBatch(writeOp{pri: disk.PriNormal, onDone: func() { doneAt = eng.Now() }})
+	b.plan.build(&b.rb, p.s.(*parityScheme).lay, spanLBAs(0, 1), nil)
+	b.policy = RF
+	b.parityIssuer = func(pr parityRun, ready func() bool, done func()) {
+		// Simulate a slow spool admission.
+		eng.After(500*sim.Millisecond, func() {
+			parityAt = eng.Now()
+			done()
+		})
+	}
+	b.onDataDone = func() { dataAt = eng.Now() }
+	b.executeUpdate()
 	eng.Run()
 	if dataAt == 0 || parityAt == 0 || doneAt == 0 {
 		t.Fatalf("callbacks missing: data=%d parity=%d done=%d", dataAt, parityAt, doneAt)
@@ -90,7 +88,9 @@ func TestUpdateStaggerSpacesDataRuns(t *testing.T) {
 	// Four separate blocks on different disks -> four data runs.
 	lay := p.s.(*parityScheme).lay.(*layout.RAID5)
 	lbas := []int64{0, 1, 2, 3}
-	plan := planUpdate(lay, lbas, func(int64) bool { return true })
+	b := p.newBatch(writeOp{pri: disk.PriNormal})
+	b.plan.build(&b.rb, lay, lbas, func(int64) bool { return true })
+	plan := &b.plan
 	if len(plan.dataRuns) < 2 {
 		t.Skip("layout merged the runs; stagger unobservable")
 	}
@@ -103,15 +103,14 @@ func TestUpdateStaggerSpacesDataRuns(t *testing.T) {
 	// submission effect via engine timestamps of run issuance using the
 	// stagger arithmetic: issue i happens at stagger*i.
 	const stag = 20 * sim.Millisecond
-	p.executeUpdate(plan, updateOpts{
-		policy:  RF,
-		pri:     disk.PriNormal,
-		stagger: stag,
-		onDone:  func() { starts = append(starts, eng.Now()) },
-	})
+	b.policy = RF
+	b.stagger = stag
+	b.w.onDone = func() { starts = append(starts, eng.Now()) }
+	nd := len(plan.dataRuns)
+	b.executeUpdate()
 	eng.Run()
 	// Indirect check: total makespan must be at least stagger*(runs-1).
-	if eng.Now() < stag*sim.Time(len(plan.dataRuns)-1) {
+	if eng.Now() < stag*sim.Time(nd-1) {
 		t.Fatalf("makespan %d shorter than stagger span", eng.Now())
 	}
 }

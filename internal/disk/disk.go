@@ -33,6 +33,13 @@ const (
 // reads Blocks old blocks at the target location, fires OnReadDone, and
 // then writes the same location exactly one rotation after the read pass
 // began — or later, in whole-rotation steps, while Ready reports false.
+//
+// Ownership: the drive holds a submitted *Request until its OnDone
+// returns, and never reads it after that — on the normal completion path
+// and on the failed-drive drop path alike. A caller may therefore embed
+// Requests in pooled records and reuse one, even resubmit it, from
+// inside its own OnDone. Until OnDone fires the Request must not be
+// modified.
 type Request struct {
 	StartBlock int64
 	Blocks     int
@@ -123,6 +130,14 @@ type Disk struct {
 	hangUntil sim.Time
 	hangWake  bool // a wake-up event for hangUntil is already scheduled
 
+	// Geometry derived from spec and seek once, in New, so an access
+	// neither recomputes it nor copies the Spec: blocks per track, per
+	// cylinder and per disk; one revolution; one block's and one
+	// sector's media pass; a single-cylinder seek.
+	bpt, bpc, bpd              int64
+	rot, blockXfer, sectorXfer sim.Time
+	seek1                      sim.Time
+
 	sched  Sched
 	lookUp bool // LOOK sweep direction
 	queues [numPriorities][]*Request
@@ -138,12 +153,25 @@ func (d *Disk) SetProbe(p Probe) { d.probe = p }
 
 // New returns an idle drive with its arm at cylinder 0 and the given
 // rotational phase in [0, 1). No spindle synchronization is assumed, so
-// callers give each drive an independent random phase.
+// callers give each drive an independent random phase. The spec must be
+// valid (geom.Spec.Validate).
 func New(eng *sim.Engine, id int, spec geom.Spec, seek geom.SeekModel, phase float64) (*Disk, error) {
 	if phase < 0 || phase >= 1 {
 		return nil, fmt.Errorf("disk: phase %f outside [0,1)", phase)
 	}
-	return &Disk{ID: id, eng: eng, spec: spec, seek: seek, phase: phase}, nil
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return &Disk{
+		ID: id, eng: eng, spec: spec, seek: seek, phase: phase,
+		bpt:        int64(spec.BlocksPerTrack()),
+		bpc:        int64(spec.BlocksPerCylinder()),
+		bpd:        spec.BlocksPerDisk(),
+		rot:        spec.RotationTime(),
+		blockXfer:  spec.BlockTransferTime(),
+		sectorXfer: spec.SectorTime(),
+		seek1:      seek.Time(1),
+	}, nil
 }
 
 // SetSlowFactor stretches (factor > 1) or restores (factor <= 1) the
@@ -203,6 +231,23 @@ func (d *Disk) Spec() geom.Spec { return d.spec }
 // Cylinder returns the arm's current (or in-flight target) cylinder, used
 // by the mirrored organization's shortest-seek read routing.
 func (d *Disk) Cylinder() int { return d.cyl }
+
+// CylinderOf returns the cylinder holding block, the same as
+// Spec().ToCHS(block).Cylinder for a block on the drive.
+func (d *Disk) CylinderOf(block int64) int { return int(block / d.bpc) }
+
+// chs returns block's cylinder and its block index within its track, as
+// geom.Spec.ToCHS does.
+func (d *Disk) chs(block int64) (cyl, trackBlock int) {
+	rem := block % d.bpc
+	return int(block / d.bpc), int(rem % d.bpt)
+}
+
+// angleOf returns the start angle of a track block, as
+// geom.Spec.AngleOfBlock does.
+func (d *Disk) angleOf(trackBlock int) float64 {
+	return float64(trackBlock) / float64(d.bpt)
+}
 
 // QueueLen returns the number of requests waiting (not in service).
 func (d *Disk) QueueLen() int {
@@ -277,9 +322,9 @@ func (d *Disk) Submit(r *Request) {
 	if r.Blocks <= 0 {
 		panic("disk: request with no blocks")
 	}
-	if r.StartBlock < 0 || r.StartBlock+int64(r.Blocks) > d.spec.BlocksPerDisk() {
+	if r.StartBlock < 0 || r.StartBlock+int64(r.Blocks) > d.bpd {
 		panic(fmt.Sprintf("disk %d: request [%d,%d) outside drive [0,%d)",
-			d.ID, r.StartBlock, r.StartBlock+int64(r.Blocks), d.spec.BlocksPerDisk()))
+			d.ID, r.StartBlock, r.StartBlock+int64(r.Blocks), d.bpd))
 	}
 	if r.RMW && !r.Write {
 		panic("disk: RMW request must be a write")
@@ -328,8 +373,7 @@ func (d *Disk) trySchedule() {
 // angleAt returns the rotational position at time t as a fraction of a
 // revolution in [0, 1).
 func (d *Disk) angleAt(t sim.Time) float64 {
-	rot := d.spec.RotationTime()
-	pos := float64(t%rot)/float64(rot) + d.phase
+	pos := float64(t%d.rot)/float64(d.rot) + d.phase
 	return pos - math.Floor(pos)
 }
 
@@ -341,7 +385,7 @@ func (d *Disk) rotationalDelay(t sim.Time, a float64) sim.Time {
 	if frac < 0 {
 		frac++
 	}
-	return sim.Time(frac * float64(d.spec.RotationTime()))
+	return sim.Time(frac * float64(d.rot))
 }
 
 // transferPlan describes the media pass over a contiguous block run.
@@ -356,19 +400,18 @@ type transferPlan struct {
 // a single-cylinder seek, with the layout skewed so no additional
 // rotation is lost.
 func (d *Disk) planTransfer(start int64, n int) transferPlan {
-	bt := d.spec.BlockTransferTime()
-	dur := sim.Time(n) * bt
-	startCyl := d.spec.ToCHS(start).Cylinder
-	endCyl := d.spec.ToCHS(start + int64(n) - 1).Cylinder
+	dur := sim.Time(n) * d.blockXfer
+	startCyl := d.CylinderOf(start)
+	endCyl := d.CylinderOf(start + int64(n) - 1)
 	if crossings := endCyl - startCyl; crossings > 0 {
-		dur += sim.Time(crossings) * d.seek.Time(1)
+		dur += sim.Time(crossings) * d.seek1
 	}
 	return transferPlan{duration: dur, endCyl: endCyl}
 }
 
 func (d *Disk) service(r *Request, now sim.Time) {
-	chs := d.spec.ToCHS(r.StartBlock)
-	dist := chs.Cylinder - d.cyl
+	cyl, trackBlock := d.chs(r.StartBlock)
+	dist := cyl - d.cyl
 	if dist < 0 {
 		dist = -dist
 	}
@@ -381,17 +424,17 @@ func (d *Disk) service(r *Request, now sim.Time) {
 		seekT = sim.Time(float64(seekT) * d.slow)
 	}
 	d.S.SeekTime += seekT
-	d.cyl = chs.Cylinder
+	d.cyl = cyl
 
 	arrive := now + seekT
-	startAngle := d.spec.AngleOfBlock(chs.Block)
+	startAngle := d.angleOf(trackBlock)
 	latency := d.rotationalDelay(arrive, startAngle)
 	d.S.RotateTime += latency
 	var plan transferPlan
 	if r.TransferSectors > 0 {
 		plan = transferPlan{
-			duration: d.spec.SectorTime() * sim.Time(r.TransferSectors),
-			endCyl:   chs.Cylinder,
+			duration: d.sectorXfer * sim.Time(r.TransferSectors),
+			endCyl:   cyl,
 		}
 	} else {
 		plan = d.planTransfer(r.StartBlock, r.Blocks)
@@ -455,7 +498,7 @@ func rmwReadDoneFire(e *sim.Engine, c *sim.Call) {
 	if r.OnReadDone != nil {
 		r.OnReadDone()
 	}
-	rot := d.spec.RotationTime()
+	rot := d.rot
 	k := (dur + rot - 1) / rot
 	if k < 1 {
 		k = 1
@@ -493,13 +536,13 @@ func rmwWriteFire(e *sim.Engine, c *sim.Call) {
 	writeStart := e.Now()
 	if r.Ready != nil && !r.Ready() {
 		d.S.HeldRotations++
-		r.Span.ChildSpan(obs.SpanHold, writeStart, writeStart+d.spec.RotationTime())
+		r.Span.ChildSpan(obs.SpanHold, writeStart, writeStart+d.rot)
 		if holds+1 >= maxHeldRotations {
 			d.S.RMWAborts++
 			d.requeue(r)
 			return
 		}
-		d.rmwWriteAttempt(r, writeStart+d.spec.RotationTime(), dur, svcStart, holds+1)
+		d.rmwWriteAttempt(r, writeStart+d.rot, dur, svcStart, holds+1)
 		return
 	}
 	d.S.TransferTime += dur

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"math"
 	"testing"
 
 	"raidsim/internal/geom"
@@ -262,5 +263,115 @@ func TestPhaseAffectsLatency(t *testing.T) {
 	}
 	if times[0] == times[1] && times[1] == times[2] {
 		t.Fatal("latency should vary with phase")
+	}
+}
+
+// TestDerivedGeometryMatchesSpec: the geometry New derives once gives
+// the same cylinder, block within track, start angle and transfer
+// duration as geom.Spec computes per call, at every track and cylinder
+// boundary and the last block, for drives of different shapes.
+func TestDerivedGeometryMatchesSpec(t *testing.T) {
+	smallBlocks := geom.Default()
+	smallBlocks.BlockBytes = 512
+	wideTracks := geom.Default()
+	wideTracks.SectorsPerTrack = 64
+	for _, spec := range []geom.Spec{geom.Default(), smallBlocks, wideTracks} {
+		seek := geom.MustCalibrateSeek(spec)
+		d, err := New(sim.New(), 0, spec, seek, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.rot != spec.RotationTime() || d.blockXfer != spec.BlockTransferTime() ||
+			d.sectorXfer != spec.SectorTime() || d.seek1 != seek.Time(1) || d.bpd != spec.BlocksPerDisk() {
+			t.Fatalf("%+v: derived timing or capacity differs from the spec", spec)
+		}
+		bpt := int64(spec.BlocksPerTrack())
+		check := func(b int64) {
+			want := spec.ToCHS(b)
+			cyl, tb := d.chs(b)
+			if cyl != want.Cylinder || tb != want.Block || d.CylinderOf(b) != want.Cylinder {
+				t.Fatalf("block %d: derived (cyl %d, block %d), spec %+v", b, cyl, tb, want)
+			}
+			if got, w := d.angleOf(tb), spec.AngleOfBlock(want.Block); math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("block %d: angle %v, spec %v", b, got, w)
+			}
+			for _, n := range []int64{1, 2, bpt + 1} {
+				if b+n > spec.BlocksPerDisk() {
+					continue
+				}
+				endCyl := spec.ToCHS(b + n - 1).Cylinder
+				dur := sim.Time(n)*spec.BlockTransferTime() + sim.Time(endCyl-want.Cylinder)*seek.Time(1)
+				if p := d.planTransfer(b, int(n)); p.duration != dur || p.endCyl != endCyl {
+					t.Fatalf("block %d, %d blocks: transfer %+v, spec %d ending on cylinder %d", b, n, p, dur, endCyl)
+				}
+			}
+		}
+		for b := int64(0); b < spec.BlocksPerDisk(); b += bpt {
+			// b starts a track (and every Heads-th one a cylinder).
+			check(b)
+			if b > 0 {
+				check(b - 1)
+			}
+			check(b + 1)
+		}
+		check(spec.BlocksPerDisk() - 1)
+
+		for _, r := range []*Request{
+			{StartBlock: -1, Blocks: 1},
+			{StartBlock: spec.BlocksPerDisk(), Blocks: 1},
+			{StartBlock: spec.BlocksPerDisk() - 1, Blocks: 2},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("request [%d,+%d) outside the drive accepted", r.StartBlock, r.Blocks)
+					}
+				}()
+				d.Submit(r)
+			}()
+		}
+	}
+}
+
+// TestRequestReusableFromOnDone pins the contract pooled callers rely
+// on: the drive never reads a Request after its OnDone returns, so
+// OnDone may resubmit the very same Request — after a normal completion
+// and after a failed drive drops it.
+func TestRequestReusableFromOnDone(t *testing.T) {
+	eng, d, _ := newTestDisk(t, 0)
+	r := &Request{StartBlock: 0, Blocks: 1, Write: true, RMW: true, Priority: PriNormal}
+	done, reads := 0, 0
+	r.OnReadDone = func() { reads++ }
+	r.OnDone = func() {
+		done++
+		if done < 3 {
+			r.StartBlock += 1000
+			d.Submit(r)
+		}
+	}
+	d.Submit(r)
+	eng.Run()
+	if done != 3 || reads != 3 || d.S.RMWs != 3 || d.S.BlocksWritten != 3 {
+		t.Fatalf("completions %d, old-data reads %d, RMWs %d, blocks written %d; want 3 each",
+			done, reads, d.S.RMWs, d.S.BlocksWritten)
+	}
+
+	// Drop path: r waits behind an access in service when the drive
+	// fails; each drop's OnDone resubmits it to the dead drive.
+	eng, d, _ = newTestDisk(t, 0)
+	d.Submit(&Request{StartBlock: 0, Blocks: 1, Priority: PriNormal})
+	r = &Request{StartBlock: 500, Blocks: 1, Priority: PriNormal}
+	done = 0
+	r.OnDone = func() {
+		done++
+		if done < 3 {
+			d.Submit(r)
+		}
+	}
+	d.Submit(r)
+	d.Fail()
+	eng.Run()
+	if done != 3 || d.S.Dropped != 3 {
+		t.Fatalf("completions %d, drops %d; want 3 each", done, d.S.Dropped)
 	}
 }

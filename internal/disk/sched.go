@@ -84,7 +84,7 @@ func (d *Disk) pop() *Request {
 }
 
 func (d *Disk) cylOf(r *Request) int {
-	return d.spec.ToCHS(r.StartBlock).Cylinder
+	return d.CylinderOf(r.StartBlock)
 }
 
 // pickSSTF returns the index of the queued request nearest the arm,
