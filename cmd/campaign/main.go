@@ -37,7 +37,6 @@ func main() {
 		out       = flag.String("out", "", "JSONL journal path; completed runs are appended and a restart resumes (empty = run in memory)")
 		fresh     = flag.Bool("fresh", false, "discard an existing journal instead of resuming from it")
 		workers   = flag.Int("workers", 0, "worker-pool width (0 = spec's workers, then GOMAXPROCS); never changes results")
-		shards    = flag.Int("shards", 0, "per-run engine shards: each run's arrays execute on this many persistent engines (0 = one throwaway engine per array); never changes results")
 		csv       = flag.Bool("csv", false, "render tables as CSV")
 		aSel      = flag.String("a", "", "comparison baseline selector, e.g. org=raid5 (with -b)")
 		bSel      = flag.String("b", "", "comparison candidate selector, e.g. org=mirror (with -a)")
@@ -69,7 +68,7 @@ func main() {
 	// The fleet registry is always armed: the progress line reads it for
 	// ETA and throughput even when no HTTP server is serving it.
 	live := obs.NewLive()
-	opts := campaign.Options{Workers: *workers, Shards: *shards, Live: live, SelfMetrics: *selfMetrics}
+	opts := campaign.Options{Workers: *workers, Live: live, SelfMetrics: *selfMetrics}
 	if opts.Workers == 0 {
 		opts.Workers = spec.Workers
 	}
@@ -248,9 +247,6 @@ func fleetStats(o *campaign.Outcome, runs int) report.FleetStats {
 		f.Workers = append(f.Workers, report.WorkerRow{
 			Worker: w.Worker, Tasks: w.Tasks, Steals: w.Steals, BusyNS: int64(w.Busy),
 		})
-	}
-	for s, m := range o.EngineShards {
-		f.Shards = append(f.Shards, report.ShardRow{Shard: s, Events: m.Events, BusyNS: m.WallNS})
 	}
 	return f
 }

@@ -273,9 +273,9 @@ func printResults(cfg core.Config, tr *trace.Trace, res *core.Results, perDisk b
 		stage("destage stall", res.Stages.DestageStallMS)
 	}
 	t.AddRow("events simulated", fmt.Sprintf("%d", res.Events))
-	// Gated on the flag, not on data: sharded runs always carry engine
-	// meters, but host-timing rows belong on stdout only when asked for
-	// (plain output must stay diffable across hosts and shard counts).
+	// Gated on the flag: host-timing rows belong on stdout only when
+	// asked for (plain output must stay diffable across hosts and worker
+	// counts).
 	if cfg.SelfMetrics && res.Engine.Events > 0 {
 		t.AddRow("engine events/s (host)", fmt.Sprintf("%.0f", res.Engine.EventsPerSec()))
 		t.AddRow("engine busy (ms)", fmt.Sprintf("%.1f", float64(res.Engine.WallNS)/1e6))
@@ -283,10 +283,6 @@ func printResults(cfg core.Config, tr *trace.Trace, res *core.Results, perDisk b
 		t.AddRow("call free-list hit ratio", fmt.Sprintf("%.4f (%d/%d)", res.Engine.CallHitRatio(),
 			res.Engine.CallHits, res.Engine.CallHits+res.Engine.CallMisses))
 		t.AddRow("metered allocations", fmt.Sprintf("%d B in %d mallocs", res.Engine.AllocBytes, res.Engine.Mallocs))
-		for s, ms := range res.EngineShards {
-			t.AddRow(fmt.Sprintf("  shard %d", s),
-				fmt.Sprintf("%d events, %.1f ms busy, %.0f ev/s", ms.Events, float64(ms.WallNS)/1e6, ms.EventsPerSec()))
-		}
 	}
 	var usum, umax float64
 	for _, u := range res.DiskUtil {

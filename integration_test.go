@@ -377,15 +377,13 @@ func TestSelfMetricsEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardInvariance re-runs the whole equivalence matrix under the
-// sharded intra-run execution model (Config.Shards: persistent per-shard
-// engines, Reset between arrays, round-robin array assignment) at shard
-// counts 1, 2 and 4 and demands the same golden fingerprints bit for
-// bit. Shards=1 exercises one engine sequentially reused across every
-// array; 2 matches the matrix's array count; 4 exercises the
-// shards-beyond-arrays clamp. Any drift means engine reuse leaked state
-// between arrays — the one thing Reset's determinism argument forbids.
-func TestShardInvariance(t *testing.T) {
+// TestWorkerInvariance re-runs the whole equivalence matrix at Workers
+// 1, 2 and 4 and demands the same golden fingerprints bit for bit.
+// Workers=1 exercises one engine reused, Reset between arrays, across
+// every array; 2 matches the matrix's array count; 4 exercises the
+// workers-beyond-arrays clamp. Any drift means engine reuse leaked state
+// between arrays, or the merge depended on which worker ran which array.
+func TestWorkerInvariance(t *testing.T) {
 	p := smallProfile()
 	p.Requests = 4000
 	p.Duration = 240 * sim.Second
@@ -393,14 +391,14 @@ func TestShardInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		for _, tc := range equivalenceCases {
 			cfg := core.Config{
 				Org: tc.org, DataDisks: 10, N: 5,
 				Spec: geom.Default(), Sync: tc.sync,
 				Cached: tc.cached, CacheMB: 8, Seed: 9,
 				Placement: layout.EndPlacement,
-				Shards:    shards,
+				Workers:   workers,
 			}
 			if tc.faulted {
 				cfg.Spares = 1
@@ -413,34 +411,77 @@ func TestShardInvariance(t *testing.T) {
 			}
 			res, err := core.Run(cfg, tr)
 			if err != nil {
-				t.Fatalf("%s/shards=%d: %v", tc.name, shards, err)
+				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
 			}
-			want, ok := equivalenceGolden[tc.name]
-			if !ok {
-				continue
-			}
-			if got := fingerprint(res); got != want {
-				t.Errorf("%s/shards=%d: sharded execution changed the simulation\n got: %s\nwant: %s",
-					tc.name, shards, got, want)
-			}
-			wantShards := shards
-			if a := cfg.Arrays(); wantShards > a {
-				wantShards = a
-			}
-			if len(res.EngineShards) != wantShards {
-				t.Errorf("%s/shards=%d: %d shard meters, want %d", tc.name, shards, len(res.EngineShards), wantShards)
+			if got, want := fingerprint(res), equivalenceGolden[tc.name]; got != want {
+				t.Errorf("%s/workers=%d: worker count changed the simulation\n got: %s\nwant: %s",
+					tc.name, workers, got, want)
 			}
 		}
 	}
 }
 
-// TestShardMeterSums is the property side of shard invariance: on a
-// system with more arrays than shards, the per-shard meters must
-// partition the run exactly — per-shard events sum to the run's event
-// total (shard engines execute nothing but their arrays' events), the
-// aggregate meter equals that sum, and the results match the unsharded
-// run bit for bit.
-func TestShardMeterSums(t *testing.T) {
+// closedLoopGolden pins closed-loop replay (MPL 8) of a 5-array system,
+// with and without think time, as "mk=<makespan> <fingerprint>". The
+// values were captured from the closed-loop implementation that ran its
+// own goroutine pool with a closure per request, before it moved onto
+// the shared executor.
+var closedLoopGolden = map[string]string{
+	"raid5/nothink":  "mk=23307697445 ev=16186 req=4000 resp=4000/0x1.7ad29509b00adp+06 rd=2856/0x1.3aeb1a66d5432p+06 wr=1144/0x1.0d2e0a16d7365p+07 norm=4000/0x1.7ad29509b00adp+06 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.044034ad05192p+08 held=32 par=1583 acc=[1335 1305 1337 119 116 98 698 690 696 103 104 105 287 254 293] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
+	"raid5/think":    "mk=23452141888 ev=20180 req=4000 resp=4000/0x1.6986a3b601733p+06 rd=2856/0x1.2e32d385799c4p+06 wr=1144/0x1.fda3117fb8d4p+06 norm=4000/0x1.6986a3b601733p+06 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.0423a009de543p+08 held=31 par=1583 acc=[1335 1305 1337 119 116 98 698 690 696 103 104 105 287 254 293] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
+	"mirror/nothink": "mk=23869768671 ev=9144 req=4000 resp=4000/0x1.42aa1efb9d08cp+06 rd=2856/0x1.21daa46fde24ep+06 wr=1144/0x1.949372eeddd7cp+06 norm=4000/0x1.42aa1efb9d08cp+06 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.151b2835db53dp+08 held=0 par=0 acc=[56 49 1351 1286 43 50 89 79 448 463 211 158 47 34 93 88 224 266 64 45] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
+	"mirror/think":   "mk=24107697437 ev=13139 req=4000 resp=4000/0x1.314bc2157d83ep+06 rd=2856/0x1.1514fe7cd7ea4p+06 wr=1144/0x1.77bb69f174749p+06 norm=4000/0x1.314bc2157d83ep+06 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.1929083aafb93p+08 held=0 par=0 acc=[56 49 1269 1368 39 54 83 85 456 455 212 157 48 33 90 91 258 232 65 44] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
+	"raid4$/nothink": "mk=20866337615 ev=14819 req=4000 resp=4000/0x1.4b2bb7be4c1a4p+06 rd=2856/0x1.ce92a73f68824p+06 wr=1144/0x1.8fffaddfaf3ffp-01 norm=4000/0x1.4b2bb7be4c1a4p+06 deg=0/0x0p+00 hits=167,2689,343,801 seek=0x1.945e20945b819p+07 held=0 par=1518 acc=[1078 1105 798 110 88 41 521 529 481 102 98 50 235 236 148] fault=0,0,0,0,0,0,0,0,0,0 cache=7121,1697,0,302,1924,1521,176,2048",
+	"raid4$/think":   "mk=20877448726 ev=18689 req=4000 resp=4000/0x1.36f7b4682705bp+06 rd=2856/0x1.b2392d4699ccp+06 wr=1144/0x1.a12cf3708d7d3p-01 norm=4000/0x1.36f7b4682705bp+06 deg=0/0x0p+00 hits=167,2689,343,801 seek=0x1.93696f50c8ff7p+07 held=0 par=1474 acc=[1078 1106 796 110 88 41 512 523 439 103 97 50 235 236 148] fault=0,0,0,0,0,0,0,0,0,0 cache=7121,1702,0,306,1858,1483,197,2048",
+}
+
+// TestClosedLoopWorkerInvariance checks closed-loop replay against
+// closedLoopGolden at Workers 1, 2 and 4. The think-time cases pin that
+// the free-list think delay orders events exactly as a closure would.
+func TestClosedLoopWorkerInvariance(t *testing.T) {
+	p := smallProfile()
+	p.Requests = 4000
+	p.Duration = 240 * sim.Second
+	tr, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		org    array.Org
+		cached bool
+	}{{"raid5", array.OrgRAID5, false}, {"mirror", array.OrgMirror, false}, {"raid4$", array.OrgRAID4, true}} {
+		for _, think := range []sim.Time{0, 5 * sim.Millisecond} {
+			key := tc.name + "/nothink"
+			if think > 0 {
+				key = tc.name + "/think"
+			}
+			for _, workers := range []int{1, 2, 4} {
+				cfg := core.Config{
+					Org: tc.org, DataDisks: 10, N: 2,
+					Spec: geom.Default(), Sync: array.DF,
+					Cached: tc.cached, CacheMB: 8, Seed: 9,
+					Workers: workers,
+				}
+				res, err := core.RunClosedLoop(cfg, tr, core.ClosedLoopConfig{MPL: 8, ThinkTime: think})
+				if err != nil {
+					t.Fatalf("%s/workers=%d: %v", key, workers, err)
+				}
+				got := fmt.Sprintf("mk=%d %s", res.Makespan, fingerprint(&res.Results))
+				if want := closedLoopGolden[key]; got != want {
+					t.Errorf("%s/workers=%d: closed-loop replay drifted\n got: %s\nwant: %s", key, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWorkerMeterSums is the property side of worker invariance: on a
+// system with more arrays than workers, the per-array meters must
+// partition the run exactly — their events sum to the run's event total
+// (worker engines execute nothing but their arrays' events) — and
+// metering must not change the results.
+func TestWorkerMeterSums(t *testing.T) {
 	p := smallProfile()
 	tr, err := workload.Generate(p)
 	if err != nil {
@@ -454,33 +495,21 @@ func TestShardMeterSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := base
-	sharded.Shards = 3 // 5 arrays over 3 shards: strides {0,3}, {1,4}, {2}
-	res, err := core.Run(sharded, tr)
+	metered := base
+	metered.Workers = 3 // 5 arrays over 3 workers
+	metered.SelfMetrics = true
+	res, err := core.Run(metered, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fingerprint(res), fingerprint(plain); got != want {
-		t.Errorf("sharded run drifted from the per-array run\n got: %s\nwant: %s", got, want)
+		t.Errorf("metered 3-worker run drifted from the plain run\n got: %s\nwant: %s", got, want)
 	}
-	if len(res.EngineShards) != 3 {
-		t.Fatalf("%d shard meters, want 3", len(res.EngineShards))
+	if res.Engine.Events != res.Events {
+		t.Errorf("per-array meters sum to %d events, run executed %d", res.Engine.Events, res.Events)
 	}
-	var sum uint64
-	for s, m := range res.EngineShards {
-		if m.Events == 0 {
-			t.Errorf("shard %d metered no events", s)
-		}
-		if m.WallNS <= 0 {
-			t.Errorf("shard %d wall %d", s, m.WallNS)
-		}
-		sum += m.Events
-	}
-	if sum != res.Events {
-		t.Errorf("per-shard events sum to %d, run executed %d", sum, res.Events)
-	}
-	if res.Engine.Events != sum {
-		t.Errorf("aggregate meter has %d events, shard sum is %d", res.Engine.Events, sum)
+	if res.Engine.WallNS <= 0 || res.Engine.HeapHighWater <= 0 {
+		t.Errorf("meter wall=%d heap_hw=%d", res.Engine.WallNS, res.Engine.HeapHighWater)
 	}
 }
 

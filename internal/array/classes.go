@@ -35,7 +35,7 @@ func (r *ClassResults) MissFrac() float64 {
 	return float64(r.DeadlineMissed) / float64(n)
 }
 
-// Merge folds o into r (same class from another array or shard).
+// Merge folds o into r (same class from another array or run).
 func (r *ClassResults) Merge(o *ClassResults) {
 	r.Requests += o.Requests
 	r.Reads += o.Reads

@@ -48,12 +48,6 @@ type Options struct {
 	// so records in Live, the run log, and Outcome.Engine carry engine
 	// self-metrics. Metered runs are bit-identical to unmetered ones.
 	SelfMetrics bool
-	// Shards sets core.Config.Shards on every point: each run executes
-	// its arrays on that many persistent per-shard engines instead of one
-	// throwaway engine per array. Provably never changes results; per-run
-	// per-shard meters aggregate into Outcome.EngineShards and the live
-	// registry. 0 keeps the per-array model.
-	Shards int
 }
 
 // Outcome is what a campaign execution produced: one record per point
@@ -76,12 +70,8 @@ type Outcome struct {
 	// time); nil when every point was journal-replayed.
 	Workers []shard.WorkerStats
 	// Engine aggregates engine self-metrics across executed runs; zero
-	// unless Options.SelfMetrics was set or Options.Shards armed the
-	// always-on per-shard meters.
+	// unless Options.SelfMetrics was set.
 	Engine sim.MeterStats
-	// EngineShards aggregates each run's per-shard meters element-wise
-	// (shard s across all executed runs); nil unless Options.Shards > 0.
-	EngineShards []sim.MeterStats
 }
 
 // Failed returns the non-empty error strings.
@@ -174,9 +164,6 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 		opts.Live.RunStarted(p.ID, paramKey(p.Params, true), p.Config.Seed, worker)
 		cfg := p.Config
 		cfg.SelfMetrics = opts.SelfMetrics
-		if opts.Shards > 0 {
-			cfg.Shards = opts.Shards
-		}
 		t0 := time.Now()
 		res, err := core.RunContext(ctx, cfg, p.Trace)
 		if err != nil {
@@ -198,15 +185,8 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 		out.Executed++
 		out.Events += res.Events
 		out.Engine.Add(res.Engine)
-		for s, ms := range res.EngineShards {
-			if s >= len(out.EngineShards) {
-				out.EngineShards = append(out.EngineShards, make([]sim.MeterStats, s+1-len(out.EngineShards))...)
-			}
-			out.EngineShards[s].Add(ms)
-		}
 		finished++
 		opts.Live.RunFinished(runStatusMetered(p, rec, "done", worker, res.Engine))
-		opts.Live.AddShards(res.EngineShards)
 		if workerTasks != nil {
 			workerTasks[worker]++
 			opts.Live.PublishWorkers(liveWorkers(workerTasks))

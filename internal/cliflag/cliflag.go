@@ -41,7 +41,6 @@ type Binding struct {
 	sched     *string
 	spindles  *bool
 	workers   *int
-	shards    *int
 
 	spares      *int
 	failAt      *time.Duration
@@ -93,7 +92,6 @@ func Bind(fs *flag.FlagSet) *Binding {
 		sched:     fs.String("sched", "fifo", "drive queue discipline: fifo, sstf, look"),
 		spindles:  fs.Bool("sync-spindles", false, "synchronize spindle rotation across drives"),
 		workers:   fs.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS); never changes results"),
-		shards:    fs.Int("shards", 0, "persistent per-shard engines for intra-run array execution (0 = one throwaway engine per array); never changes results"),
 
 		spares:      fs.Int("spares", 0, "hot spares per array; a failure consumes one and triggers a background rebuild"),
 		failAt:      fs.Duration("fail-at", 0, "inject a disk failure at this time into the run (e.g. 30s; 0 = none)"),
@@ -217,9 +215,6 @@ func (b *Binding) Apply(cfg *core.Config) error {
 	}
 	if set["workers"] {
 		cfg.Workers = *b.workers
-	}
-	if set["shards"] {
-		cfg.Shards = *b.shards
 	}
 	if set["spares"] {
 		cfg.Spares = *b.spares

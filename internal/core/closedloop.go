@@ -1,12 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"raidsim/internal/array"
-	"raidsim/internal/obs"
 	"raidsim/internal/sim"
 	"raidsim/internal/trace"
 )
@@ -41,117 +39,80 @@ func (r *ClosedLoopResults) Throughput() float64 {
 // RunClosedLoop replays tr's request stream in closed-loop form against
 // cfg. Arrival timestamps in the trace are ignored.
 func RunClosedLoop(cfg Config, tr *trace.Trace, cl ClosedLoopConfig) (*ClosedLoopResults, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cl.MPL < 1 {
 		return nil, fmt.Errorf("core: MPL must be >= 1")
 	}
-	if tr.NumDisks != cfg.DataDisks {
-		return nil, fmt.Errorf("core: trace has %d disks, config expects %d", tr.NumDisks, cfg.DataDisks)
-	}
-	subs, err := tr.SplitByGroup(cfg.N)
+	res, ends, err := execute(context.Background(), cfg, tr, cl.drive)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*array.Results, len(subs))
-	events := make([]uint64, len(subs))
-	spans := make([]sim.Time, len(subs))
-	errs := make([]error, len(subs))
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	widths := cfg.groupDisks(len(subs))
-	faults, err := cfg.groupFaults(widths)
-	if err != nil {
-		return nil, err
-	}
-
-	sem := make(chan struct{}, workers)
-	recs := make([]*obs.Recorder, len(subs))
-	var wg sync.WaitGroup
-	for g, sub := range subs {
-		wg.Add(1)
-		go func(g int, sub *trace.Trace) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ac := cfg.arrayConfig(g, widths[g], faults[g], sub.Classes)
-			recs[g] = ac.Rec
-			parts[g], events[g], spans[g], errs[g] = runOneArrayClosed(ac, sub, cl)
-		}(g, sub)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := &ClosedLoopResults{Results: *merge(cfg, parts, events)}
-	attachObs(&out.Results, recs)
-	for _, s := range spans {
-		if s > out.Makespan {
-			out.Makespan = s
+	out := &ClosedLoopResults{Results: *res}
+	for _, end := range ends {
+		if end > out.Makespan {
+			out.Makespan = end
 		}
 	}
 	return out, nil
 }
 
-func runOneArrayClosed(cfg array.Config, sub *trace.Trace, cl ClosedLoopConfig) (*array.Results, uint64, sim.Time, error) {
-	eng := sim.New()
-	ctrl, err := array.New(eng, cfg)
-	if err != nil {
-		return nil, 0, 0, err
+// closedFeeder keeps one array's MPL requests outstanding: every
+// completion submits the next record, directly or after the think time.
+// Its completion callback is a method value bound once per array and
+// think-time delays go through the engine's Call free list, so
+// admission allocates nothing per request.
+type closedFeeder struct {
+	feeder
+	eng      *sim.Engine
+	think    sim.Time
+	next     int // index of the next record to submit
+	complete func()
+}
+
+// submitNext admits the next record, if any remain.
+func (f *closedFeeder) submitNext() {
+	if f.next >= len(f.sub.Records) {
+		return
 	}
-	capacity := ctrl.DataBlocks()
-	idx := 0
-	var submitNext func()
-	submitNext = func() {
-		if idx >= len(sub.Records) {
-			return
-		}
-		r := sub.Records[idx]
-		idx++
-		lba := r.LBA
-		blocks := r.Blocks
-		if lba >= capacity {
-			lba %= capacity
-		}
-		if rem := capacity - lba; int64(blocks) > rem {
-			blocks = int(rem)
-		}
-		ctrl.Submit(array.Request{
-			Op: r.Op, LBA: lba, Blocks: blocks,
-			Class:  reqSLO(sub.Classes, r.Class, blocks),
-			CClass: r.Class,
-			OnComplete: func() {
-				if cl.ThinkTime > 0 {
-					eng.After(cl.ThinkTime, submitNext)
-				} else {
-					submitNext()
-				}
-			},
-		})
+	f.next++
+	f.submit(f.next-1, f.complete)
+}
+
+// onComplete is the requests' completion callback. AfterCall takes one
+// sequence number per wake-up, as After does; closedLoopGolden pins the
+// resulting event order.
+func (f *closedFeeder) onComplete() {
+	if f.think > 0 {
+		f.eng.AfterCall(f.think, thinkDone).A = f
+	} else {
+		f.submitNext()
 	}
-	prime := cl.MPL
-	if prime > len(sub.Records) {
-		prime = len(sub.Records)
+}
+
+func thinkDone(_ *sim.Engine, c *sim.Call) { c.A.(*closedFeeder).submitNext() }
+
+// drive is the closed-loop driveFunc. It returns the time the array
+// finished its last request, which feeds Makespan.
+func (cl ClosedLoopConfig) drive(eng *sim.Engine, ctrl array.Controller, sub *trace.Trace) (sim.Time, error) {
+	f := &closedFeeder{
+		feeder: feeder{ctrl: ctrl, sub: sub, cap64: ctrl.DataBlocks()},
+		eng:    eng,
+		think:  cl.ThinkTime,
 	}
-	for i := 0; i < prime; i++ {
-		submitNext()
+	f.complete = f.onComplete
+	for i := 0; i < cl.MPL && i < len(sub.Records); i++ {
+		f.submitNext()
 	}
+	done := func() bool { return f.next >= len(sub.Records) && ctrl.Drained() }
 	// Closed loops always make progress (every completion funds the next
 	// submission); run until the stream is exhausted and drained, with a
 	// generous step bound as a wedge detector.
-	for i := 0; i < 1<<26 && !(idx >= len(sub.Records) && ctrl.Drained()); i++ {
+	for i := 0; i < 1<<26 && !done(); i++ {
 		if !eng.Step() {
 			eng.RunFor(sim.Millisecond)
 		}
 	}
-	if !(idx >= len(sub.Records) && ctrl.Drained()) {
-		return nil, 0, 0, fmt.Errorf("core: closed-loop replay of %q wedged at record %d", sub.Name, idx)
+	if !done() {
+		return 0, fmt.Errorf("core: closed-loop replay of %q wedged at record %d", sub.Name, f.next)
 	}
-	return ctrl.Results(), eng.Steps(), eng.Now(), nil
+	return eng.Now(), nil
 }

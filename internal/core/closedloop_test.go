@@ -98,3 +98,57 @@ func TestClosedLoopValidation(t *testing.T) {
 		t.Fatal("mismatched trace accepted")
 	}
 }
+
+func TestClosedLoopRejectsMismatchedBlocksPerDisk(t *testing.T) {
+	tr := closedLoopTrace(t)
+	cfg := Config{Org: array.OrgBase, DataDisks: 10, N: 10, Spec: geom.Default()}
+	bad := *tr
+	bad.BlocksPerDisk = 1234
+	if _, err := RunClosedLoop(cfg, &bad, ClosedLoopConfig{MPL: 2}); err == nil {
+		t.Fatal("trace built for another disk model accepted")
+	}
+}
+
+// TestClosedLoopSelfMetrics: closed-loop runs meter their arrays like
+// open-loop runs do, and the meters account for every event.
+func TestClosedLoopSelfMetrics(t *testing.T) {
+	tr := closedLoopTrace(t)
+	cfg := Config{
+		Org: array.OrgRAID5, DataDisks: 10, N: 5,
+		Spec: geom.Default(), Sync: array.DF, Seed: 1, SelfMetrics: true,
+	}
+	res, err := RunClosedLoop(cfg, tr, ClosedLoopConfig{MPL: 8, ThinkTime: sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.Engine; m.Events != res.Events || m.HeapHighWater <= 0 {
+		t.Fatalf("meter events=%d heap_hw=%d, run executed %d events", m.Events, m.HeapHighWater, res.Events)
+	}
+}
+
+// TestClosedLoopAllocBudget: closed-loop admission allocates nothing per
+// request. Doubling a non-cached base array's request stream may add at
+// most 0.05 allocations per extra request; what remains is per-run setup
+// and amortized growth of result buffers.
+func TestClosedLoopAllocBudget(t *testing.T) {
+	cfg := Config{Org: array.OrgBase, DataDisks: 10, N: 10, Spec: geom.Default(), Seed: 1, Workers: 1}
+	allocs := func(requests int) float64 {
+		p := workload.Trace2Profile()
+		p.Requests = requests
+		p.Duration = sim.Time(requests) * 50 * sim.Millisecond
+		tr, err := workload.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := RunClosedLoop(cfg, tr, ClosedLoopConfig{MPL: 8, ThinkTime: sim.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2000), allocs(4000)
+	t.Logf("%.0f allocs at 2000 requests, %.0f at 4000", small, large)
+	if per := (large - small) / 2000; per > 0.05 {
+		t.Fatalf("%.0f allocs at 2000 requests, %.0f at 4000: %.3f per extra request, budget 0.05", small, large, per)
+	}
+}

@@ -8,9 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"raidsim/internal/array"
 	"raidsim/internal/cache"
@@ -57,19 +55,12 @@ type Config struct {
 	Seed         uint64
 
 	// Workers caps concurrent array simulations; 0 means GOMAXPROCS.
+	// Each worker owns one engine for the whole run and Resets it
+	// between the arrays it claims. Every per-array seed is a pure
+	// function of (Seed, g) and results merge in array-index order, so
+	// the worker count never changes a bit of any result — only host
+	// wall-clock time.
 	Workers int
-
-	// Shards selects the intra-run execution model. 0 (the default) runs
-	// each array on its own throwaway engine, Workers at a time. K >= 1
-	// runs the arrays on K persistent per-shard engines: array g executes
-	// on shard g mod K, shards run concurrently, each shard runs its
-	// arrays in index order and Resets its engine between them so the
-	// event-heap slab and Call free list are reused across the whole run.
-	// Every per-array seed is a pure function of (Seed, g) and results
-	// merge bin-wise in array-index order, so the shard count provably
-	// never changes a bit of any result — only host wall-clock time.
-	// Shards > Arrays() clamps to the array count.
-	Shards int
 
 	// Fault configures system-wide fault injection. Deterministic disk
 	// failures (Fault.DiskFails) address physical disks in array-major
@@ -118,9 +109,6 @@ func (c Config) Validate() error {
 	}
 	if c.Spares < 0 {
 		return fmt.Errorf("core: negative spare count %d", c.Spares)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", c.Shards)
 	}
 	if err := c.Robust.Validate(); err != nil {
 		return err
@@ -280,18 +268,11 @@ type Results struct {
 	Events uint64
 
 	// Engine aggregates per-array engine self-metrics (Config.SelfMetrics);
-	// zero when metering is off. Wall time is summed across arrays, so
-	// with concurrent array workers it is engine-busy time, not elapsed.
-	// With Config.Shards > 0 it instead aggregates the per-shard meters
-	// (each spanning every array its engine executed) and is populated
-	// whether or not SelfMetrics is set — sharded metering costs two
-	// clock reads per shard, not per array.
+	// zero when metering is off. Each array is metered on the worker
+	// engine that ran it, so Engine.Events equals Events. Wall time is
+	// summed across arrays, so with concurrent workers it is engine-busy
+	// time, not elapsed.
 	Engine sim.MeterStats
-	// EngineShards is the per-shard view of Engine: element s meters the
-	// engine that executed arrays s, s+Shards, s+2*Shards, ... Nil unless
-	// Config.Shards > 0. The sum of per-shard Events equals Events (shard
-	// engines execute nothing but their arrays' events).
-	EngineShards []sim.MeterStats
 
 	Requests  int64
 	Resp      stats.Summary // response time, ms
@@ -370,107 +351,6 @@ func (r *Results) WriteHitRatio() float64 {
 // the y-axis of nearly every figure in the paper.
 func (r *Results) MeanResponseMS() float64 { return r.Resp.Mean() }
 
-// drainGrace bounds how long past the last arrival an array may take to
-// finish in-flight work before the run is declared wedged. Generous: a
-// severely overloaded trace-speed-2 run needs time to empty its queues.
-const drainGrace = 3600 * sim.Second
-
-// feeder drives one array's open-loop trace replay. Each record is
-// admitted by its own Call-form event whose callback schedules the next
-// record's event, so admission runs entirely through the engine's Call
-// free list: one *feeder allocation per array, zero allocations per
-// record, and on a reused shard engine the chain recycles the previous
-// array's payloads. Same-tick records stay distinct events — the (at,
-// seq) order pins their FIFO admission, and the golden fingerprints pin
-// the per-run event counts — they just share the one free-list slot
-// that hands off from record to record.
-type feeder struct {
-	ctrl  array.Controller
-	sub   *trace.Trace
-	cap64 int64
-}
-
-// feedStep admits record c.N0 and schedules the next one.
-func feedStep(e *sim.Engine, c *sim.Call) {
-	f := c.A.(*feeder)
-	idx := int(c.N0)
-	r := f.sub.Records[idx]
-	lba := r.LBA
-	blocks := r.Blocks
-	if lba >= f.cap64 {
-		// Striping/area division can shave a sliver of capacity off
-		// the logical space; wrap the handful of affected addresses.
-		lba %= f.cap64
-	}
-	if rem := f.cap64 - lba; int64(blocks) > rem {
-		blocks = int(rem)
-	}
-	f.ctrl.Submit(array.Request{
-		Op: r.Op, LBA: lba, Blocks: blocks,
-		Class:  reqSLO(f.sub.Classes, r.Class, blocks),
-		CClass: r.Class,
-	})
-	if next := idx + 1; next < len(f.sub.Records) {
-		nc := e.AtCall(f.sub.Records[next].At, feedStep)
-		nc.A = f
-		nc.N0 = int64(next)
-	}
-}
-
-// runArrayOn simulates a single array on eng — which must be at time
-// zero with an empty event heap (fresh from New or Reset) — and returns
-// its results and the number of events it executed. The engine is left
-// as the drain loop abandoned it; callers reusing it must Reset first.
-func runArrayOn(eng *sim.Engine, cfg array.Config, sub *trace.Trace) (*array.Results, uint64, error) {
-	steps0 := eng.Steps()
-	ctrl, err := array.New(eng, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(sub.Records) > 0 {
-		c := eng.AtCall(sub.Records[0].At, feedStep)
-		c.A = &feeder{ctrl: ctrl, sub: sub, cap64: ctrl.DataBlocks()}
-		c.N0 = 0
-	}
-	eng.RunUntil(sub.Duration())
-	deadline := sub.Duration() + drainGrace
-	for !ctrl.Drained() && eng.Now() < deadline {
-		eng.RunFor(sim.Second)
-	}
-	if !ctrl.Drained() {
-		return nil, 0, fmt.Errorf("core: array %q did not drain within %ds grace — controller wedged or hopelessly overloaded",
-			sub.Name, drainGrace/sim.Second)
-	}
-	// Let an in-flight hot-spare rebuild finish so the results report its
-	// duration (the foreground workload is already drained).
-	if ra, ok := ctrl.(interface{ RebuildActive() bool }); ok {
-		for ra.RebuildActive() && eng.Now() < deadline {
-			eng.RunFor(sim.Second)
-		}
-	}
-	return ctrl.Results(), eng.Steps() - steps0, nil
-}
-
-// runOneArray simulates a single array against its sub-trace on its own
-// throwaway engine and returns its results, the number of events
-// executed, and — when metered — the engine's self-metrics.
-func runOneArray(cfg array.Config, sub *trace.Trace, meter bool) (*array.Results, uint64, sim.MeterStats, error) {
-	eng := sim.New()
-	var m *sim.Meter
-	if meter {
-		m = eng.StartMeter(true)
-	}
-	res, events, err := runArrayOn(eng, cfg, sub)
-	if err != nil {
-		return nil, 0, sim.MeterStats{}, err
-	}
-	var ms sim.MeterStats
-	if m != nil {
-		ms = m.Stop()
-	}
-	return res, events, ms, nil
-}
-
 // reqSLO resolves a record's SLO class: through the trace's class table
 // when it has one (auto classes still classify by size), else by size —
 // the classless behavior.
@@ -494,117 +374,8 @@ func Run(cfg Config, tr *trace.Trace) (*Results, error) {
 // every derived stream (per-array engines, fault streams, robustness
 // jitter) fans out from deterministically.
 func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Results, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: run canceled before start: %w", err)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if tr.NumDisks != cfg.DataDisks {
-		return nil, fmt.Errorf("core: trace has %d disks, config expects %d", tr.NumDisks, cfg.DataDisks)
-	}
-	if tr.BlocksPerDisk != cfg.Spec.BlocksPerDisk() {
-		return nil, fmt.Errorf("core: trace has %d blocks/disk, disk model has %d", tr.BlocksPerDisk, cfg.Spec.BlocksPerDisk())
-	}
-	subs, err := tr.SplitByGroup(cfg.N)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*array.Results, len(subs))
-	events := make([]uint64, len(subs))
-	meters := make([]sim.MeterStats, len(subs))
-	errs := make([]error, len(subs))
-
-	widths := cfg.groupDisks(len(subs))
-	faults, err := cfg.groupFaults(widths)
-	if err != nil {
-		return nil, err
-	}
-
-	recs := make([]*obs.Recorder, len(subs))
-	var shardMeters []sim.MeterStats
-	if cfg.Shards > 0 {
-		shardMeters = runSharded(ctx, cfg, subs, widths, faults, parts, events, errs, recs)
-	} else {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for g, sub := range subs {
-			wg.Add(1)
-			go func(g int, sub *trace.Trace) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if err := ctx.Err(); err != nil {
-					errs[g] = fmt.Errorf("core: array %d canceled: %w", g, err)
-					return
-				}
-				ac := cfg.arrayConfig(g, widths[g], faults[g], sub.Classes)
-				recs[g] = ac.Rec
-				parts[g], events[g], meters[g], errs[g] = runOneArray(ac, sub, cfg.SelfMetrics)
-			}(g, sub)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := merge(cfg, parts, events)
-	for _, m := range meters {
-		out.Engine.Add(m)
-	}
-	for _, m := range shardMeters {
-		out.Engine.Add(m)
-	}
-	out.EngineShards = shardMeters
-	attachObs(out, recs)
-	return out, nil
-}
-
-// runSharded is RunContext's Shards > 0 execution model: K persistent
-// engines, array g on shard g mod K, each shard walking its arrays in
-// index order and Reset()ing its engine between them. All outputs are
-// written to index-addressed slots (parts/events/errs/recs) and the
-// caller merges them in index order — the shard.Map determinism
-// contract — so results are independent of the shard count; every
-// per-array seed is already a pure function of (cfg.Seed, g) via
-// arrayConfig. Returns one MeterStats per shard, each spanning its
-// engine's whole life (memory deltas only under cfg.SelfMetrics: a
-// MemStats read stops the world, and wall/event metering is two clock
-// reads per shard).
-func runSharded(ctx context.Context, cfg Config, subs []*trace.Trace, widths []int, faults []fault.Config, parts []*array.Results, events []uint64, errs []error, recs []*obs.Recorder) []sim.MeterStats {
-	nshards := cfg.Shards
-	if nshards > len(subs) {
-		nshards = len(subs)
-	}
-	meters := make([]sim.MeterStats, nshards)
-	var wg sync.WaitGroup
-	for s := 0; s < nshards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			eng := sim.New()
-			m := eng.StartMeter(cfg.SelfMetrics)
-			for g := s; g < len(subs); g += nshards {
-				if err := ctx.Err(); err != nil {
-					errs[g] = fmt.Errorf("core: array %d canceled: %w", g, err)
-					continue
-				}
-				ac := cfg.arrayConfig(g, widths[g], faults[g], subs[g].Classes)
-				recs[g] = ac.Rec
-				parts[g], events[g], errs[g] = runArrayOn(eng, ac, subs[g])
-				eng.Reset()
-			}
-			meters[s] = m.Stop()
-		}(s)
-	}
-	wg.Wait()
-	return meters
+	out, _, err := execute(ctx, cfg, tr, replayOpen)
+	return out, err
 }
 
 // attachObs folds the per-array recorders into the system results: one

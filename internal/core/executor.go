@@ -1,0 +1,213 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"raidsim/internal/array"
+	"raidsim/internal/obs"
+	"raidsim/internal/sim"
+	"raidsim/internal/trace"
+)
+
+// driveFunc replays one array's sub-trace against its controller on eng
+// until the array has finished, and returns the simulated time it ended
+// at. Open-loop replay (replayOpen) and closed-loop replay
+// (ClosedLoopConfig.drive) are the two kinds.
+type driveFunc func(eng *sim.Engine, ctrl array.Controller, sub *trace.Trace) (sim.Time, error)
+
+// execute is the one way core simulates a system. It validates cfg
+// against tr, splits the trace into per-array sub-traces, and runs the
+// arrays on a pool of min(Workers, arrays) goroutines. Each worker owns
+// one engine for the whole run, claims array indices from a shared
+// counter, builds array g's controller on its engine, lets drive replay
+// the sub-trace, and Resets the engine before claiming the next array.
+// Every output lands in a slot addressed by g and is folded in index
+// order afterwards, so results are bit-identical at any worker count:
+// arrays share nothing but the workload, every per-array seed is a pure
+// function of (cfg.Seed, g), and a reset engine replays any event
+// sequence exactly like a fresh one. The second result holds each
+// array's end time.
+func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) (*Results, []sim.Time, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("core: run canceled before start: %w", err)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if tr.NumDisks != cfg.DataDisks {
+		return nil, nil, fmt.Errorf("core: trace has %d disks, config expects %d", tr.NumDisks, cfg.DataDisks)
+	}
+	if tr.BlocksPerDisk != cfg.Spec.BlocksPerDisk() {
+		return nil, nil, fmt.Errorf("core: trace has %d blocks/disk, disk model has %d", tr.BlocksPerDisk, cfg.Spec.BlocksPerDisk())
+	}
+	subs, err := tr.SplitByGroup(cfg.N)
+	if err != nil {
+		return nil, nil, err
+	}
+	widths := cfg.groupDisks(len(subs))
+	faults, err := cfg.groupFaults(widths)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	n := len(subs)
+	parts := make([]*array.Results, n)
+	events := make([]uint64, n)
+	ends := make([]sim.Time, n)
+	meters := make([]sim.MeterStats, n)
+	recs := make([]*obs.Recorder, n)
+	errs := make([]error, n)
+	runArray := func(eng *sim.Engine, g int) {
+		if err := ctx.Err(); err != nil {
+			errs[g] = fmt.Errorf("core: array %d canceled: %w", g, err)
+			return
+		}
+		ac := cfg.arrayConfig(g, widths[g], faults[g], subs[g].Classes)
+		recs[g] = ac.Rec
+		var m *sim.Meter
+		if cfg.SelfMetrics {
+			m = eng.StartMeter(true)
+		}
+		steps0 := eng.Steps()
+		ctrl, err := array.New(eng, ac)
+		if err == nil {
+			ends[g], err = drive(eng, ctrl, subs[g])
+		}
+		if err != nil {
+			errs[g] = err
+			return
+		}
+		parts[g], events[g] = ctrl.Results(), eng.Steps()-steps0
+		if m != nil {
+			meters[g] = m.Stop()
+		}
+	}
+
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	// The pool is spawned even for one worker. Running the arrays inline
+	// on the caller's goroutine instead measured slower and with a larger
+	// peak RSS on the fleet campaign, where most runs are one array
+	// executed on a campaign worker's goroutine.
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := sim.New()
+			for {
+				g := int(next.Add(1)) - 1
+				if g >= n {
+					return
+				}
+				runArray(eng, g)
+				eng.Reset()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	out := merge(cfg, parts, events)
+	for _, m := range meters {
+		out.Engine.Add(m)
+	}
+	attachObs(out, recs)
+	return out, ends, nil
+}
+
+// drainGrace bounds how long past the last arrival an array may take to
+// finish in-flight work before the run is declared wedged. Generous: a
+// severely overloaded trace-speed-2 run needs time to empty its queues.
+const drainGrace = 3600 * sim.Second
+
+// feeder submits one array's trace records to its controller. The open
+// loop chains its records through feedStep; the closed loop's
+// closedFeeder embeds it.
+type feeder struct {
+	ctrl  array.Controller
+	sub   *trace.Trace
+	cap64 int64
+}
+
+// submit admits record idx, clipped to the array's data capacity.
+func (f *feeder) submit(idx int, onComplete func()) {
+	r := f.sub.Records[idx]
+	lba := r.LBA
+	blocks := r.Blocks
+	if lba >= f.cap64 {
+		// Striping/area division can shave a sliver of capacity off
+		// the logical space; wrap the handful of affected addresses.
+		lba %= f.cap64
+	}
+	if rem := f.cap64 - lba; int64(blocks) > rem {
+		blocks = int(rem)
+	}
+	f.ctrl.Submit(array.Request{
+		Op: r.Op, LBA: lba, Blocks: blocks,
+		Class:      reqSLO(f.sub.Classes, r.Class, blocks),
+		CClass:     r.Class,
+		OnComplete: onComplete,
+	})
+}
+
+// feedStep admits open-loop record c.N0 and schedules the next one.
+// Each record is admitted by its own Call-form event whose callback
+// schedules the next record's event, so admission runs entirely through
+// the engine's Call free list: one *feeder allocation per array, zero
+// allocations per record, and on a reused worker engine the chain
+// recycles the previous array's payloads. Same-tick records stay
+// distinct events — the (at, seq) order pins their FIFO admission, and
+// the golden fingerprints pin the per-run event counts — they just share
+// the one free-list slot that hands off from record to record.
+func feedStep(e *sim.Engine, c *sim.Call) {
+	f := c.A.(*feeder)
+	idx := int(c.N0)
+	f.submit(idx, nil)
+	if next := idx + 1; next < len(f.sub.Records) {
+		nc := e.AtCall(f.sub.Records[next].At, feedStep)
+		nc.A = f
+		nc.N0 = int64(next)
+	}
+}
+
+// replayOpen is the open-loop driveFunc: records arrive at their trace
+// timestamps, then the array gets drainGrace to finish in-flight work
+// and any hot-spare rebuild.
+func replayOpen(eng *sim.Engine, ctrl array.Controller, sub *trace.Trace) (sim.Time, error) {
+	if len(sub.Records) > 0 {
+		c := eng.AtCall(sub.Records[0].At, feedStep)
+		c.A = &feeder{ctrl: ctrl, sub: sub, cap64: ctrl.DataBlocks()}
+		c.N0 = 0
+	}
+	eng.RunUntil(sub.Duration())
+	deadline := sub.Duration() + drainGrace
+	for !ctrl.Drained() && eng.Now() < deadline {
+		eng.RunFor(sim.Second)
+	}
+	if !ctrl.Drained() {
+		return 0, fmt.Errorf("core: array %q did not drain within %ds grace — controller wedged or hopelessly overloaded",
+			sub.Name, drainGrace/sim.Second)
+	}
+	// Let an in-flight hot-spare rebuild finish so the results report its
+	// duration (the foreground workload is already drained).
+	if ra, ok := ctrl.(interface{ RebuildActive() bool }); ok {
+		for ra.RebuildActive() && eng.Now() < deadline {
+			eng.RunFor(sim.Second)
+		}
+	}
+	return eng.Now(), nil
+}

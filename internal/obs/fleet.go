@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"time"
-
-	"raidsim/internal/sim"
 )
 
 // RunStatus is one campaign run's lifecycle state as the fleet registry
@@ -38,16 +36,6 @@ type WorkerStatus struct {
 	Tasks  int   `json:"tasks"`
 	Steals int   `json:"steals"`
 	BusyNS int64 `json:"busy_ns"`
-}
-
-// ShardStatus is one intra-run engine shard's meter totals, accumulated
-// element-wise across a campaign's executed runs (shard s of every run
-// folds into element s). Campaigns running with core.Config.Shards = 0
-// publish none.
-type ShardStatus struct {
-	Shard  int    `json:"shard"`
-	Events uint64 `json:"events"`
-	BusyNS int64  `json:"busy_ns"` // host time the shard's engine was metered over
 }
 
 // GroupAggregate is the fleet registry's running response-time aggregate
@@ -94,7 +82,6 @@ type FleetStatus struct {
 	ExecElapsedSec    float64 `json:"exec_elapsed_sec"`
 
 	Workers []WorkerStatus   `json:"workers,omitempty"`
-	Shards  []ShardStatus    `json:"shards,omitempty"`
 	Groups  []GroupAggregate `json:"groups,omitempty"`
 }
 
@@ -130,7 +117,6 @@ func (l *Live) SetFleet(total int) {
 	l.execStart = time.Time{}
 	l.runs = make(map[string]RunStatus, total)
 	l.workers = nil
-	l.shards = nil
 	l.started, l.finished, l.failed, l.resumed = 0, 0, 0, 0
 	l.events, l.freshEvents, l.busyNS = 0, 0, 0
 	l.groups = map[string]*groupAgg{}
@@ -192,25 +178,6 @@ func (l *Live) RunFinished(st RunStatus) {
 	l.mu.Unlock()
 }
 
-// AddShards folds one run's per-shard engine meters into the fleet's
-// cumulative per-shard totals (element-wise on the shard index). Meters
-// beyond the current shard count grow the slice; a nil or empty slice
-// is a no-op, so unsharded campaigns never publish the family.
-func (l *Live) AddShards(ms []sim.MeterStats) {
-	if l == nil || len(ms) == 0 {
-		return
-	}
-	l.mu.Lock()
-	for s, m := range ms {
-		for s >= len(l.shards) {
-			l.shards = append(l.shards, ShardStatus{Shard: len(l.shards)})
-		}
-		l.shards[s].Events += m.Events
-		l.shards[s].BusyNS += m.WallNS
-	}
-	l.mu.Unlock()
-}
-
 // PublishWorkers replaces the per-worker occupancy snapshot.
 func (l *Live) PublishWorkers(ws []WorkerStatus) {
 	if l == nil {
@@ -266,7 +233,6 @@ func (l *Live) Fleet() FleetStatus {
 		FreshEvents:  l.freshEvents,
 		EngineBusyNS: l.busyNS,
 		Workers:      append([]WorkerStatus(nil), l.workers...),
-		Shards:       append([]ShardStatus(nil), l.shards...),
 	}
 	if f.Running < 0 {
 		f.Running = 0
@@ -330,16 +296,6 @@ func (l *Live) writeFleetMetrics(w io.Writer) {
 		fmt.Fprintf(w, "# HELP raidsim_fleet_worker_busy_seconds Host time per worker spent inside run functions.\n# TYPE raidsim_fleet_worker_busy_seconds counter\n")
 		for _, ws := range f.Workers {
 			fmt.Fprintf(w, "raidsim_fleet_worker_busy_seconds{worker=\"%d\"} %g\n", ws.Worker, float64(ws.BusyNS)/1e9)
-		}
-	}
-	if len(f.Shards) > 0 {
-		fmt.Fprintf(w, "# HELP raidsim_fleet_shard_events_total Engine events executed per intra-run engine shard, summed over runs.\n# TYPE raidsim_fleet_shard_events_total counter\n")
-		for _, sh := range f.Shards {
-			fmt.Fprintf(w, "raidsim_fleet_shard_events_total{shard=\"%d\"} %d\n", sh.Shard, sh.Events)
-		}
-		fmt.Fprintf(w, "# HELP raidsim_fleet_shard_busy_seconds Host time each intra-run engine shard was metered over, summed over runs.\n# TYPE raidsim_fleet_shard_busy_seconds counter\n")
-		for _, sh := range f.Shards {
-			fmt.Fprintf(w, "raidsim_fleet_shard_busy_seconds{shard=\"%d\"} %g\n", sh.Shard, float64(sh.BusyNS)/1e9)
 		}
 	}
 	if len(f.Groups) > 0 {

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"raidsim/internal/sim"
 )
 
 // TestFleetLifecycle walks runs through started→finished states and
@@ -118,41 +116,6 @@ func TestFreshRateFloor(t *testing.T) {
 	} {
 		if got := freshRate(tc.events, tc.elapsed); got != tc.want {
 			t.Errorf("freshRate(%d, %g) = %g, want %g", tc.events, tc.elapsed, got, tc.want)
-		}
-	}
-}
-
-// TestFleetShardAccounting: AddShards accumulates element-wise across
-// runs, grows on demand, ignores empty slices, and surfaces both in
-// Fleet() and as the raidsim_fleet_shard_* metric families.
-func TestFleetShardAccounting(t *testing.T) {
-	l := NewLive()
-	l.SetFleet(2)
-	l.AddShards(nil)
-	if f := l.Fleet(); len(f.Shards) != 0 {
-		t.Fatalf("nil AddShards published shards: %+v", f.Shards)
-	}
-	l.AddShards([]sim.MeterStats{{Events: 100, WallNS: 1e6}, {Events: 200, WallNS: 2e6}})
-	l.AddShards([]sim.MeterStats{{Events: 50, WallNS: 1e6}, {Events: 60, WallNS: 1e6}, {Events: 70, WallNS: 3e6}})
-	f := l.Fleet()
-	if len(f.Shards) != 3 {
-		t.Fatalf("shards: %+v", f.Shards)
-	}
-	want := []ShardStatus{{0, 150, 2e6}, {1, 260, 3e6}, {2, 70, 3e6}}
-	for i, w := range want {
-		if f.Shards[i] != w {
-			t.Errorf("shard %d = %+v, want %+v", i, f.Shards[i], w)
-		}
-	}
-	var b strings.Builder
-	l.WriteMetrics(&b)
-	for _, wantLine := range []string{
-		`raidsim_fleet_shard_events_total{shard="0"} 150`,
-		`raidsim_fleet_shard_events_total{shard="2"} 70`,
-		`raidsim_fleet_shard_busy_seconds{shard="1"} 0.003`,
-	} {
-		if !strings.Contains(b.String(), wantLine) {
-			t.Errorf("metrics missing %q:\n%s", wantLine, b.String())
 		}
 	}
 }

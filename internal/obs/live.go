@@ -47,7 +47,6 @@ type Live struct {
 	execStart   time.Time
 	runs        map[string]RunStatus
 	workers     []WorkerStatus
-	shards      []ShardStatus
 	started     int
 	finished    int
 	failed      int

@@ -16,19 +16,6 @@ type FleetStats struct {
 	WallNS  int64  // campaign wall-clock, nanoseconds
 	BusyNS  int64  // summed engine busy time across runs (CPU-seconds proxy)
 	Workers []WorkerRow
-	// Shards is the intra-run engine-shard accounting (core.Config.Shards
-	// > 0): each row sums one shard's events and metered host time across
-	// every executed run. Empty for unsharded campaigns.
-	Shards []ShardRow
-}
-
-// ShardRow is one intra-run engine shard's share of a campaign: the
-// events its engines executed and how long they were metered, summed
-// over runs.
-type ShardRow struct {
-	Shard  int
-	Events uint64
-	BusyNS int64
 }
 
 // WorkerRow is one worker's share of a campaign: how many runs it
@@ -66,20 +53,6 @@ func FleetTable(title string, f FleetStats) *Table {
 			fmt.Sprintf("%d", w.Worker),
 			fmt.Sprintf("%d", w.Tasks),
 			fmt.Sprintf("%d", w.Steals),
-			fmt.Sprintf("%.2f", busy),
-			occ,
-		)
-	}
-	for _, sh := range f.Shards {
-		busy := float64(sh.BusyNS) / 1e9
-		occ := "-"
-		if wall > 0 {
-			occ = fmt.Sprintf("%.0f%%", 100*busy/wall)
-		}
-		t.AddRow(
-			fmt.Sprintf("shard %d", sh.Shard),
-			fmt.Sprintf("%d ev", sh.Events),
-			"-",
 			fmt.Sprintf("%.2f", busy),
 			occ,
 		)

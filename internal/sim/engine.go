@@ -93,7 +93,7 @@ func (e *Engine) Now() Time { return e.now }
 // Reset returns the engine to the observable state of a fresh New():
 // clock at zero, sequence counter at zero, no pending events. The heap
 // slab and the Call free list are kept — pending Call payloads are
-// recycled into the free list — so a shard running many simulations
+// recycled into the free list — so a worker running many simulations
 // back to back schedules without reallocating. The cumulative
 // self-metric counters (steps, heap high-water, free-list hits) carry
 // across the reset; per-simulation figures come from deltas (Steps
@@ -101,8 +101,9 @@ func (e *Engine) Now() Time { return e.now }
 //
 // Determinism: every scheduling decision an engine makes is a function
 // of (now, seq, heap contents) — a reset engine replays any event
-// sequence bit-identically to a fresh one, which is what lets shards
-// reuse engines across arrays without perturbing results.
+// sequence bit-identically to a fresh one, which is what lets core's
+// per-run workers reuse engines across arrays without perturbing
+// results.
 func (e *Engine) Reset() {
 	for i := range e.events {
 		if c := e.events[i].call; c != nil {
