@@ -143,6 +143,8 @@ var equivalenceCases = []struct {
 	{"pstripe$+f", array.OrgParityStriping, array.DFPR, true, true},
 	{"raid4$", array.OrgRAID4, array.DF, true, false},
 	{"raid4$+f", array.OrgRAID4, array.DF, true, true},
+	{"raid3", array.OrgRAID3, array.DF, false, false},
+	{"plog", array.OrgParityLog, array.DF, false, false},
 }
 
 // equivalenceGolden maps case name -> exact fingerprint (hex floats, so
@@ -169,6 +171,8 @@ var equivalenceGolden = map[string]string{
 	"pstripe$+f": "ev=59333 req=4000 resp=4000/0x1.355eb7daaae42p+06 rd=2856/0x1.af4c1576419b8p+06 wr=1144/0x1.3e9c448d8df73p+00 norm=1474/0x1.77481e1242c6fp+04 deg=2526/0x1.b3266038b1436p+06 hits=110,2746,220,924 seek=0x1.44752a672061ep+08 held=55 par=1646 acc=[7100 5785 7154 7090 7414 7634 300 123 111 434 145 117] fault=1,1,1,1,0,0,0,0,0,0 cache=4519,1323,0,74,1183,0,0,2048",
 	"raid4$":     "ev=20849 req=4000 resp=4000/0x1.556b88b74095dp+04 rd=2856/0x1.d6b740516a79p+04 wr=1144/0x1.2a1f96de0f7bep+00 norm=4000/0x1.556b88b74095dp+04 deg=0/0x0p+00 hits=137,2719,296,848 seek=0x1.4e1e5238d45b6p+08 held=0 par=1331 acc=[705 759 709 774 771 1009 230 236 261 227 222 322] fault=0,0,0,0,0,0,0,0,0,0 cache=7229,3532,0,204,2011,1331,306,2048",
 	"raid4$+f":   "ev=54693 req=4000 resp=4000/0x1.b212d9539041ep+05 rd=2856/0x1.2e194a0f1c9b3p+06 wr=1144/0x1.2b79b6d6d1c7p+00 norm=1474/0x1.3894a0056e6fep+04 deg=2526/0x1.2a159e74daa96p+06 hits=110,2746,220,924 seek=0x1.2f49982ee9061p+08 held=6 par=1714 acc=[6213 5086 6208 6276 6275 6845 229 237 261 230 224 322] fault=1,1,1,1,0,0,0,0,0,0 cache=4519,1323,0,74,1183,199,0,2048",
+	"raid3":      "ev=29144 req=4000 resp=4000/0x1.96e3d7a13c256p+06 rd=2856/0x1.8ec4928b91fe1p+06 wr=1144/0x1.ab2abf2d403a6p+06 norm=4000/0x1.96e3d7a13c256p+06 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.5c87182d1093bp+08 held=0 par=1144 acc=[3038 3038 3038 3038 3038 876 962 962 962 962 962 268] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
+	"plog":       "ev=16147 req=4000 resp=4000/0x1.333898d751e0ap+05 rd=2856/0x1.117d5d9380c11p+05 wr=1144/0x1.876e7b90bca1p+05 norm=4000/0x1.333898d751e0ap+05 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.74623b8a4ad11p+08 held=0 par=0 acc=[670 701 721 664 738 703 221 202 234 223 219 205] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 }
 
 // fingerprint formats the fields of a system result that together pin the
