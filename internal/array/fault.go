@@ -102,9 +102,7 @@ func (c *common) FailDisk(d int) {
 	c.cfg.Rec.Degraded(now, true)
 	c.cfg.Rec.Note(obs.Event{At: now, Kind: obs.EvDiskFail, Disk: d})
 	c.disks[d].Fail()
-	if c.sch != nil {
-		c.sch.onFail(d)
-	}
+	c.sch.onFail(d)
 	if c.fs.spares <= 0 {
 		return
 	}
@@ -112,10 +110,7 @@ func (c *common) FailDisk(d int) {
 	c.fs.sparesUsed++
 	c.cfg.Rec.Note(obs.Event{At: now, Kind: obs.EvSpareSwap, Disk: d})
 	c.disks[d].Repair()
-	var srcs []int
-	if c.sch != nil {
-		srcs = c.sch.rebuildSources(d)
-	}
+	srcs := c.sch.rebuildSources(d)
 	if len(srcs) == 0 {
 		// Nothing to reconstruct from: the spare goes straight into
 		// service empty (the lost contents were already accounted by
@@ -303,8 +298,8 @@ func (c *common) mediaRead(rn run, pri disk.Priority, tries, att int, op *obs.Sp
 	}
 	m.rn, m.pri, m.tries, m.att, m.op, m.onDone = rn, pri, tries, att, op, onDone
 	m.req = disk.Request{
-		StartBlock: rn.start, Blocks: rn.blocks, Priority: pri, Span: op,
-		OnDone: m.doneFn,
+		StartBlock: rn.start, Blocks: int(rn.blocks), TransferSectors: int(rn.sectors),
+		Priority: pri, Span: op, OnDone: m.doneFn,
 	}
 	c.disks[rn.disk].Submit(&m.req)
 }
@@ -323,7 +318,7 @@ func (m *readRec) done() {
 		c.fallbackRead(rn, pri, op, onDone)
 		return
 	}
-	if c.fs.inj != nil && c.fs.inj.TransientFaulty(rn.disk, rn.blocks) {
+	if c.fs.inj != nil && c.fs.inj.TransientFaulty(rn.disk, int(rn.blocks)) {
 		c.fs.transientErrors++
 		if att < c.rb.cfg.Retries {
 			c.rb.retries++
@@ -346,7 +341,7 @@ func (m *readRec) done() {
 		c.fallbackRead(rn, pri, op, onDone)
 		return
 	}
-	if c.fs.inj == nil || !c.fs.inj.SectorFaulty(rn.blocks) {
+	if c.fs.inj == nil || !c.fs.inj.SectorFaulty(int(rn.blocks)) {
 		onDone()
 		return
 	}
@@ -366,11 +361,11 @@ func (c *common) fallbackRead(rn run, pri disk.Priority, op *obs.Span, onDone fu
 	if op != nil {
 		done = func() { op.CloseAt(c.eng.Now()); onDone() }
 	}
-	if c.sch != nil && c.sch.readFallback(rn, pri, op, done) {
+	if c.sch.readFallback(rn, pri, op, done) {
 		return
 	}
 	c.fs.lostReadBlocks += int64(rn.blocks)
-	c.cfg.Rec.Note(obs.Event{At: c.eng.Now(), Kind: obs.EvDataLoss, Disk: rn.disk, Blocks: rn.blocks})
+	c.cfg.Rec.Note(obs.Event{At: c.eng.Now(), Kind: obs.EvDataLoss, Disk: rn.disk, Blocks: int(rn.blocks)})
 	c.eng.After(0, done)
 }
 
@@ -386,7 +381,7 @@ func (c *common) filterWriteRuns(runs []run) ([]run, int) {
 	dropped := 0
 	for _, rn := range runs {
 		if c.writeDown(rn.disk) {
-			dropped += rn.blocks
+			dropped += int(rn.blocks)
 			continue
 		}
 		out = append(out, rn)

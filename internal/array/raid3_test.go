@@ -10,28 +10,29 @@ import (
 func TestRAID3EveryRequestUsesAllArms(t *testing.T) {
 	cfg := testConfig(OrgRAID3, false)
 	eng, ctrl := build(t, cfg)
-	r3 := ctrl.(*raid3Ctrl)
+	r3 := ctrl.(*schemeCtrl)
+	n := cfg.N
 
 	ctrl.Submit(Request{Op: trace.Read, LBA: 7, Blocks: 1})
 	drain(t, eng, ctrl)
-	for d := 0; d < r3.n; d++ {
+	for d := 0; d < n; d++ {
 		if r3.disks[d].S.Reads != 1 {
 			t.Fatalf("data disk %d saw %d reads, want 1", d, r3.disks[d].S.Reads)
 		}
 	}
-	if r3.disks[r3.n].S.Accesses != 0 {
+	if r3.disks[n].S.Accesses != 0 {
 		t.Fatal("parity disk touched on a read")
 	}
 
 	ctrl.Submit(Request{Op: trace.Write, LBA: 42, Blocks: 1})
 	drain(t, eng, ctrl)
-	for d := 0; d <= r3.n; d++ {
+	for d := 0; d <= n; d++ {
 		if r3.disks[d].S.Writes != 1 {
 			t.Fatalf("disk %d saw %d writes, want 1", d, r3.disks[d].S.Writes)
 		}
 	}
 	// RAID3 small writes never read-modify-write.
-	for d := 0; d <= r3.n; d++ {
+	for d := 0; d <= n; d++ {
 		if r3.disks[d].S.RMWs != 0 {
 			t.Fatal("RAID3 should not RMW")
 		}
@@ -61,11 +62,11 @@ func TestRAID3SpindlesForcedSynchronized(t *testing.T) {
 	cfg := testConfig(OrgRAID3, false)
 	cfg.SyncSpindles = false // must be overridden
 	eng, ctrl := build(t, cfg)
-	r3 := ctrl.(*raid3Ctrl)
+	r3 := ctrl.(*schemeCtrl)
 	ctrl.Submit(Request{Op: trace.Read, LBA: 0, Blocks: 1})
 	drain(t, eng, ctrl)
 	first := r3.disks[0].S.ServiceTime.Mean()
-	for d := 1; d < r3.n; d++ {
+	for d := 1; d < cfg.N; d++ {
 		if got := r3.disks[d].S.ServiceTime.Mean(); got != first {
 			t.Fatalf("unsynchronized slices: disk %d %.4f vs %.4f", d, got, first)
 		}

@@ -129,7 +129,7 @@ func (q *reqRec) admit() {
 		var op *obs.Span
 		if sp != nil {
 			op = sp.Child("read-data", c.eng.Now())
-			op.SetBlocks(rn.blocks)
+			op.SetBlocks(int(rn.blocks))
 		}
 		c.readRunHedged(rn, disk.PriNormal, op, q.runDoneFn)
 	}
@@ -168,6 +168,12 @@ type batchRec struct {
 	rb   runBuf
 	runs []run // plain writes: the runs to issue
 	plan updatePlan
+	// rmw, when non-nil, flags the plain runs that read old data first;
+	// afterIssue, when non-nil, runs once every plain run is submitted.
+	// Parity logging uses both: its data legs are the plan's, and its
+	// update images are logged behind them.
+	rmw        []bool
+	afterIssue func(*batchRec)
 
 	// Parity update execution (see executeUpdate).
 	policy  SyncPolicy
@@ -225,7 +231,7 @@ func (c *common) newBatch(w writeOp) *batchRec {
 // track buffers still held, and report completion.
 func (b *batchRec) finish() {
 	c, n, onDone := b.c, b.nbuf, b.w.onDone
-	b.w, b.runs, b.issue = writeOp{}, nil, nil
+	b.w, b.runs, b.rmw, b.afterIssue, b.issue = writeOp{}, nil, nil, nil, nil
 	b.policy, b.stagger, b.parityIssuer, b.onDataDone, b.nbuf = SI, 0, nil, nil, 0
 	c.recs.batches.put(b)
 	c.buf.Release(n)

@@ -411,7 +411,7 @@ func hedgeFire(_ *sim.Engine, cl *sim.Call) {
 	if h.op != nil {
 		leg = h.op.Child("hedge-read", c.eng.Now())
 		leg.SetDisk(h.alt.disk)
-		leg.SetBlocks(h.alt.blocks)
+		leg.SetBlocks(int(h.alt.blocks))
 	}
 	c.mediaRead(h.alt, h.pri, 0, 0, leg, func() { h.settle(true) })
 }

@@ -7,12 +7,16 @@ import (
 )
 
 // run is a physically contiguous span on one disk, with the logical
-// blocks it carries in order.
+// blocks it carries in order. Every read copies a run, so the two
+// lengths are narrowed to keep it at six words.
 type run struct {
 	disk   int
 	start  int64 // physical block on the disk
-	blocks int
-	lbas   []int64
+	blocks int32
+	// sectors, when positive, is the media pass in sectors (RAID3's
+	// per-drive slice of each block); see disk.Request.TransferSectors.
+	sectors int32
+	lbas    []int64
 }
 
 // runBuf is reusable storage for the runs of one batch of logical
@@ -73,8 +77,8 @@ func (b *runBuf) add(lay layout.DataLayout, alt layout.MirrorLayout, lbas []int6
 	b.arena = slices.Grow(b.arena, len(lbas))[:off+len(lbas)]
 	for j := base; j < len(b.runs); j++ {
 		r := &b.runs[j]
-		r.lbas = b.arena[off : off : off+r.blocks]
-		off += r.blocks
+		r.lbas = b.arena[off : off : off+int(r.blocks)]
+		off += int(r.blocks)
 	}
 	for k, l := range lbas {
 		r := &b.runs[b.at[k]]
@@ -113,14 +117,6 @@ type pinfo struct {
 	loc     layout.Loc
 	full    bool
 	feeders []int
-}
-
-// planUpdate builds a fresh updatePlan for writing the given logical
-// blocks; see updatePlan.build.
-func planUpdate(lay layout.ParityLayout, lbas []int64, hasOld func(int64) bool) *updatePlan {
-	p := new(updatePlan)
-	p.build(new(runBuf), lay, lbas, hasOld)
-	return p
 }
 
 // build fills the plan, reusing its storage, for writing the given

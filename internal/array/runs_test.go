@@ -45,8 +45,8 @@ func TestDataRunsCoverEveryBlock(t *testing.T) {
 			seen := map[int64]bool{}
 			total := 0
 			for _, r := range runs {
-				total += r.blocks
-				if len(r.lbas) != r.blocks {
+				total += int(r.blocks)
+				if len(r.lbas) != int(r.blocks) {
 					t.Fatalf("%T: run lbas/blocks mismatch", lay)
 				}
 				for i, l := range r.lbas {
@@ -65,6 +65,14 @@ func TestDataRunsCoverEveryBlock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// planUpdate builds a fresh updatePlan for writing the given logical
+// blocks; see updatePlan.build.
+func planUpdate(lay layout.ParityLayout, lbas []int64, hasOld func(int64) bool) *updatePlan {
+	p := new(updatePlan)
+	p.build(new(runBuf), lay, lbas, hasOld)
+	return p
 }
 
 func TestPlanUpdateFullStripe(t *testing.T) {
@@ -137,7 +145,7 @@ func TestPlanUpdateMixedCoverage(t *testing.T) {
 	rmwBlocks := 0
 	for i, r := range plan.dataRuns {
 		if plan.dataRMW[i] {
-			rmwBlocks += r.blocks
+			rmwBlocks += int(r.blocks)
 		}
 	}
 	if rmwBlocks != 1 {

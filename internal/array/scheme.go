@@ -115,10 +115,14 @@ func (b *batchRec) issuePlain() {
 	for i, rn := range b.runs {
 		lg := b.leg(i)
 		lg.req = disk.Request{
-			StartBlock: rn.start, Blocks: rn.blocks, Write: true,
+			StartBlock: rn.start, Blocks: int(rn.blocks), TransferSectors: int(rn.sectors),
+			Write: true, RMW: b.rmw != nil && b.rmw[i],
 			Priority: b.w.pri, OnDone: b.legDoneFn,
 		}
 		b.submitLeg(i, b.c.disks[rn.disk], &lg.req)
+	}
+	if b.afterIssue != nil {
+		b.afterIssue(b)
 	}
 }
 

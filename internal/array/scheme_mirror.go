@@ -104,7 +104,7 @@ func (s *mirrorScheme) readFallback(rn run, pri disk.Priority, op *obs.Span, onD
 	var leg *obs.Span
 	if op != nil {
 		leg = op.Child("failover-read", s.c.eng.Now())
-		leg.SetBlocks(rn.blocks)
+		leg.SetBlocks(int(rn.blocks))
 	}
 	s.c.mediaRead(run{disk: alt, start: rn.start, blocks: rn.blocks}, pri, 0, 0, leg, onDone)
 	return true

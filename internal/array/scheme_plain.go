@@ -9,9 +9,9 @@ import (
 // plainScheme is any redundancy-free organization: Base (independent
 // disks) and RAID0 (pure striping). Reads go to the block's home disk;
 // writes have a single copy, so a write targeting a dead slot is simply
-// lost, and a failed drive is a data-loss event outright.
+// lost.
 type plainScheme struct {
-	c   *common
+	noRedundancy
 	lay layout.DataLayout
 	o   Org
 }
@@ -29,10 +29,15 @@ func (s *plainScheme) write(w writeOp) {
 	b.plainWrite(runs)
 }
 
-// No redundancy: every failure loses data, nothing can rebuild a spare,
-// and reads of a dead slot are unrecoverable.
-func (s *plainScheme) onFail(int) { s.c.fs.dataLossEvents++ }
+// noRedundancy is the degraded-mode mapping of a scheme with nothing to
+// recover from: every failure loses data, nothing can rebuild a spare,
+// and reads of a dead slot are unrecoverable. plainScheme has no
+// redundancy; the RAID3 and parity-logging comparators have no
+// degraded-mode model (New rejects fault configs for them).
+type noRedundancy struct{ c *common }
 
-func (s *plainScheme) rebuildSources(int) []int { return nil }
+func (s noRedundancy) onFail(int) { s.c.fs.dataLossEvents++ }
 
-func (s *plainScheme) readFallback(run, disk.Priority, *obs.Span, func()) bool { return false }
+func (noRedundancy) rebuildSources(int) []int { return nil }
+
+func (noRedundancy) readFallback(run, disk.Priority, *obs.Span, func()) bool { return false }

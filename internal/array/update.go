@@ -54,7 +54,7 @@ func (b *batchRec) executeUpdate() {
 		lg := b.legs[ri]
 		lg.req = disk.Request{
 			StartBlock: r.start,
-			Blocks:     r.blocks,
+			Blocks:     int(r.blocks),
 			Write:      true,
 			Priority:   b.w.pri,
 			OnDone:     b.dataDoneFn,
