@@ -48,10 +48,13 @@ type Request struct {
 	Priority   Priority
 
 	// TransferSectors, when positive, overrides the media-pass length:
-	// the access addresses StartBlock's position but transfers only this
-	// many sectors (byte-striped organizations like RAID3 move a 1/N
-	// slice of each block per disk). Incompatible with RMW and with runs
-	// that span blocks.
+	// the pass starts at StartBlock's position and lasts exactly this
+	// many sector times, however many blocks or tracks the request spans,
+	// and the arm stays on StartBlock's cylinder. Byte-striped
+	// organizations use it: RAID3 moves a 1/N slice of each of its
+	// blocks per disk, over runs of one or more blocks. Blocks still
+	// bounds the address check and counts in Stats. Submit rejects a
+	// negative value and any override on an RMW request.
 	TransferSectors int
 
 	// Ready gates the RMW write phase; nil means always ready.

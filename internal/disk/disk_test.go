@@ -183,6 +183,44 @@ func TestMultiblockTransfer(t *testing.T) {
 	}
 }
 
+// TestTransferSectorsOverride: a sector override on a multi-block run,
+// even one crossing into the next cylinder, transfers for exactly
+// sectors × sector time and leaves the arm on the start cylinder. A
+// negative override, or one on an RMW, is rejected.
+func TestTransferSectorsOverride(t *testing.T) {
+	eng, d, spec := newTestDisk(t, 0)
+	start := int64(spec.BlocksPerCylinder() - 3)
+	startAngle := spec.AngleOfBlock(spec.ToCHS(start).Block)
+	var doneAt sim.Time
+	d.Submit(&Request{StartBlock: start, Blocks: 6, TransferSectors: 7, Priority: PriNormal,
+		OnDone: func() { doneAt = eng.Now() }})
+	eng.Run()
+	xfer := 7 * spec.SectorTime()
+	if d.S.TransferTime != xfer {
+		t.Fatalf("transfer time %d, want 7 sectors = %d", d.S.TransferTime, xfer)
+	}
+	latency := sim.Time(startAngle * float64(spec.RotationTime())) // phase 0, t=0
+	if want := latency + xfer; doneAt != want {
+		t.Fatalf("done at %d, want %d", doneAt, want)
+	}
+	if d.Cylinder() != 0 || d.S.BlocksRead != 6 {
+		t.Fatalf("arm at cylinder %d, %d blocks read; want 0 and 6", d.Cylinder(), d.S.BlocksRead)
+	}
+	for i, r := range []*Request{
+		{StartBlock: 0, Blocks: 2, TransferSectors: -1},
+		{StartBlock: 0, Blocks: 2, TransferSectors: 3, Write: true, RMW: true},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bad override %d accepted", i)
+				}
+			}()
+			d.Submit(r)
+		}()
+	}
+}
+
 // TestQueueWaitAccounting: the second request's queue wait equals the
 // first one's residual service.
 func TestQueueWaitAccounting(t *testing.T) {
