@@ -434,7 +434,7 @@ func New(eng *sim.Engine, cfg Config) (Controller, error) {
 			return nil, fmt.Errorf("array: RAID4 is only studied with parity caching; set Cached")
 		}
 		pl := layout.NewRAID4(cfg.N, bpd, cfg.StripingUnit)
-		lay, s = pl, &raid4Scheme{parityScheme: parityScheme{c: c, lay: pl, o: OrgRAID4}}
+		lay, s = pl, newRAID4Scheme(c, pl)
 	case OrgRAID3:
 		if err := cfg.checkComparator(); err != nil {
 			return nil, err

@@ -20,10 +20,14 @@ type cachedCtrl struct {
 	ccfg   cache.Config
 	ticker *sim.Ticker
 
-	// epoch counts NVRAM cache failures. In-flight destages capture it at
-	// issue time and skip their CompleteDestage bookkeeping when stale —
-	// the entries they would complete died with the old cache.
+	// epoch counts NVRAM cache failures. Write-backs capture it when they
+	// mark their blocks destaging and skip their CompleteDestage
+	// bookkeeping when stale — the entries they would complete died with
+	// the old cache.
 	epoch int
+
+	hasOldFn func(int64) bool // hasOld, bound once for every writeOp
+	dirty    []int64          // destageTick's candidate buffer
 }
 
 // newCached wraps the scheme in the cache front-end. Parity schemes get
@@ -36,6 +40,7 @@ func newCached(c *common, s scheme) (*cachedCtrl, error) {
 		return nil, err
 	}
 	cc := &cachedCtrl{common: c, s: s, c: nvc, ccfg: ccfg}
+	cc.hasOldFn = cc.hasOld
 	// cc.c is read at sample time, so the closure survives the cache
 	// module being swapped out after an NVRAM failure.
 	c.dirtyFrac = func() float64 {
@@ -49,38 +54,6 @@ func newCached(c *common, s scheme) (*cachedCtrl, error) {
 func (cc *cachedCtrl) hasOld(l int64) bool {
 	e := cc.c.Lookup(l)
 	return e != nil && e.HasOld
-}
-
-// writeBackMarked persists cached dirty blocks already marked as
-// destaging and calls onDone when they are clean on disk: one scheme
-// write, with the epoch-guarded destage-completion bookkeeping wrapped
-// around the scheme's completion. spread distributes the issues over a
-// window to limit interference.
-func (cc *cachedCtrl) writeBackMarked(lbas []int64, pri disk.Priority, spread sim.Time, sp *obs.Span, onDone func()) {
-	ep := cc.epoch
-	cc.s.write(writeOp{
-		lbas:   lbas,
-		pri:    pri,
-		spread: spread,
-		hasOld: cc.hasOld,
-		span:   sp,
-		onDone: func() {
-			if cc.epoch == ep {
-				for _, l := range lbas {
-					cc.c.CompleteDestage(l)
-				}
-			}
-			onDone()
-		},
-	})
-}
-
-// writeBack marks the blocks as destaging and persists them.
-func (cc *cachedCtrl) writeBack(lbas []int64, pri disk.Priority, spread sim.Time, sp *obs.Span, onDone func()) {
-	for _, l := range lbas {
-		cc.c.BeginDestage(l)
-	}
-	cc.writeBackMarked(lbas, pri, spread, sp, onDone)
 }
 
 func (cc *cachedCtrl) initDestage() {
@@ -129,7 +102,8 @@ const destageChunk = 16
 // together (the candidate list is LBA-sorted), preserving most
 // full-stripe write-back opportunities.
 func (cc *cachedCtrl) destageTick() {
-	lbas := cc.c.DirtyNotDestaging()
+	cc.dirty = cc.c.DirtyNotDestaging(cc.dirty[:0])
+	lbas := cc.dirty
 	if len(lbas) == 0 {
 		return
 	}
@@ -138,35 +112,98 @@ func (cc *cachedCtrl) destageTick() {
 	nchunks := (len(lbas) + destageChunk - 1) / destageChunk
 	gap := spread / sim.Time(nchunks)
 	for i := 0; i < nchunks; i++ {
-		chunk := lbas[i*destageChunk : min(len(lbas), (i+1)*destageChunk)]
 		// Mark now so the next tick (or a concurrent victim flush) does
-		// not pick the same blocks; the delayed write-back skips the
-		// marking step.
-		for _, l := range chunk {
-			cc.c.BeginDestage(l)
-		}
-		// Destage accesses run at normal priority — the paper limits
-		// their interference by scheduling them progressively (the
-		// stagger), not by preempting them. Each chunk is its own
-		// background trace tree, linking the destage to the cache writes
-		// that dirtied it by LBA.
-		issue := func() {
-			var root *obs.Span
-			if cc.tr != nil {
-				root = cc.tr.StartBackground("destage", cc.eng.Now())
-				root.SetBlocks(len(chunk))
-			}
-			cc.writeBackMarked(chunk, disk.PriNormal, gap, root, func() {
-				if root != nil {
-					cc.tr.FinishBackground(root, cc.eng.Now())
-				}
-			})
-		}
+		// not pick the same blocks; the delayed issue only writes.
+		w := cc.newWriteBack(lbas[i*destageChunk:min(len(lbas), (i+1)*destageChunk)], gap)
 		if i == 0 {
-			issue()
+			w.issue()
 			continue
 		}
-		cc.eng.After(gap*sim.Time(i), issue)
+		cc.eng.After(gap*sim.Time(i), w.issueFn)
+	}
+}
+
+// wbRec is one write-back in flight, a destage chunk or a dirty victim's
+// flush, from marking its blocks destaging until they are clean on disk.
+// It owns a copy of the blocks: the scheme's batch reads them until it
+// completes, and the epoch-guarded completion walks them after that.
+type wbRec struct {
+	cc     *cachedCtrl
+	lbas   []int64
+	ep     int      // the cache epoch the blocks were marked under
+	spread sim.Time // stagger window for the batch's device writes
+	// span parents the scheme's device-op spans: a destage chunk's own
+	// background root, or a victim flush's evict-write child. Nil when
+	// tracing is off.
+	span *obs.Span
+	// onDone continues a victim flush; nil marks a destage chunk, which
+	// finishes its background root instead.
+	onDone func()
+
+	issueFn, doneFn func()
+}
+
+// newWriteBack takes a write-back record for lbas and marks them as
+// destaging, so they are neither picked as victims nor destaged twice.
+func (cc *cachedCtrl) newWriteBack(lbas []int64, spread sim.Time) *wbRec {
+	w := cc.recs.writeBacks.take()
+	if w == nil {
+		w = &wbRec{cc: cc}
+		w.issueFn, w.doneFn = w.issue, w.done
+	}
+	w.lbas = append(w.lbas[:0], lbas...)
+	w.ep, w.spread = cc.epoch, spread
+	for _, l := range lbas {
+		cc.c.BeginDestage(l)
+	}
+	return w
+}
+
+// issue sends a destage chunk to the disks. Destage accesses run at
+// normal priority — the paper limits their interference by scheduling
+// them progressively (the stagger), not by preempting them. Each chunk
+// is its own background trace tree, linking the destage to the cache
+// writes that dirtied it by LBA.
+func (w *wbRec) issue() {
+	cc := w.cc
+	if cc.tr != nil {
+		w.span = cc.tr.StartBackground("destage", cc.eng.Now())
+		w.span.SetBlocks(len(w.lbas))
+	}
+	w.write()
+}
+
+// write hands the blocks to the scheme as one batch.
+func (w *wbRec) write() {
+	w.cc.s.write(writeOp{
+		lbas:   w.lbas,
+		pri:    disk.PriNormal,
+		spread: w.spread,
+		hasOld: w.cc.hasOldFn,
+		span:   w.span,
+		onDone: w.doneFn,
+	})
+}
+
+// done is the batch's completion: the blocks become clean (unless the
+// cache they were marked in has since died), then the record is
+// returned and the write-back's owner continues.
+func (w *wbRec) done() {
+	cc := w.cc
+	if cc.epoch == w.ep {
+		for _, l := range w.lbas {
+			cc.c.CompleteDestage(l)
+		}
+	}
+	sp, onDone := w.span, w.onDone
+	w.span, w.onDone = nil, nil
+	cc.recs.writeBacks.put(w)
+	if onDone != nil {
+		onDone()
+		return
+	}
+	if sp != nil {
+		cc.tr.FinishBackground(sp, cc.eng.Now())
 	}
 }
 
@@ -175,51 +212,83 @@ func (cc *cachedCtrl) destageTick() {
 // disk — the cost the destage process exists to make rare. Time spent
 // here is the cache-destage stall of the latency breakdown.
 func (cc *cachedCtrl) makeRoom(want int, sp *obs.Span, fn func()) {
-	t0 := cc.eng.Now()
-	cc.makeRoomFrom(want, t0, sp, fn)
+	if cc.c.FreeSlots() >= want {
+		fn() // nothing to evict, no stall to account
+		return
+	}
+	m := cc.recs.rooms.take()
+	if m == nil {
+		m = &roomRec{cc: cc}
+		m.evictedFn = m.evicted
+	}
+	m.want, m.t0, m.sp, m.fn = want, cc.eng.Now(), sp, fn
+	m.run()
 }
 
-func (cc *cachedCtrl) makeRoomFrom(want int, t0 sim.Time, sp *obs.Span, fn func()) {
-	for cc.c.FreeSlots() < want {
+// roomRec is one makeRoom wait in flight: the slots wanted, when the
+// wait began, the request's trace root, the continuation, and the dirty
+// victim being flushed with its evict-write span.
+type roomRec struct {
+	cc     *cachedCtrl
+	want   int
+	t0     sim.Time
+	sp, ev *obs.Span
+	fn     func()
+	victim int64
+
+	evictedFn func()
+}
+
+// run evicts until the wanted slots are free, suspending on a dirty
+// victim's flush or, when every entry is mid-destage, a short retry.
+func (m *roomRec) run() {
+	cc := m.cc
+	for cc.c.FreeSlots() < m.want {
 		v := cc.c.Victim()
 		if v == nil {
 			// Everything is mid-destage; retry shortly.
-			cl := cc.eng.AfterCall(sim.Millisecond, makeRoomRetryFire)
-			cl.A, cl.B, cl.C = cc, sp, fn
-			cl.N0, cl.N1 = int64(want), t0
+			cc.eng.AfterCall(sim.Millisecond, makeRoomRetryFire).A = m
 			return
 		}
 		if v.Dirty {
-			lba := v.LBA
+			m.victim = v.LBA
 			cc.c.NoteDirtyEviction()
-			var ev *obs.Span
-			if sp != nil {
-				ev = sp.Child("evict-write", cc.eng.Now())
+			if m.sp != nil {
+				m.ev = m.sp.Child("evict-write", cc.eng.Now())
 			}
-			cc.writeBack([]int64{lba}, disk.PriNormal, 0, ev, func() {
-				ev.CloseAt(cc.eng.Now())
-				if e := cc.c.Lookup(lba); e != nil && !e.Dirty && !e.Destaging {
-					cc.c.Drop(lba)
-				}
-				cc.makeRoomFrom(want, t0, sp, fn)
-			})
+			w := cc.newWriteBack([]int64{m.victim}, 0)
+			w.span, w.onDone = m.ev, m.evictedFn
+			w.write()
 			return
 		}
 		cc.c.Drop(v.LBA)
 	}
-	if now := cc.eng.Now(); now > t0 {
-		sp.ChildSpan(obs.SpanStall, t0, now)
+	now := cc.eng.Now()
+	if now > m.t0 {
+		m.sp.ChildSpan(obs.SpanStall, m.t0, now)
 	}
-	cc.stages.DestageStallMS += sim.Millis(cc.eng.Now() - t0)
+	cc.stages.DestageStallMS += sim.Millis(now - m.t0)
+	fn := m.fn
+	m.sp, m.ev, m.fn = nil, nil, nil
+	cc.recs.rooms.put(m)
 	fn()
 }
 
-// makeRoomRetryFire re-runs a stalled makeRoom pass: A = controller,
-// B = the request span (nil *obs.Span when untraced), C = continuation,
-// N0 = wanted slots, N1 = the stall's start time.
+// evicted continues after a dirty victim's flush: the victim is dropped
+// if it is still clean and idle, and eviction resumes.
+func (m *roomRec) evicted() {
+	cc := m.cc
+	m.ev.CloseAt(cc.eng.Now())
+	m.ev = nil
+	if e := cc.c.Lookup(m.victim); e != nil && !e.Dirty && !e.Destaging {
+		cc.c.Drop(m.victim)
+	}
+	m.run()
+}
+
+// makeRoomRetryFire re-runs a stalled makeRoom pass: A = its *roomRec.
 func makeRoomRetryFire(_ *sim.Engine, cl *sim.Call) {
-	cc := cl.A.(*cachedCtrl)
-	cc.makeRoomFrom(int(cl.N0), cl.N1, cl.B.(*obs.Span), cl.C.(func()))
+	cl.A.(*roomRec).run()
 }
 
 // Submit implements Controller.
@@ -229,57 +298,106 @@ func (cc *cachedCtrl) Submit(r Request) {
 		return
 	}
 	start, sp := cc.begin(r.Op != trace.Read)
+	q := cc.newCReq(r, start, sp)
 	if r.Op == trace.Read {
-		cc.read(r, start, sp)
+		q.read()
 	} else {
-		cc.write(r, start, sp)
+		q.write()
 	}
+}
+
+// creqRec is one request in the cache front-end: a read until its
+// misses have room and are handed to the disks (in a reqRec), a write
+// until its last block lands in the cache.
+type creqRec struct {
+	cc    *cachedCtrl
+	r     Request
+	start sim.Time
+	sp    *obs.Span
+	miss  []int64 // read: the blocks not cached on arrival
+	next  int     // write: the next block to land
+
+	fetchFn, insertFn, placeFn, finishFn func()
+}
+
+// newCReq takes a front-end record for r, which began at start under the
+// trace root sp.
+func (cc *cachedCtrl) newCReq(r Request, start sim.Time, sp *obs.Span) *creqRec {
+	q := cc.recs.creqs.take()
+	if q == nil {
+		q = &creqRec{cc: cc}
+		q.fetchFn, q.insertFn, q.placeFn, q.finishFn = q.fetch, q.insert, q.place, q.finish
+	}
+	q.r, q.start, q.sp = r, start, sp
+	return q
+}
+
+// release returns the record to its pool.
+func (q *creqRec) release() {
+	q.r, q.sp, q.miss, q.next = Request{}, nil, q.miss[:0], 0
+	q.cc.recs.creqs.put(q)
+}
+
+// finish is the request's final callback. The record is returned before
+// the response is accounted, because accounting runs OnComplete.
+func (q *creqRec) finish() {
+	cc, r, start, sp := q.cc, q.r, q.start, q.sp
+	q.release()
+	cc.finish(r, start, sp)
 }
 
 // read serves hits from the cache (channel time only) and fetches misses
 // from disk. A multiblock request counts as a hit only when every block
 // is cached.
-func (cc *cachedCtrl) read(r Request, start sim.Time, sp *obs.Span) {
-	var missing []int64
+func (q *creqRec) read() {
+	cc, r := q.cc, q.r
 	for i := 0; i < r.Blocks; i++ {
 		l := r.LBA + int64(i)
 		if !cc.c.Touch(l) {
-			missing = append(missing, l)
+			q.miss = append(q.miss, l)
 		}
 	}
-	measured := start >= cc.cfg.Warmup
-	if len(missing) == 0 {
+	measured := q.start >= cc.cfg.Warmup
+	if len(q.miss) == 0 {
 		if measured {
 			cc.readHits++
 		}
-		cc.chanXferSpan(r.Blocks, sp, func() { cc.finish(r, start, sp) })
+		cc.chanXferSpan(r.Blocks, q.sp, q.finishFn)
 		return
 	}
 	if measured {
 		cc.readMisses++
 	}
-	cc.makeRoom(len(missing), sp, func() {
-		// A concurrent miss may have inserted some blocks meanwhile.
-		fetch := missing[:0]
-		for _, l := range missing {
-			if !cc.c.Contains(l) {
-				cc.c.Insert(l, false)
-				fetch = append(fetch, l)
-			}
+	cc.makeRoom(len(q.miss), q.sp, q.fetchFn)
+}
+
+// fetch runs once the misses have room: it caches the blocks still
+// absent and reads them from disk.
+func (q *creqRec) fetch() {
+	cc := q.cc
+	// A concurrent miss may have inserted some blocks meanwhile.
+	fetch := q.miss[:0]
+	for _, l := range q.miss {
+		if !cc.c.Contains(l) {
+			cc.c.Insert(l, false)
+			fetch = append(fetch, l)
 		}
-		if len(fetch) == 0 {
-			cc.chanXferSpan(r.Blocks, sp, func() { cc.finish(r, start, sp) })
-			return
-		}
-		q := cc.newReq(r, start, sp)
-		cc.readRuns(q, cc.s.fetchRuns(&q.rb, fetch))
-	})
+	}
+	if len(fetch) == 0 {
+		cc.chanXferSpan(q.r.Blocks, q.sp, q.finishFn)
+		return
+	}
+	rq := cc.newReq(q.r, q.start, q.sp)
+	runs := cc.s.fetchRuns(&rq.rb, fetch)
+	q.release()
+	cc.readRuns(rq, runs)
 }
 
 // write lands the data in the NV cache: channel transfer, then per-block
 // bookkeeping. The response completes without touching a disk unless a
 // dirty block must be evicted to make room.
-func (cc *cachedCtrl) write(r Request, start sim.Time, sp *obs.Span) {
+func (q *creqRec) write() {
+	cc, r := q.cc, q.r
 	allHit := true
 	for i := 0; i < r.Blocks; i++ {
 		if !cc.c.Contains(r.LBA + int64(i)) {
@@ -287,36 +405,41 @@ func (cc *cachedCtrl) write(r Request, start sim.Time, sp *obs.Span) {
 			break
 		}
 	}
-	if start >= cc.cfg.Warmup {
+	if q.start >= cc.cfg.Warmup {
 		if allHit {
 			cc.writeHits++
 		} else {
 			cc.writeMisses++
 		}
 	}
-	cc.chanXferSpan(r.Blocks, sp, func() {
-		cc.insertDirty(r.LBA, r.Blocks, 0, sp, func() { cc.finish(r, start, sp) })
-	})
+	cc.chanXferSpan(r.Blocks, q.sp, q.insertFn)
 }
 
-// insertDirty processes block i of the write, serializing room-making.
-func (cc *cachedCtrl) insertDirty(lba int64, n, i int, sp *obs.Span, done func()) {
-	if i == n {
-		done()
-		return
+// insert lands the write's blocks in order from q.next, serializing
+// room-making: a cached block is marked dirty at once, an uncached one
+// waits for a free slot.
+func (q *creqRec) insert() {
+	cc := q.cc
+	for ; q.next < q.r.Blocks; q.next++ {
+		l := q.r.LBA + int64(q.next)
+		if !cc.c.Contains(l) {
+			cc.makeRoom(1, q.sp, q.placeFn)
+			return
+		}
+		cc.c.MarkDirty(l)
 	}
-	l := lba + int64(i)
+	q.finish()
+}
+
+// place lands the block that waited for room, then the rest.
+func (q *creqRec) place() {
+	cc := q.cc
+	l := q.r.LBA + int64(q.next)
 	if cc.c.Contains(l) {
 		cc.c.MarkDirty(l)
-		cc.insertDirty(lba, n, i+1, sp, done)
-		return
+	} else {
+		cc.c.Insert(l, true)
 	}
-	cc.makeRoom(1, sp, func() {
-		if cc.c.Contains(l) {
-			cc.c.MarkDirty(l)
-		} else {
-			cc.c.Insert(l, true)
-		}
-		cc.insertDirty(lba, n, i+1, sp, done)
-	})
+	q.next++
+	q.insert()
 }

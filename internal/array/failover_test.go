@@ -302,6 +302,34 @@ func TestCacheFailureLosesDirtyData(t *testing.T) {
 	}
 }
 
+// TestCacheFailureDuringDestageStagger: the NVRAM dies after a destage
+// tick has marked its chunks but before the staggered later chunks are
+// issued. Their write-backs were marked in the dead cache, so their
+// completions must not touch the fresh one.
+func TestCacheFailureDuringDestageStagger(t *testing.T) {
+	cfg := faultConfig(OrgRAID5, true)
+	// The tick at 1 s marks three chunks and issues the later two
+	// ~67 ms apart; the cache dies between the first two issues.
+	cfg.Fault = fault.Config{CacheFailAt: sim.Second + 10*sim.Millisecond}
+	eng, ctrl := build(t, cfg)
+	eng.At(sim.Millisecond, func() {
+		ctrl.Submit(Request{Op: trace.Write, LBA: 0, Blocks: 2 * destageChunk})
+		ctrl.Submit(Request{Op: trace.Write, LBA: 1000, Blocks: destageChunk / 2})
+	})
+	eng.RunUntil(3 * sim.Second)
+	drain(t, eng, ctrl)
+	cc := ctrl.(*cachedCtrl)
+	if n := cc.Results().Fault.CacheFailures; n != 1 {
+		t.Fatalf("cache failures = %d, want 1", n)
+	}
+	if cc.c.Len() != 0 || cc.c.DirtyCount() != 0 {
+		t.Fatalf("fresh cache holds %d blocks (%d dirty), want none", cc.c.Len(), cc.c.DirtyCount())
+	}
+	if n := cc.liveRecords(); n != 0 {
+		t.Fatalf("%d records still live", n)
+	}
+}
+
 // TestSectorErrorsRetryAndReconstruct: latent sector errors retry, then
 // reconstruct from redundancy, without failing the request.
 func TestSectorErrorsRetryAndReconstruct(t *testing.T) {

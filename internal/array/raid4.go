@@ -3,6 +3,7 @@ package array
 import (
 	"raidsim/internal/cache"
 	"raidsim/internal/disk"
+	"raidsim/internal/layout"
 	"raidsim/internal/obs"
 	"raidsim/internal/sim"
 )
@@ -21,10 +22,36 @@ type raid4Scheme struct {
 
 	spooling bool
 	scanPos  cache.ParityKey // C-SCAN position on the parity disk
-	// stalled is the FIFO of parity admissions waiting for a spool slot.
-	// Dequeueing reslices past the head, O(1); append's regrowth copies
-	// only the live tail, so the consumed prefix is reclaimed.
-	stalled []func()
+	// stalled is the FIFO of parity admissions waiting for a spool slot,
+	// kept as values so a stall allocates nothing.
+	stalled []parityWait
+
+	// The spool's one access in flight (spooling guards it): the update
+	// it applies, the cache epoch it was picked under, its request and
+	// trace root — a single record, since there is never a second.
+	pick      cache.PendingParity
+	pickEp    int
+	spoolReq  disk.Request
+	spoolRoot *obs.Span
+
+	issueParityFn func(pr parityRun, ready func() bool, done func())
+	spoolDoneFn   func()
+}
+
+// newRAID4Scheme builds the scheme over lay with its continuations bound
+// once, as a pooled record's are.
+func newRAID4Scheme(c *common, lay *layout.RAID4) *raid4Scheme {
+	s := &raid4Scheme{parityScheme: parityScheme{c: c, lay: lay, o: OrgRAID4}}
+	s.issueParityFn, s.spoolDoneFn = s.issueParity, s.spoolDone
+	return s
+}
+
+// parityWait is a stalled parity admission: block i onward of run pr,
+// then done.
+type parityWait struct {
+	pr   parityRun
+	i    int
+	done func()
 }
 
 func (s *raid4Scheme) write(w writeOp) {
@@ -42,10 +69,10 @@ func (s *raid4Scheme) write(w writeOp) {
 		b.stagger = w.spread / sim.Time(nbuf)
 	}
 	b.policy = RF // enqueue parity once its inputs are read
-	b.parityIssuer = s.issueParity
+	b.parityIssuer = s.issueParityFn
 	// Track buffers serve the data disks; spooled parity lives in cache
 	// slots, so release as soon as the data writes land.
-	b.onDataDone = func() { s.c.buf.Release(nbuf) }
+	b.dataBufs = nbuf
 	b.admit(nbuf, b.updateFn)
 }
 
@@ -69,8 +96,7 @@ func (s *raid4Scheme) enqueueParityRun(pr parityRun, i int, done func()) {
 				continue
 			}
 			if s.cc.c.ParityPendingCount() > 0 {
-				i := i
-				s.stalled = append(s.stalled, func() { s.enqueueParityRun(pr, i, done) })
+				s.stalled = append(s.stalled, parityWait{pr, i, done})
 				return
 			}
 			// Spool wedged empty-but-unadmittable: bypass it.
@@ -107,43 +133,50 @@ func (s *raid4Scheme) spool() {
 	}
 	s.spooling = true
 	s.c.parityAccesses++
-	ep := s.cc.epoch
+	s.pick, s.pickEp = pick, s.cc.epoch
 	// Each spool access is its own background trace tree; the disk layer
 	// hangs the mechanism phases directly under its root.
-	var root *obs.Span
+	s.spoolRoot = nil
 	if s.c.tr != nil {
-		root = s.c.tr.StartBackground("parity-spool", s.c.eng.Now())
-		root.SetBlocks(1)
+		s.spoolRoot = s.c.tr.StartBackground("parity-spool", s.c.eng.Now())
+		s.spoolRoot.SetBlocks(1)
 	}
-	req := &disk.Request{
+	s.spoolReq = disk.Request{
 		StartBlock: pick.Key.Block,
 		Blocks:     1,
 		Write:      true,
+		RMW:        !pick.Full,
 		Priority:   disk.PriBackground,
-		Span:       root,
-		OnDone: func() {
-			if root != nil {
-				s.c.tr.FinishBackground(root, s.c.eng.Now())
-			}
-			s.scanPos = cache.ParityKey{Disk: pick.Key.Disk, Block: pick.Key.Block + 1}
-			// Guard against an NVRAM failure that replaced the cache (and
-			// its spool) while this access was in flight.
-			if s.cc.epoch == ep {
-				s.cc.c.RemoveParityPending(pick.Key)
-			}
-			s.spooling = false
-			// A freed slot may unblock stalled destages.
-			if len(s.stalled) > 0 {
-				w := s.stalled[0]
-				s.stalled[0] = nil
-				s.stalled = s.stalled[1:]
-				w()
-			}
-			s.spool()
-		},
+		Span:       s.spoolRoot,
+		OnDone:     s.spoolDoneFn,
 	}
-	if !pick.Full {
-		req.RMW = true
+	s.c.disks[pick.Key.Disk].Submit(&s.spoolReq)
+}
+
+// spoolDone completes a spool access: the update leaves the spool, the
+// sweep advances past it, and a freed slot may admit a stalled batch
+// before the next access starts.
+func (s *raid4Scheme) spoolDone() {
+	if s.spoolRoot != nil {
+		s.c.tr.FinishBackground(s.spoolRoot, s.c.eng.Now())
 	}
-	s.c.disks[pick.Key.Disk].Submit(req)
+	key := s.pick.Key
+	s.scanPos = cache.ParityKey{Disk: key.Disk, Block: key.Block + 1}
+	// Guard against an NVRAM failure that replaced the cache (and its
+	// spool) while this access was in flight.
+	if s.cc.epoch == s.pickEp {
+		s.cc.c.RemoveParityPending(key)
+	}
+	s.spooling = false
+	if len(s.stalled) > 0 {
+		// Shift rather than reslice past the head, so the storage is
+		// reused instead of regrown; the FIFO holds at most one entry
+		// per in-flight batch's parity run.
+		w := s.stalled[0]
+		n := copy(s.stalled, s.stalled[1:])
+		s.stalled[n] = parityWait{}
+		s.stalled = s.stalled[:n]
+		s.enqueueParityRun(w.pr, w.i, w.done)
+	}
+	s.spool()
 }

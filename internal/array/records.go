@@ -45,17 +45,22 @@ func (p *pool[T]) put(x *T) {
 	p.free = append(p.free, x)
 }
 
-// recPools holds a controller's free lists.
+// recPools holds a controller's free lists. The last three serve only
+// the cache front-end (cached.go).
 type recPools struct {
-	reqs    pool[reqRec]
-	reads   pool[readRec]
-	batches pool[batchRec]
+	reqs       pool[reqRec]
+	reads      pool[readRec]
+	batches    pool[batchRec]
+	creqs      pool[creqRec]
+	rooms      pool[roomRec]
+	writeBacks pool[wbRec]
 }
 
 // liveRecords counts records taken and not yet returned: zero once the
 // controller has drained and no destage batch is in flight.
 func (c *common) liveRecords() int {
-	return c.recs.reqs.live + c.recs.reads.live + c.recs.batches.live
+	r := &c.recs
+	return r.reqs.live + r.reads.live + r.batches.live + r.creqs.live + r.rooms.live + r.writeBacks.live
 }
 
 // countDown signals one completion on an outstanding count (a latch's
@@ -182,11 +187,11 @@ type batchRec struct {
 	// (RAID4 spools parity into the cache instead). It must call done
 	// exactly once; ready reports whether all old-data inputs are read.
 	parityIssuer func(pr parityRun, ready func() bool, done func())
-	// onDataDone, when non-nil, fires once all data runs complete —
-	// before parity necessarily does. RAID4 releases its track buffers
-	// here, since spooled parity needs cache slots, not buffers.
-	onDataDone func()
-	parityPri  disk.Priority
+	// dataBufs track buffers are released once all data runs complete —
+	// before parity necessarily does. RAID4 holds its buffers this way,
+	// since spooled parity needs cache slots, not buffers.
+	dataBufs  int
+	parityPri disk.Priority
 
 	nbuf       int // track buffers released when the batch completes
 	admitStart sim.Time
@@ -232,7 +237,7 @@ func (c *common) newBatch(w writeOp) *batchRec {
 func (b *batchRec) finish() {
 	c, n, onDone := b.c, b.nbuf, b.w.onDone
 	b.w, b.runs, b.rmw, b.afterIssue, b.issue = writeOp{}, nil, nil, nil, nil
-	b.policy, b.stagger, b.parityIssuer, b.onDataDone, b.nbuf = SI, 0, nil, nil, 0
+	b.policy, b.stagger, b.parityIssuer, b.dataBufs, b.nbuf = SI, 0, nil, 0, 0
 	c.recs.batches.put(b)
 	c.buf.Release(n)
 	onDone()
@@ -275,8 +280,8 @@ func (b *batchRec) legDone() {
 }
 
 func (b *batchRec) dataDone() {
-	if countDown(&b.dataLeft) && b.onDataDone != nil {
-		b.onDataDone()
+	if countDown(&b.dataLeft) && b.dataBufs > 0 {
+		b.c.buf.Release(b.dataBufs)
 	}
 	b.legDone()
 }

@@ -86,6 +86,69 @@ func TestSubmitAllocBudgets(t *testing.T) {
 	}
 }
 
+// TestCachedSubmitAllocBudgets is TestSubmitAllocBudgets for the cache
+// front-end: cached RAID5 and RAID4, reads and writes, closed loop at MPL
+// 8 over a cache far smaller than the data. The run is long enough for
+// destage ticks, dirty evictions and (RAID4) parity spooling to fire
+// while allocations are counted, and every record must be back in its
+// pool once the array drains.
+func TestCachedSubmitAllocBudgets(t *testing.T) {
+	for _, org := range []Org{OrgRAID5, OrgRAID4} {
+		for _, op := range []trace.Op{trace.Read, trace.Write} {
+			t.Run(fmt.Sprintf("%v/%v", org, op), func(t *testing.T) {
+				eng, ctrl := build(t, Config{
+					Org: org, N: 10, Spec: geom.Default(), Sync: DF, Seed: 1,
+					Cached: true, CacheBlocks: 512,
+				})
+				src := rng.New(42)
+				capacity := ctrl.DataBlocks()
+				const mpl = 8
+				outstanding := 0
+				onComplete := func() { outstanding-- }
+				// Warm up with writes so the measured phase starts from a
+				// cache full of dirty blocks: reads then evict dirty
+				// victims too.
+				cur := trace.Write
+				submit := func() {
+					for outstanding >= mpl {
+						eng.RunFor(sim.Millisecond)
+					}
+					outstanding++
+					ctrl.Submit(Request{
+						Op: cur, LBA: src.Int63n(capacity - 8), Blocks: 1 + src.Intn(4),
+						OnComplete: onComplete,
+					})
+				}
+				for i := 0; i < 4000; i++ {
+					submit()
+				}
+				cur = op
+				before := ctrl.Results().Cache
+				if n := testing.AllocsPerRun(2000, submit); n != 0 {
+					t.Errorf("%.0f allocations per request, want 0", n)
+				}
+				after := ctrl.Results().Cache
+				if after.Destages == before.Destages {
+					t.Error("no destage completed while allocations were counted")
+				}
+				if after.DirtyEvictions == before.DirtyEvictions {
+					t.Error("no dirty eviction while allocations were counted")
+				}
+				if org == OrgRAID4 && after.ParityQueued == before.ParityQueued {
+					t.Error("no parity update spooled while allocations were counted")
+				}
+				// Drained covers requests only: let the destage batches
+				// still in flight complete (a tick finds nothing new).
+				drain(t, eng, ctrl)
+				eng.RunFor(3 * sim.Second)
+				if n := commonOf(t, ctrl).liveRecords(); n != 0 {
+					t.Errorf("%d records still live after drain", n)
+				}
+			})
+		}
+	}
+}
+
 // TestRecordsBalanceUnderFaults drives each failure path that detours a
 // pooled record — drops, retries, hedges, reconstruction, rebuild — and
 // checks that every record taken was returned once the run drained.

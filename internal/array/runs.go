@@ -107,7 +107,8 @@ type updatePlan struct {
 	// parity run i.
 	deps [][]int
 
-	pinfos []pinfo // build scratch: the parity blocks touched
+	pinfos  []pinfo // build scratch: the parity blocks touched
+	members []int64 // build scratch: one stripe's members
 }
 
 // pinfo is one parity block a batch touches: whether every stripe it
@@ -146,7 +147,7 @@ func (p *updatePlan) build(rb *runBuf, lay layout.ParityLayout, lbas []int64, ha
 	p.pinfos = p.pinfos[:0]
 	for ri, r := range p.dataRuns {
 		for _, l := range r.lbas {
-			cov := covered(lay, lbas, contig, l)
+			cov := p.covered(lay, lbas, contig, l)
 			if !cov && (hasOld == nil || !hasOld(l)) {
 				p.dataRMW[ri] = true
 			}
@@ -206,15 +207,15 @@ func (p *updatePlan) parityEntry(loc layout.Loc) *pinfo {
 // lbas (contig: lbas is one ascending span), so the stripe's new parity
 // needs no old data. A batch smaller than a stripe covers none, which
 // spares small writes the member lookup.
-func covered(lay layout.ParityLayout, lbas []int64, contig bool, l int64) bool {
+func (p *updatePlan) covered(lay layout.ParityLayout, lbas []int64, contig bool, l int64) bool {
 	if len(lbas) < lay.StripeWidth() {
 		return false
 	}
-	members := lay.StripeMembers(l)
-	if len(members) < lay.StripeWidth() {
+	p.members = lay.StripeMembers(p.members[:0], l)
+	if len(p.members) < lay.StripeWidth() {
 		return false
 	}
-	for _, m := range members {
+	for _, m := range p.members {
 		if contig {
 			if m < lbas[0] || m >= lbas[0]+int64(len(lbas)) {
 				return false

@@ -79,7 +79,7 @@ func (c *common) parityReadFallback(lay layout.ParityLayout, rn run, pri disk.Pr
 	// have nothing to map and recover for free.
 	var srcs []layout.Loc
 	for _, l := range rn.lbas {
-		for _, m := range lay.StripeMembers(l) {
+		for _, m := range lay.StripeMembers(nil, l) {
 			if m == l {
 				continue
 			}
@@ -154,7 +154,7 @@ func (c *common) degradedWriteBlock(lay layout.ParityLayout, l int64, pri disk.P
 		c.eng.After(0, onDone)
 	case homeDown:
 		var srcs []layout.Loc
-		for _, m := range lay.StripeMembers(l) {
+		for _, m := range lay.StripeMembers(nil, l) {
 			if m == l {
 				continue
 			}

@@ -44,7 +44,9 @@ func TestPriorityPoliciesUseHighClass(t *testing.T) {
 }
 
 // TestUpdateOnDataDoneFiresBeforeParity: with a slow spool-style parity
-// issuer, onDataDone must fire when data lands, strictly before onDone.
+// issuer, the batch's data-held track buffers (dataBufs) must come back
+// when the data lands, strictly before the parity completes and the
+// batch reports done.
 func TestUpdateOnDataDoneFiresBeforeParity(t *testing.T) {
 	cfg := testConfig(OrgRAID5, false)
 	eng := sim.New()
@@ -53,7 +55,10 @@ func TestUpdateOnDataDoneFiresBeforeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := c.(*schemeCtrl)
-	var dataAt, parityAt, doneAt sim.Time
+	p.buf.Acquire(1, func() {}) // the batch's data buffer, held until dataDone
+	held := p.buf.Free()
+	var parityAt, doneAt sim.Time
+	freeAtParity := -1
 	b := p.newBatch(writeOp{pri: disk.PriNormal, onDone: func() { doneAt = eng.Now() }})
 	b.plan.build(&b.rb, p.s.(*parityScheme).lay, spanLBAs(0, 1), nil)
 	b.policy = RF
@@ -61,17 +66,24 @@ func TestUpdateOnDataDoneFiresBeforeParity(t *testing.T) {
 		// Simulate a slow spool admission.
 		eng.After(500*sim.Millisecond, func() {
 			parityAt = eng.Now()
+			freeAtParity = p.buf.Free()
 			done()
 		})
 	}
-	b.onDataDone = func() { dataAt = eng.Now() }
+	b.dataBufs = 1
 	b.executeUpdate()
 	eng.Run()
-	if dataAt == 0 || parityAt == 0 || doneAt == 0 {
-		t.Fatalf("callbacks missing: data=%d parity=%d done=%d", dataAt, parityAt, doneAt)
+	if parityAt == 0 || doneAt == 0 {
+		t.Fatalf("callbacks missing: parity=%d done=%d", parityAt, doneAt)
 	}
-	if !(dataAt < parityAt && parityAt <= doneAt) {
-		t.Fatalf("ordering wrong: data=%d parity=%d done=%d", dataAt, parityAt, doneAt)
+	if freeAtParity != held+1 {
+		t.Fatalf("%d buffers free when parity completed, want %d: the data buffer was not released first", freeAtParity, held+1)
+	}
+	if parityAt > doneAt {
+		t.Fatalf("ordering wrong: parity=%d done=%d", parityAt, doneAt)
+	}
+	if p.buf.Free() != p.buf.Cap() {
+		t.Fatalf("%d of %d buffers free after the batch, want all", p.buf.Free(), p.buf.Cap())
 	}
 }
 

@@ -97,7 +97,7 @@ func (s *Store) Write(lba int64, data []byte) error {
 		// surviving stripe members plus the new data.
 		parity := make([]byte, s.blockSize)
 		copy(parity, data)
-		for _, m := range s.lay.StripeMembers(lba) {
+		for _, m := range s.lay.StripeMembers(nil, lba) {
 			if m == lba {
 				continue
 			}
@@ -145,7 +145,7 @@ func (s *Store) Read(lba int64) ([]byte, error) {
 		return nil, fmt.Errorf("blockdev: double failure (disks %d and %d)", home.Disk, ploc.Disk)
 	}
 	out := s.rawRead(ploc)
-	for _, m := range s.lay.StripeMembers(lba) {
+	for _, m := range s.lay.StripeMembers(nil, lba) {
 		if m == lba {
 			continue
 		}
@@ -210,7 +210,7 @@ func (s *Store) Rebuild(disk int) (int64, error) {
 			continue
 		}
 		block := s.rawRead(s.lay.Parity(lba))
-		for _, m := range s.lay.StripeMembers(lba) {
+		for _, m := range s.lay.StripeMembers(nil, lba) {
 			if m == lba {
 				continue
 			}
@@ -231,7 +231,7 @@ func (s *Store) Rebuild(disk int) (int64, error) {
 		}
 		seen[ploc.Block] = true
 		parity := make([]byte, s.blockSize)
-		for _, m := range s.lay.StripeMembers(lba) {
+		for _, m := range s.lay.StripeMembers(nil, lba) {
 			xorInto(parity, s.rawRead(s.lay.Map(m)))
 		}
 		if !allZero(parity) {
@@ -254,7 +254,7 @@ func (s *Store) VerifyParity() error {
 		checked[ploc] = true
 		want := s.rawRead(ploc)
 		got := make([]byte, s.blockSize)
-		for _, m := range s.lay.StripeMembers(lba) {
+		for _, m := range s.lay.StripeMembers(nil, lba) {
 			xorInto(got, s.rawRead(s.lay.Map(m)))
 		}
 		if !bytes.Equal(want, got) {

@@ -33,6 +33,12 @@ type Config struct {
 }
 
 // Entry describes a cached data block.
+//
+// Entries are recycled: Drop returns a block's entry to the cache's free
+// list and a later Insert reuses it for another block. A pointer from
+// Lookup, Victim, CleanVictim or Insert is therefore valid only until
+// that block is dropped; callers that need the block past that point keep
+// its LBA, never the pointer.
 type Entry struct {
 	LBA       int64
 	Dirty     bool
@@ -68,6 +74,8 @@ type Cache struct {
 	dirty int    // dirty entries, kept incrementally so DirtyCount is O(1)
 
 	idle []*Entry // dirty entries with no write-back in flight, unordered
+	free []*Entry // dropped entries awaiting reuse by Insert
+	slab []Entry  // never-used entries, carved off entrySlab at a time
 
 	parity []PendingParity // the parity spool, sorted by (Disk, Block)
 	S      Stats
@@ -78,6 +86,10 @@ type ParityKey struct {
 	Disk  int
 	Block int64
 }
+
+// entrySlab is how many entries Insert allocates at once while the cache
+// fills; once it is full, dropped entries are reused instead.
+const entrySlab = 256
 
 // New returns an empty cache. It rejects a non-positive capacity.
 func New(cfg Config) (*Cache, error) {
@@ -228,7 +240,19 @@ func (c *Cache) Insert(lba int64, dirty bool) *Entry {
 		panic(fmt.Sprintf("cache: duplicate insert of block %d", lba))
 	}
 	c.bumpUsed(1)
-	e := &Entry{LBA: lba, Dirty: dirty}
+	var e *Entry
+	if n := len(c.free); n > 0 {
+		e = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		if len(c.slab) == 0 {
+			c.slab = make([]Entry, min(entrySlab, c.cfg.Blocks))
+		}
+		e = &c.slab[0]
+		c.slab = c.slab[1:]
+	}
+	*e = Entry{LBA: lba, Dirty: dirty}
 	if dirty {
 		c.dirty++
 		c.idleAdd(e)
@@ -261,7 +285,8 @@ func (c *Cache) CleanVictim() *Entry {
 	return nil
 }
 
-// Drop removes an entry, releasing its slot and any shadow slot.
+// Drop removes an entry, releasing its slot and any shadow slot. The
+// entry goes to the free list for a later Insert to reuse.
 func (c *Cache) Drop(lba int64) {
 	e, ok := c.m[lba]
 	if !ok {
@@ -281,6 +306,7 @@ func (c *Cache) Drop(lba int64) {
 	}
 	c.bumpUsed(-n)
 	c.S.Evictions++
+	c.free = append(c.free, e)
 }
 
 // NoteDirtyEviction records that an eviction had to write its victim back
@@ -325,22 +351,21 @@ func (c *Cache) CompleteDestage(lba int64) {
 	c.S.Destages++
 }
 
-// DirtyNotDestaging returns the LBAs of dirty blocks with no write-back
-// in flight, sorted ascending — the destage scan's candidate set. It
-// walks only those blocks, never the whole cache.
-func (c *Cache) DirtyNotDestaging() []int64 {
-	if len(c.idle) == 0 {
-		return nil
+// DirtyNotDestaging appends the LBAs of dirty blocks with no write-back
+// in flight to dst, sorted ascending, and returns the extended slice —
+// the destage scan's candidate set. It walks only those blocks, never
+// the whole cache, and allocates only when dst must grow.
+func (c *Cache) DirtyNotDestaging(dst []int64) []int64 {
+	n := len(dst)
+	for _, e := range c.idle {
+		dst = append(dst, e.LBA)
 	}
-	out := make([]int64, len(c.idle))
-	for i, e := range c.idle {
-		out[i] = e.LBA
-	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
-// DirtyNotDestagingCount returns len(DirtyNotDestaging()) in O(1).
+// DirtyNotDestagingCount returns how many LBAs DirtyNotDestaging would
+// append, in O(1).
 func (c *Cache) DirtyNotDestagingCount() int { return len(c.idle) }
 
 // DirtyCount returns the number of dirty blocks (in flight or not).

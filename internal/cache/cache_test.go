@@ -52,11 +52,11 @@ func TestDirtyLifecycle(t *testing.T) {
 	if e := c.Lookup(7); !e.Dirty {
 		t.Fatal("not dirty after MarkDirty")
 	}
-	if got := c.DirtyNotDestaging(); len(got) != 1 || got[0] != 7 {
+	if got := c.DirtyNotDestaging(nil); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("dirty list %v", got)
 	}
 	c.BeginDestage(7)
-	if got := c.DirtyNotDestaging(); len(got) != 0 {
+	if got := c.DirtyNotDestaging(nil); len(got) != 0 {
 		t.Fatalf("destaging block still listed: %v", got)
 	}
 	if v := c.Victim(); v != nil {
@@ -382,8 +382,8 @@ func TestQuickOccupancyInvariant(t *testing.T) {
 			}
 			// Idle-dirty index against a full scan.
 			ref := bruteDirtyNotDestaging(c)
-			if !slices.Equal(c.DirtyNotDestaging(), ref) || c.DirtyNotDestagingCount() != len(ref) {
-				t.Logf("seed %d op %d: DirtyNotDestaging %v, scan %v", seed, op, c.DirtyNotDestaging(), ref)
+			if !slices.Equal(c.DirtyNotDestaging(nil), ref) || c.DirtyNotDestagingCount() != len(ref) {
+				t.Logf("seed %d op %d: DirtyNotDestaging %v, scan %v", seed, op, c.DirtyNotDestaging(nil), ref)
 				return false
 			}
 			// Parity spool against copy-sort-scan, from a random sweep
@@ -440,15 +440,19 @@ func TestIndexAllocBudgets(t *testing.T) {
 	for i := int64(0); i < 4096; i++ {
 		c.Insert(i, false)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = c.DirtyNotDestaging() }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { _ = c.DirtyNotDestaging(nil) }); n != 0 {
 		t.Errorf("DirtyNotDestaging on a clean cache allocates %.0f, want 0", n)
 	}
-	// With candidates, the result slice is the only allocation.
+	// With candidates, appending into a reused buffer allocates nothing.
 	for _, l := range []int64{4000, 7, 1234} {
 		c.MarkDirty(l)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = c.DirtyNotDestaging() }); n != 1 {
-		t.Errorf("DirtyNotDestaging with 3 candidates allocates %.0f, want 1", n)
+	var buf []int64
+	if n := testing.AllocsPerRun(100, func() { buf = c.DirtyNotDestaging(buf[:0]) }); n != 0 {
+		t.Errorf("DirtyNotDestaging with 3 candidates into a reused buffer allocates %.0f, want 0", n)
+	}
+	if want := []int64{7, 1234, 4000}; !slices.Equal(buf, want) {
+		t.Errorf("DirtyNotDestaging = %v, want %v", buf, want)
 	}
 	// The spool pick reads in place.
 	p := newCache(4096, true)
@@ -474,9 +478,55 @@ func TestDirtyNotDestagingSkipsEntryMap(t *testing.T) {
 	}
 	m := c.m
 	c.m = nil
-	got := c.DirtyNotDestaging()
+	got := c.DirtyNotDestaging(nil)
 	c.m = m
 	if want := []int64{17, 512, 3999}; !slices.Equal(got, want) {
 		t.Fatalf("DirtyNotDestaging without the entry map = %v, want %v", got, want)
+	}
+}
+
+// TestRecycledEntryNeverAliases: Drop hands an entry to the free list and
+// Insert reuses it, but the reused entry must describe only its new
+// block — the dropped block stays absent and no two live blocks share
+// an entry.
+func TestRecycledEntryNeverAliases(t *testing.T) {
+	c := newCache(8, true)
+	for l := int64(0); l < 4; l++ {
+		c.Insert(l, l%2 == 1)
+	}
+	old := c.Lookup(1)
+	c.Drop(1)
+	e := c.Insert(100, false)
+	if e != old {
+		t.Fatal("Insert did not reuse the dropped entry")
+	}
+	if got := c.Lookup(1); got != nil {
+		t.Fatalf("Lookup of the dropped block returned %+v, want nil", got)
+	}
+	if e.LBA != 100 || e.Dirty || e.HasOld || e.Destaging {
+		t.Fatalf("reused entry carries stale state: %+v", e)
+	}
+	if c.DirtyCount() != 1 || !slices.Equal(c.DirtyNotDestaging(nil), []int64{3}) {
+		t.Fatalf("dirty set %v (count %d), want [3]", c.DirtyNotDestaging(nil), c.DirtyCount())
+	}
+	seen := make(map[*Entry]int64)
+	for _, l := range []int64{0, 2, 3, 100} {
+		p := c.Lookup(l)
+		if p == nil || p.LBA != l {
+			t.Fatalf("Lookup(%d) = %+v", l, p)
+		}
+		if prev, ok := seen[p]; ok {
+			t.Fatalf("blocks %d and %d share one entry", prev, l)
+		}
+		seen[p] = l
+	}
+	// Steady-state churn reuses entries instead of allocating.
+	next := int64(200)
+	if n := testing.AllocsPerRun(100, func() {
+		c.Drop(c.Victim().LBA)
+		c.Insert(next, false)
+		next++
+	}); n != 0 {
+		t.Errorf("drop+insert allocates %.0f, want 0", n)
 	}
 }

@@ -24,8 +24,9 @@ type journalHeader struct {
 // Journal is an append-only JSONL record of completed runs, the unit of
 // campaign resumability: every finished run is appended under its
 // stable ID, and a restarted campaign skips the IDs already present. A
-// torn final line (the process died mid-append) is ignored on load, so
-// a crashed campaign resumes from its last complete record.
+// torn final line (the process died mid-append) is skipped on load and
+// cut off the file, so a crashed campaign resumes from its last complete
+// record and its next append starts on a fresh line.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -70,13 +71,15 @@ func OpenJournal(path, name string, specHash uint64) (*Journal, error) {
 }
 
 // load parses the existing journal, verifying the header and indexing
-// complete records.
+// complete records, then mends an unterminated final line — the tail of
+// an interrupted append, onto which the next Append would otherwise be
+// glued. An intact one (it parses) is terminated; a torn one is counted
+// and truncated away.
 func (j *Journal) load(name string, specHash uint64) error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	sc := bufio.NewScanner(j.f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	sc := newLineScanner(j.f)
 	if !sc.Scan() {
 		return fmt.Errorf("campaign: journal %s: missing header", j.path)
 	}
@@ -93,6 +96,7 @@ func (j *Journal) load(name string, specHash uint64) error {
 	if hdr.SpecHash != 0 && specHash != 0 && hdr.SpecHash != specHash {
 		return fmt.Errorf("campaign: journal %s was written by a different parameter grid (spec hash %x, want %x) — the grid edit re-keys runs; start a fresh journal", j.path, hdr.SpecHash, specHash)
 	}
+	intact := sc.tail // the header itself may be the unterminated line
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -106,8 +110,50 @@ func (j *Journal) load(name string, specHash uint64) error {
 			continue
 		}
 		j.done[rec.ID] = rec
+		intact = sc.tail
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	switch {
+	case !sc.tail:
+	case intact:
+		if _, err := j.f.Seek(0, io.SeekEnd); err != nil {
+			return err
+		}
+		_, err := j.f.Write([]byte{'\n'})
+		return err
+	default:
+		return j.f.Truncate(sc.complete)
+	}
+	return nil
+}
+
+// lineScanner splits a JSONL file into lines as bufio.ScanLines does (on
+// '\n', minus one trailing '\r') and tracks how much of the file is
+// newline-terminated, so a loader can tell a final line cut short by a
+// crash mid-append from a complete one.
+type lineScanner struct {
+	*bufio.Scanner
+	complete int64 // bytes through the last '\n' scanned
+	tail     bool  // the last line scanned had no '\n': it ends the file unterminated
+}
+
+func newLineScanner(r io.Reader) *lineScanner {
+	s := &lineScanner{Scanner: bufio.NewScanner(r)}
+	s.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	s.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if adv > 0 {
+			if data[adv-1] == '\n' {
+				s.complete += int64(adv)
+			} else {
+				s.tail = true
+			}
+		}
+		return adv, tok, err
+	})
+	return s
 }
 
 // Done returns the completed records keyed by run ID. The map is the

@@ -13,6 +13,9 @@ import (
 // after the header is either a loaded record or counted by TornLines,
 // and the index holds exactly the loaded records' IDs. Lines split as
 // the loader's scanner splits them: on '\n', minus one trailing '\r'.
+// A record appended after the load must survive a reload beside every
+// record loaded before, and the reload must count no torn line beyond
+// the newline-terminated ones: an unterminated torn tail is gone.
 func FuzzJournalLoad(f *testing.F) {
 	hdr, err := json.Marshal(journalHeader{Schema: JournalSchemaVersion, Name: "fuzz", SpecHash: 7})
 	if err != nil {
@@ -28,10 +31,10 @@ func FuzzJournalLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer j.Close()
-		lines, loaded := 0, 0
+		lines, loaded, tornTerminated := 0, 0, 0
 		ids := make(map[string]bool)
-		for _, line := range bytes.Split(tail, []byte("\n")) {
+		split := bytes.Split(tail, []byte("\n"))
+		for i, line := range split {
 			line = bytes.TrimSuffix(line, []byte("\r"))
 			if len(line) == 0 {
 				continue
@@ -41,6 +44,8 @@ func FuzzJournalLoad(f *testing.F) {
 			if json.Unmarshal(line, &rec) == nil && rec.ID != "" {
 				loaded++
 				ids[rec.ID] = true
+			} else if i < len(split)-1 {
+				tornTerminated++
 			}
 		}
 		if loaded+j.TornLines() != lines {
@@ -55,5 +60,78 @@ func FuzzJournalLoad(f *testing.F) {
 				t.Fatalf("record %q not indexed", id)
 			}
 		}
+
+		const appended = "appended-after-load"
+		ids[appended] = true
+		if err := j.Append(RunRecord{ID: appended, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := OpenJournal(path, "fuzz", 7)
+		if err != nil {
+			t.Fatalf("reload after append: %v", err)
+		}
+		defer j2.Close()
+		for id := range ids {
+			if _, ok := j2.Done()[id]; !ok {
+				t.Fatalf("record %q lost across append and reload", id)
+			}
+		}
+		if j2.TornLines() != tornTerminated {
+			t.Fatalf("reload counts %d torn lines, want the %d newline-terminated ones", j2.TornLines(), tornTerminated)
+		}
 	})
+}
+
+// TestJournalAppendAfterTornTail is the crash-then-resume sequence: a
+// record, then a torn line with no newline; reopen, append a record, and
+// reopen again. Both records must load and no torn line remain.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenJournal(path, "torn", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(RunRecord{ID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id":"b","se`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j, err = OpenJournal(path, "torn", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.TornLines() != 1 {
+		t.Errorf("first reopen counts %d torn lines, want 1", j.TornLines())
+	}
+	if err := j.Append(RunRecord{ID: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	j, err = OpenJournal(path, "torn", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	done := j.Done()
+	if _, ok := done["a"]; !ok || len(done) != 2 {
+		t.Fatalf("records %v, want a and c", done)
+	}
+	if _, ok := done["c"]; !ok {
+		t.Fatal("the record appended after the torn tail was lost")
+	}
+	if j.TornLines() != 0 {
+		t.Errorf("second reopen counts %d torn lines, want 0", j.TornLines())
+	}
 }

@@ -137,8 +137,7 @@ func ReadRunLog(path string) (string, []RunLogEntry, int, error) {
 		return "", nil, 0, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	sc := newLineScanner(f)
 	if !sc.Scan() {
 		return "", nil, 0, fmt.Errorf("campaign: run log %s: missing header", path)
 	}

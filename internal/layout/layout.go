@@ -38,10 +38,11 @@ type ParityLayout interface {
 	Parity(l int64) Loc
 	// StripeWidth returns the number of data blocks per parity block.
 	StripeWidth() int
-	// StripeMembers returns the logical blocks (including l) whose XOR is
-	// stored at Parity(l). Members whose logical address falls outside
-	// [0, DataBlocks()) are omitted.
-	StripeMembers(l int64) []int64
+	// StripeMembers appends to dst the logical blocks (including l) whose
+	// XOR is stored at Parity(l), and returns the extended slice. Members
+	// whose logical address falls outside [0, DataBlocks()) are omitted.
+	// Passing a reused buffer (buf[:0]) makes the call allocation-free.
+	StripeMembers(dst []int64, l int64) []int64
 }
 
 // MirrorLayout is a DataLayout where every block has a second copy.

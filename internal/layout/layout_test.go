@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,7 @@ func checkDataBijective(t *testing.T, lay DataLayout, bpd int64) map[Loc]int64 {
 func checkParity(t *testing.T, lay ParityLayout, dataLocs map[Loc]int64) {
 	t.Helper()
 	width := lay.StripeWidth()
+	var members []int64
 	for l := int64(0); l < lay.DataBlocks(); l++ {
 		p := lay.Parity(l)
 		home := lay.Map(l)
@@ -42,7 +44,7 @@ func checkParity(t *testing.T, lay ParityLayout, dataLocs map[Loc]int64) {
 		if other, clash := dataLocs[p]; clash {
 			t.Fatalf("Parity(%d) at %+v collides with data block %d", l, p, other)
 		}
-		members := lay.StripeMembers(l)
+		members = lay.StripeMembers(members[:0], l)
 		if len(members) > width {
 			t.Fatalf("StripeMembers(%d): %d members exceed width %d", l, len(members), width)
 		}
@@ -340,9 +342,9 @@ func TestQuickRAID5Roundtrip(t *testing.T) {
 		su := 1 + int(suRaw%8)
 		lay := NewRAID5(n, 480, su)
 		lba := int64(lbaRaw) % lay.DataBlocks()
-		for _, m := range lay.StripeMembers(lba) {
+		for _, m := range lay.StripeMembers(nil, lba) {
 			found := false
-			for _, mm := range lay.StripeMembers(m) {
+			for _, mm := range lay.StripeMembers(nil, m) {
 				if mm == lba {
 					found = true
 					break
@@ -368,7 +370,7 @@ func TestQuickParityStripingMembership(t *testing.T) {
 		lay := NewParityStriping(n, 1320, MiddlePlacement, unit)
 		lba := int64(lbaRaw) % lay.DataBlocks()
 		p := lay.Parity(lba)
-		for _, m := range lay.StripeMembers(lba) {
+		for _, m := range lay.StripeMembers(nil, lba) {
 			if lay.Parity(m) != p {
 				return false
 			}
@@ -377,5 +379,27 @@ func TestQuickParityStripingMembership(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStripeMembersAppends: StripeMembers appends after whatever dst
+// already holds, and filling a reused buffer allocates nothing.
+func TestStripeMembersAppends(t *testing.T) {
+	for _, lay := range []ParityLayout{
+		NewRAID5(4, 480, 3),
+		NewRAID4(4, 480, 3),
+		NewParityStriping(4, 1320, MiddlePlacement, 0),
+		NewParityStriping(4, 1320, MiddlePlacement, 8),
+	} {
+		const l = 101
+		fresh := lay.StripeMembers(nil, l)
+		got := lay.StripeMembers([]int64{-7}, l)
+		if got[0] != -7 || !slices.Equal(got[1:], fresh) {
+			t.Errorf("%T: StripeMembers after a prefix = %v, want [-7] + %v", lay, got, fresh)
+		}
+		buf := make([]int64, 0, lay.StripeWidth())
+		if n := testing.AllocsPerRun(100, func() { buf = lay.StripeMembers(buf[:0], l) }); n != 0 {
+			t.Errorf("%T: StripeMembers into a reused buffer allocates %.0f, want 0", lay, n)
+		}
 	}
 }

@@ -122,13 +122,12 @@ func (ps *ParityStriping) Parity(l int64) Loc {
 // StripeMembers implements ParityLayout: the blocks at the same area
 // offset in the group's member areas, one per disk other than the parity
 // holder.
-func (ps *ParityStriping) StripeMembers(l int64) []int64 {
+func (ps *ParityStriping) StripeMembers(dst []int64, l int64) []int64 {
 	checkRange(l, ps.DataBlocks())
 	d, areaIdx, off := ps.decompose(l)
 	g := ps.group(d, areaIdx, off)
 	j := off / ps.pUnit
 	perDisk := int64(ps.n) * ps.area
-	out := make([]int64, 0, ps.n)
 	for dd := int64(0); dd <= int64(ps.n); dd++ {
 		if dd == g {
 			continue
@@ -142,9 +141,9 @@ func (ps *ParityStriping) StripeMembers(l int64) []int64 {
 		if ai < 0 {
 			ai += int64(ps.n)
 		}
-		out = append(out, dd*perDisk+ai*ps.area+off)
+		dst = append(dst, dd*perDisk+ai*ps.area+off)
 	}
-	return out
+	return dst
 }
 
 var _ ParityLayout = (*ParityStriping)(nil)

@@ -70,14 +70,13 @@ func (r *RAID5) Parity(l int64) Loc {
 
 // StripeMembers implements ParityLayout: the n data blocks at the same
 // unit offset in the same stripe.
-func (r *RAID5) StripeMembers(l int64) []int64 {
+func (r *RAID5) StripeMembers(dst []int64, l int64) []int64 {
 	checkRange(l, r.DataBlocks())
 	stripe, _, off := r.decompose(l)
-	out := make([]int64, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		out = append(out, (stripe*int64(r.n)+int64(i))*r.su+off)
+		dst = append(dst, (stripe*int64(r.n)+int64(i))*r.su+off)
 	}
-	return out
+	return dst
 }
 
 // RAID4 is RAID5 with the parity fixed on the last disk (Figure 2).
@@ -138,14 +137,13 @@ func (r *RAID4) Parity(l int64) Loc {
 }
 
 // StripeMembers implements ParityLayout.
-func (r *RAID4) StripeMembers(l int64) []int64 {
+func (r *RAID4) StripeMembers(dst []int64, l int64) []int64 {
 	checkRange(l, r.DataBlocks())
 	stripe, _, off := r.decompose(l)
-	out := make([]int64, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		out = append(out, (stripe*int64(r.n)+int64(i))*r.su+off)
+		dst = append(dst, (stripe*int64(r.n)+int64(i))*r.su+off)
 	}
-	return out
+	return dst
 }
 
 var (

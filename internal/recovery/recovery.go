@@ -211,7 +211,7 @@ func (s *Sim) survivorLocs(lba int64) []layout.Loc {
 // survivorDataLocs returns the stripe's other data members.
 func (s *Sim) survivorDataLocs(lba int64) []layout.Loc {
 	var locs []layout.Loc
-	for _, m := range s.lay.StripeMembers(lba) {
+	for _, m := range s.lay.StripeMembers(nil, lba) {
 		if m == lba {
 			continue
 		}

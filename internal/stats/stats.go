@@ -126,15 +126,76 @@ const (
 	histStep = 1.07 // bin growth ratio; 256 bins reach ~3.3e4 * histLo
 )
 
-var logStep = math.Log(histStep)
+// A sample's bin is defined as int(log(x/histLo) / log(histStep)),
+// clamped to the last bin. Add runs on every response, so binOf finds
+// that bin without a logarithm, by lookup tables built once from the
+// definition itself and therefore bit-exact with it:
+//
+//   - binThresh[b] is the smallest float64 whose defined bin is b
+//     (1 <= b < nBins), found by bisecting on the float bits.
+//   - binGuide has one entry per guide cell — every float64 sharing a
+//     sign, exponent and top guideBits mantissa bits — above histLo and
+//     below binThresh[nBins-1]: the bin of the cell's smallest value.
+//     A cell spans a ratio below 1+2^-guideBits, far less than
+//     histStep, so it holds at most one bin edge, and one compare
+//     against binThresh finishes the lookup.
+const guideBits = 8
+
+var (
+	binThresh  [nBins]float64
+	binGuide   []uint8
+	guideFirst uint64 // the guide cell of histLo
+)
+
+// guideCell returns the guide cell of a positive float64.
+func guideCell(x float64) uint64 { return math.Float64bits(x) >> (52 - guideBits) }
+
+func init() {
+	logStep := math.Log(histStep)
+	defined := func(x float64) int {
+		if x <= histLo {
+			return 0
+		}
+		return min(int(math.Log(x/histLo)/logStep), nBins-1)
+	}
+	// Positive floats order as their bit patterns do, so bisecting the
+	// bits finds the first float of each bin.
+	hiBits := math.Float64bits(histLo * math.Pow(histStep, nBins+1))
+	for b := 1; b < nBins; b++ {
+		lo, hi := math.Float64bits(histLo), hiBits // defined(lo) < b <= defined(hi)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if defined(math.Float64frombits(mid)) >= b {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		binThresh[b] = math.Float64frombits(hi)
+	}
+	guideFirst = guideCell(histLo)
+	last := guideCell(binThresh[nBins-1])
+	binGuide = make([]uint8, last-guideFirst+1)
+	b := 0
+	for k := range binGuide {
+		low := math.Float64frombits((guideFirst + uint64(k)) << (52 - guideBits))
+		for b+1 < nBins && binThresh[b+1] <= low {
+			b++
+		}
+		binGuide[k] = uint8(b)
+	}
+}
 
 func binOf(x float64) int {
 	if x <= histLo {
 		return 0
 	}
-	b := int(math.Log(x/histLo) / logStep)
-	if b >= nBins {
-		b = nBins - 1
+	if x >= binThresh[nBins-1] {
+		return nBins - 1
+	}
+	b := int(binGuide[guideCell(x)-guideFirst])
+	if x >= binThresh[b+1] {
+		b++
 	}
 	return b
 }

@@ -256,3 +256,83 @@ func TestQuantileDegenerateBounds(t *testing.T) {
 		prev = v
 	}
 }
+
+// binOfLog is the histogram's defining bin formula, the oracle the
+// lookup in binOf must reproduce bit for bit. It is defined where
+// x/histLo is finite; beyond that (x above ~1.8e305) the formula
+// overflows and binOf returns the last bin.
+func binOfLog(x float64) int {
+	if x <= histLo {
+		return 0
+	}
+	b := int(math.Log(x/histLo) / math.Log(histStep))
+	if b >= nBins {
+		b = nBins - 1
+	}
+	return b
+}
+
+// TestBinOfMatchesFormula checks the table lookup against the formula at
+// every bin edge ±4 ulps and over 10M log-uniform samples spanning the
+// whole histogram range and beyond.
+func TestBinOfMatchesFormula(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		if got, want := binOf(x), binOfLog(x); got != want {
+			t.Fatalf("binOf(%v [bits %#x]) = %d, formula says %d", x, math.Float64bits(x), got, want)
+		}
+	}
+	for _, x := range []float64{-1, 0, math.SmallestNonzeroFloat64, histLo, 1, 1e300} {
+		check(x)
+	}
+	edges := append([]float64{histLo}, binThresh[1:]...)
+	for _, e := range edges {
+		bits := math.Float64bits(e)
+		for d := uint64(0); d <= 4; d++ {
+			check(math.Float64frombits(bits + d))
+			check(math.Float64frombits(bits - d))
+		}
+	}
+	for b := 1; b < nBins; b++ {
+		if binOfLog(binThresh[b]) != b || binOfLog(math.Nextafter(binThresh[b], 0)) != b-1 {
+			t.Fatalf("binThresh[%d] = %v is not the first float of bin %d", b, binThresh[b], b)
+		}
+	}
+	src := rng.New(11)
+	lo, hi := math.Log(histLo/100), math.Log(binThresh[nBins-1]*100)
+	for i := 0; i < 10_000_000; i++ {
+		check(math.Exp(lo + (hi-lo)*src.Float64()))
+	}
+}
+
+// FuzzBinOf compares the lookup with the formula on arbitrary inputs
+// inside the formula's domain.
+func FuzzBinOf(f *testing.F) {
+	for _, x := range []float64{0, histLo, 0.5, 3.7, 1e4, binThresh[7], binThresh[nBins-1]} {
+		f.Add(x)
+	}
+	f.Fuzz(func(t *testing.T, x float64) {
+		if math.IsNaN(x) || math.IsInf(x/histLo, 0) {
+			return
+		}
+		if got, want := binOf(x), binOfLog(x); got != want {
+			t.Fatalf("binOf(%v) = %d, formula says %d", x, got, want)
+		}
+	})
+}
+
+var binSink int
+
+func BenchmarkBinOf(b *testing.B) {
+	xs := make([]float64, 1024)
+	src := rng.New(3)
+	for i := range xs {
+		xs[i] = src.Exp(13)
+	}
+	b.ResetTimer()
+	s := 0
+	for i := 0; i < b.N; i++ {
+		s += binOf(xs[i&1023])
+	}
+	binSink = s
+}
