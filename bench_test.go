@@ -20,10 +20,10 @@ import (
 	"raidsim/internal/core"
 	"raidsim/internal/disk"
 	"raidsim/internal/exp"
+	"raidsim/internal/fault"
 	"raidsim/internal/geom"
 	"raidsim/internal/layout"
 	"raidsim/internal/obs"
-	"raidsim/internal/recovery"
 	"raidsim/internal/reliability"
 	"raidsim/internal/rng"
 	"raidsim/internal/sim"
@@ -231,22 +231,9 @@ func BenchmarkAblateFineGrainedParityStriping(b *testing.B) {
 }
 
 func BenchmarkExtDegradedArray(b *testing.B) {
-	src := rng.New(3)
-	for i := 0; i < b.N; i++ {
-		eng := sim.New()
-		s, err := recovery.New(eng, recovery.Config{
-			N: 10, Spec: geom.Default(), StripingUnit: 1, FailedDisk: 0, Seed: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 500; j++ {
-			at := sim.Time(j) * 10 * sim.Millisecond
-			lba := src.Int63n(s.DataBlocks())
-			eng.At(at, func() { s.Submit(trace.Read, lba) })
-		}
-		eng.Run()
-	}
+	runBench(b, core.Config{Org: array.OrgRAID5, N: 10, Sync: array.DF,
+		Fault: fault.Config{DiskFails: []fault.DiskFail{{Disk: 0, At: 0}}}},
+		benchTrace(b, "trace2", 1))
 }
 
 func BenchmarkExtMTTDL(b *testing.B) {

@@ -161,6 +161,91 @@ func TestRAID5ReconstructReads(t *testing.T) {
 	if res.DiskAccesses[2] != 0 {
 		t.Fatal("dead disk serviced accesses")
 	}
+
+	// One read of a block homed on the dead disk fans out to the N-1
+	// surviving stripe members plus parity: exactly N reads.
+	eng, ctrl = build(t, cfg)
+	lba := homedOn(t, ctrl, 2)
+	eng.At(sim.Millisecond, func() {
+		ctrl.Submit(Request{Op: trace.Read, LBA: lba, Blocks: 1})
+	})
+	eng.RunUntil(sim.Second)
+	drain(t, eng, ctrl)
+	res = ctrl.Results()
+	var reads int64
+	for _, n := range res.DiskAccesses {
+		reads += n
+	}
+	if reads != int64(cfg.N) || res.DiskAccesses[2] != 0 {
+		t.Fatalf("reconstructing read issued %d accesses (dead slot %d), want %d survivor reads",
+			reads, res.DiskAccesses[2], cfg.N)
+	}
+	if res.DegradedResp.N() != 1 {
+		t.Fatalf("reconstructing read not counted degraded: %d", res.DegradedResp.N())
+	}
+}
+
+// homedOn returns the first logical block a parity controller maps to
+// physical slot d.
+func homedOn(t *testing.T, ctrl Controller, d int) int64 {
+	t.Helper()
+	lay := ctrl.(*schemeCtrl).s.(*parityScheme).lay
+	for l := int64(0); l < lay.DataBlocks(); l++ {
+		if lay.Map(l).Disk == d {
+			return l
+		}
+	}
+	t.Fatalf("no block homed on disk %d", d)
+	return 0
+}
+
+// TestRAID5RebuildSweep: with a hot spare and no foreground load, the
+// sweep rebuilds the dead slot in ceil(BlocksPerDisk/RebuildChunk)
+// writes onto the spare, a RebuildPause between chunks lengthens it, and
+// afterwards the rebuilt slot serves its own reads at normal service.
+func TestRAID5RebuildSweep(t *testing.T) {
+	bpd := smallSpec().BlocksPerDisk()
+	times := map[sim.Time]sim.Time{}
+	for _, tc := range []struct {
+		chunk int
+		pause sim.Time
+	}{{48, 0}, {96, 0}, {48, 20 * sim.Millisecond}} {
+		cfg := faultConfig(OrgRAID5, false)
+		cfg.Spares = 1
+		cfg.RebuildChunk = tc.chunk
+		cfg.RebuildPause = tc.pause
+		cfg.Fault = fault.Config{DiskFails: []fault.DiskFail{{Disk: 1, At: 0}}}
+		eng, ctrl := build(t, cfg)
+		eng.RunUntil(sim.Millisecond)
+		runUntilRepaired(t, eng, ctrl)
+		res := ctrl.Results()
+		if res.Fault.Rebuilds != 1 {
+			t.Fatalf("chunk %d: rebuilds = %d, want 1", tc.chunk, res.Fault.Rebuilds)
+		}
+		want := (bpd + int64(tc.chunk) - 1) / int64(tc.chunk)
+		if res.DiskAccesses[1] != want {
+			t.Fatalf("chunk %d: spare took %d writes, want %d", tc.chunk, res.DiskAccesses[1], want)
+		}
+		if tc.chunk == 48 {
+			times[tc.pause] = res.Fault.RebuildTime
+		}
+
+		lba := homedOn(t, ctrl, 1)
+		before := res.DiskAccesses[1]
+		ctrl.Submit(Request{Op: trace.Read, LBA: lba, Blocks: 1})
+		drain(t, eng, ctrl)
+		res = ctrl.Results()
+		if res.DiskAccesses[1] != before+1 {
+			t.Fatalf("chunk %d: rebuilt slot did not serve its read", tc.chunk)
+		}
+		if res.NormalResp.N() != 1 || res.DegradedResp.N() != 0 {
+			t.Fatalf("chunk %d: post-rebuild read not normal (normal %d, degraded %d)",
+				tc.chunk, res.NormalResp.N(), res.DegradedResp.N())
+		}
+	}
+	if times[20*sim.Millisecond] <= times[0] {
+		t.Fatalf("RebuildPause did not lengthen the rebuild: %v", times)
+	}
 }
 
 // TestRAID5DegradedWrites exercises all the degraded write cases: the

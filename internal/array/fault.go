@@ -192,9 +192,9 @@ func (c *common) completeRepair(d int) {
 }
 
 // sweepRebuild reconstructs physical blocks [pos, pos+chunk) of slot d
-// from its surviving sources at background priority, then pauses and
-// recurses — the same throttled sweep internal/recovery models, but
-// driven by a mid-run failure rather than a pre-failed configuration.
+// from its surviving sources at background priority and writes them onto
+// the spare, then waits RebuildPause before the next chunk; the pause
+// throttles the sweep's interference with foreground load.
 func (c *common) sweepRebuild(d int, pos int64, started sim.Time) {
 	bpd := c.cfg.Spec.BlocksPerDisk()
 	if pos >= bpd {

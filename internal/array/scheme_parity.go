@@ -126,7 +126,7 @@ func (c *common) degradedUpdate(lay layout.ParityLayout, lbas []int64, pri disk.
 }
 
 // degradedWriteBlock writes one logical block to a parity layout under
-// failures, mirroring the degraded-mode cases internal/recovery models:
+// failures, by the standard degraded-mode RAID rules:
 //
 //   - home dead, parity alive: fold the write into parity — read the
 //     surviving stripe members, then overwrite parity with

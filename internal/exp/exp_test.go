@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -93,6 +94,48 @@ func TestFig5SmallScale(t *testing.T) {
 	}
 	if strings.Contains(out, "NaN") {
 		t.Errorf("fig5 contains failed runs:\n%s", out)
+	}
+}
+
+// TestExtRebuildSmallScale runs ext-rebuild on the array fault path:
+// losing a disk slows the array, a rebuild sweep racing the load slows it
+// further, and the sweep finishes. Only the failed runs record responses
+// while degraded.
+func TestExtRebuildSmallScale(t *testing.T) {
+	var buf strings.Builder
+	ctx := testCtx(&buf)
+	e, _ := Get("ext-rebuild")
+	if err := e.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	resp := map[string]float64{}
+	degraded, rebuild := map[string]string{}, map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 {
+			continue
+		}
+		switch f[0] {
+		case "healthy", "degraded", "rebuilding":
+			ms, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			resp[f[0]], degraded[f[0]], rebuild[f[0]] = ms, f[2], f[3]
+		}
+	}
+	if len(resp) != 3 {
+		t.Fatalf("want 3 mode rows, got %d:\n%s", len(resp), out)
+	}
+	if !(resp["healthy"] < resp["degraded"] && resp["degraded"] < resp["rebuilding"]) {
+		t.Errorf("responses not ordered healthy < degraded < rebuilding: %v\n%s", resp, out)
+	}
+	if rebuild["rebuilding"] == "-" {
+		t.Errorf("rebuild did not finish:\n%s", out)
+	}
+	if degraded["healthy"] != "-" || degraded["degraded"] == "-" || degraded["rebuilding"] == "-" {
+		t.Errorf("degraded responses recorded in the wrong modes: %v\n%s", degraded, out)
 	}
 }
 
