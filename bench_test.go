@@ -324,8 +324,9 @@ func BenchmarkCampaign(b *testing.B) {
 // iteration (benchstat-friendly: compare runs with
 // `benchstat old.txt new.txt`). The *Obs variants run the same work with
 // a windowed observability recorder armed; the *Spans variants
-// additionally arm the per-request span tracer; the *Meter variants arm
-// the engine self-meter. Each gap to the matching plain/Obs run is that
+// additionally arm the per-request span tracer; the *Robust variants
+// arm deadlines and retries, and raid10Hedged hedged reads too; the
+// *Meter variants arm the engine self-meter. Each gap to the matching plain/Obs run is that
 // layer's overhead budget (≤5% for obs, ≤1% for the meter). These are
 // micro-benchmarks for profiling one layer; performance claims use the
 // workloads of bench/ (see bench/README.md), which supersede the history
@@ -339,6 +340,7 @@ func BenchmarkArraySubmit(b *testing.B) {
 		obs    bool
 		spans  bool
 		robust bool
+		hedge  float64 // HedgeQuantile, with robust
 		meter  bool
 	}{
 		{name: "base", org: array.OrgBase},
@@ -354,6 +356,7 @@ func BenchmarkArraySubmit(b *testing.B) {
 		{name: "raid5cachedSpans", org: array.OrgRAID5, cached: true, obs: true, spans: true},
 		{name: "raid5Robust", org: array.OrgRAID5, robust: true},
 		{name: "raid5cachedRobust", org: array.OrgRAID5, cached: true, robust: true},
+		{name: "raid10Hedged", org: array.OrgRAID10, robust: true, hedge: 0.95},
 		{name: "raid5Meter", org: array.OrgRAID5, meter: true},
 		{name: "raid5cachedMeter", org: array.OrgRAID5, cached: true, meter: true},
 	}
@@ -375,7 +378,8 @@ func BenchmarkArraySubmit(b *testing.B) {
 			if p.robust {
 				// Deadline accounting plus an (idle, no transient errors)
 				// retry budget: the robustness layer's always-on cost.
-				cfg.Robust = array.RobustConfig{Deadline: 60 * sim.Millisecond, Retries: 2}
+				// raid10Hedged adds quantile-hedged reads on the mirror pairs.
+				cfg.Robust = array.RobustConfig{Deadline: 60 * sim.Millisecond, Retries: 2, HedgeQuantile: p.hedge}
 			}
 			ctrl, err := array.New(eng, cfg)
 			if err != nil {

@@ -550,7 +550,7 @@ func (c *common) init(eng *sim.Engine, cfg Config, ndisks int) error {
 	}
 	c.fs.failed = make([]bool, ndisks)
 	c.fs.rebuilding = make([]bool, ndisks)
-	c.fs.rbSpan = make([]*obs.Span, ndisks)
+	c.fs.sweeps = make([]*sweepRec, ndisks)
 	c.fs.spares = cfg.Spares
 	if len(cfg.Classes) > 0 {
 		c.cls = make([]classAcct, len(cfg.Classes))
@@ -657,18 +657,25 @@ func (c *common) chanXfer(n int, onDone func()) {
 	c.ch.Transfer(int64(n)*int64(c.cfg.Spec.BlockBytes), onDone)
 }
 
-// chanXferSpan is chanXfer with a "channel" child span under sp. The nil
-// guard keeps the untraced path free of the extra closure.
-func (c *common) chanXferSpan(n int, sp *obs.Span, onDone func()) {
-	if sp == nil {
-		c.chanXfer(n, onDone)
-		return
+// chanXferUnder is chanXfer under a "channel" child span of sp, which
+// it returns (nil when sp is). The caller keeps the span in its record
+// and closes it in onDone, before anything else onDone does.
+func (c *common) chanXferUnder(sp *obs.Span, n int, onDone func()) *obs.Span {
+	var ch *obs.Span
+	if sp != nil {
+		ch = sp.Child(obs.SpanChannel, c.eng.Now())
 	}
-	ch := sp.Child(obs.SpanChannel, c.eng.Now())
-	c.chanXfer(n, func() {
-		ch.CloseAt(c.eng.Now())
-		onDone()
-	})
+	c.chanXfer(n, onDone)
+	return ch
+}
+
+// closeChan closes the channel span *ch opened by chanXferUnder, now,
+// and clears it.
+func (c *common) closeChan(ch **obs.Span) {
+	if *ch != nil {
+		(*ch).CloseAt(c.eng.Now())
+		*ch = nil
+	}
 }
 
 func (c *common) baseResults(org Org) *Results {

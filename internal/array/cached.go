@@ -314,8 +314,9 @@ type creqRec struct {
 	r     Request
 	start sim.Time
 	sp    *obs.Span
-	miss  []int64 // read: the blocks not cached on arrival
-	next  int     // write: the next block to land
+	miss  []int64   // read: the blocks not cached on arrival
+	next  int       // write: the next block to land
+	ch    *obs.Span // the open channel span of a transfer, when traced
 
 	fetchFn, insertFn, placeFn, finishFn func()
 }
@@ -341,6 +342,7 @@ func (q *creqRec) release() {
 // finish is the request's final callback. The record is returned before
 // the response is accounted, because accounting runs OnComplete.
 func (q *creqRec) finish() {
+	q.cc.closeChan(&q.ch)
 	cc, r, start, sp := q.cc, q.r, q.start, q.sp
 	q.release()
 	cc.finish(r, start, sp)
@@ -362,7 +364,7 @@ func (q *creqRec) read() {
 		if measured {
 			cc.readHits++
 		}
-		cc.chanXferSpan(r.Blocks, q.sp, q.finishFn)
+		q.ch = cc.chanXferUnder(q.sp, r.Blocks, q.finishFn)
 		return
 	}
 	if measured {
@@ -384,7 +386,7 @@ func (q *creqRec) fetch() {
 		}
 	}
 	if len(fetch) == 0 {
-		cc.chanXferSpan(q.r.Blocks, q.sp, q.finishFn)
+		q.ch = cc.chanXferUnder(q.sp, q.r.Blocks, q.finishFn)
 		return
 	}
 	rq := cc.newReq(q.r, q.start, q.sp)
@@ -412,7 +414,7 @@ func (q *creqRec) write() {
 			cc.writeMisses++
 		}
 	}
-	cc.chanXferSpan(r.Blocks, q.sp, q.insertFn)
+	q.ch = cc.chanXferUnder(q.sp, r.Blocks, q.insertFn)
 }
 
 // insert lands the write's blocks in order from q.next, serializing
@@ -420,6 +422,7 @@ func (q *creqRec) write() {
 // waits for a free slot.
 func (q *creqRec) insert() {
 	cc := q.cc
+	cc.closeChan(&q.ch)
 	for ; q.next < q.r.Blocks; q.next++ {
 		l := q.r.LBA + int64(q.next)
 		if !cc.c.Contains(l) {

@@ -19,7 +19,8 @@ type faultState struct {
 	inj        *fault.Injector
 	failed     []bool      // slot is not readable (dead, or spare mid-rebuild)
 	rebuilding []bool      // slot holds a spare being swept; writes go to it
-	rbSpan     []*obs.Span // open per-slot rebuild root spans (nil entries when untraced)
+	sweeps     []*sweepRec // per-slot rebuild sweeps (nil until the slot first rebuilds)
+	srcs       []int       // rebuildSources buffer, reused by every call
 	nfailed    int
 	spares     int
 
@@ -110,8 +111,8 @@ func (c *common) FailDisk(d int) {
 	c.fs.sparesUsed++
 	c.cfg.Rec.Note(obs.Event{At: now, Kind: obs.EvSpareSwap, Disk: d})
 	c.disks[d].Repair()
-	srcs := c.sch.rebuildSources(d)
-	if len(srcs) == 0 {
+	c.fs.srcs = c.sch.rebuildSources(c.fs.srcs[:0], d)
+	if len(c.fs.srcs) == 0 {
 		// Nothing to reconstruct from: the spare goes straight into
 		// service empty (the lost contents were already accounted by
 		// onFail).
@@ -119,11 +120,7 @@ func (c *common) FailDisk(d int) {
 		return
 	}
 	c.fs.rebuilding[d] = true
-	if c.tr != nil {
-		c.fs.rbSpan[d] = c.tr.StartBackground("rebuild", now)
-		c.fs.rbSpan[d].SetDisk(d)
-	}
-	c.sweepRebuild(d, 0, now)
+	c.startSweep(d)
 }
 
 // FailCache implements fault.Handler. Non-cached organizations ignore it.
@@ -173,9 +170,9 @@ func (c *common) HangDisk(d int, until sim.Time) {
 // completeRepair puts slot d back in service.
 func (c *common) completeRepair(d int) {
 	now := c.eng.Now()
-	if sp := c.fs.rbSpan[d]; sp != nil {
-		c.tr.FinishBackground(sp, now)
-		c.fs.rbSpan[d] = nil
+	if s := c.fs.sweeps[d]; s != nil && s.root != nil {
+		c.tr.FinishBackground(s.root, now)
+		s.root = nil
 	}
 	c.cfg.Rec.RebuildProgress(d, 1)
 	c.fs.rebuilding[d] = false
@@ -191,75 +188,136 @@ func (c *common) completeRepair(d int) {
 	}
 }
 
-// sweepRebuild reconstructs physical blocks [pos, pos+chunk) of slot d
-// from its surviving sources at background priority and writes them onto
-// the spare, then waits RebuildPause before the next chunk; the pause
+// sweepRec is the rebuild sweep of one slot: where it is, the chunk in
+// flight with its device requests, and the sweep's continuations, bound
+// once. faultState keeps one per slot, made on the slot's first rebuild.
+// A sweep has one chunk in flight at a time and ends only between
+// chunks, so a later sweep of the same slot finds its record idle.
+type sweepRec struct {
+	c       *common
+	d       int
+	pos     int64 // first block of the chunk in flight
+	n       int   // its length
+	started sim.Time
+	root    *obs.Span // the sweep-wide "rebuild" span, open until repair (nil untraced)
+	chunk   *obs.Span
+	left    int // source reads outstanding
+	reads   []disk.Request
+	write   disk.Request
+
+	readDoneFn, writeDoneFn, nextFn func()
+}
+
+// startSweep starts the rebuild sweep of slot d from block 0.
+func (c *common) startSweep(d int) {
+	s := c.fs.sweeps[d]
+	if s == nil {
+		s = &sweepRec{c: c, d: d}
+		s.readDoneFn, s.writeDoneFn, s.nextFn = s.readDone, s.writeDone, s.next
+		c.fs.sweeps[d] = s
+	}
+	s.pos, s.started = 0, c.eng.Now()
+	if c.tr != nil {
+		s.root = c.tr.StartBackground("rebuild", s.started)
+		s.root.SetDisk(d)
+	}
+	s.step()
+}
+
+// step reconstructs physical blocks [pos, pos+chunk) of the slot from
+// its surviving sources at background priority and writes them onto the
+// spare, then waits RebuildPause before the next chunk; the pause
 // throttles the sweep's interference with foreground load.
-func (c *common) sweepRebuild(d int, pos int64, started sim.Time) {
+func (s *sweepRec) step() {
+	c, d := s.c, s.d
 	bpd := c.cfg.Spec.BlocksPerDisk()
-	if pos >= bpd {
+	if s.pos >= bpd {
 		c.fs.rebuilds++
-		c.fs.rebuildBusy += c.eng.Now() - started
+		c.fs.rebuildBusy += c.eng.Now() - s.started
 		c.completeRepair(d)
 		return
 	}
-	srcs := c.sch.rebuildSources(d)
+	c.fs.srcs = c.sch.rebuildSources(c.fs.srcs[:0], d)
+	srcs := c.fs.srcs
 	if len(srcs) == 0 {
 		// A source died mid-sweep; reconstruction can no longer finish
 		// (that failure counted the data loss). Abandon the sweep and put
 		// the spare in service as-is.
-		c.fs.rebuildBusy += c.eng.Now() - started
+		c.fs.rebuildBusy += c.eng.Now() - s.started
 		c.completeRepair(d)
 		return
 	}
-	n := c.cfg.RebuildChunk
-	if pos+int64(n) > bpd {
-		n = int(bpd - pos)
+	s.n = c.cfg.RebuildChunk
+	if s.pos+int64(s.n) > bpd {
+		s.n = int(bpd - s.pos)
 	}
 	// Each chunk is its own background span tree (read legs from the
 	// sources, then the write onto the spare); the sweep-wide "rebuild"
-	// root in fs.rbSpan brackets the whole recovery.
-	var chunk *obs.Span
+	// root brackets the whole recovery.
+	s.chunk = nil
 	if c.tr != nil {
-		chunk = c.tr.StartBackground("rebuild-chunk", c.eng.Now())
-		chunk.SetDisk(d)
-		chunk.SetBlocks(n)
+		s.chunk = c.tr.StartBackground("rebuild-chunk", c.eng.Now())
+		s.chunk.SetDisk(d)
+		s.chunk.SetBlocks(s.n)
 	}
-	read := newLatch(len(srcs), func() {
-		var wr *obs.Span
-		if chunk != nil {
-			wr = chunk.Child("rebuild-write", c.eng.Now())
-			wr.SetBlocks(n)
-		}
-		c.disks[d].Submit(&disk.Request{
-			StartBlock: pos, Blocks: n, Write: true,
-			Priority: disk.PriBackground, Span: wr,
-			OnDone: func() {
-				c.cfg.Rec.RebuildIO(c.eng.Now(), n)
-				c.cfg.Rec.RebuildProgress(d, float64(pos+int64(n))/float64(bpd))
-				if chunk != nil {
-					c.tr.FinishBackground(chunk, c.eng.Now())
-				}
-				next := func() { c.sweepRebuild(d, pos+int64(n), started) }
-				if c.cfg.RebuildPause > 0 {
-					c.eng.After(c.cfg.RebuildPause, next)
-				} else {
-					next()
-				}
-			},
-		})
-	})
-	for _, s := range srcs {
+	// Size the requests before submitting any: a drive holds on to them.
+	if cap(s.reads) < len(srcs) {
+		s.reads = make([]disk.Request, len(srcs))
+	}
+	s.reads = s.reads[:len(srcs)]
+	s.left = len(srcs)
+	for i, src := range srcs {
 		var rd *obs.Span
-		if chunk != nil {
-			rd = chunk.Child("rebuild-read", c.eng.Now())
-			rd.SetBlocks(n)
+		if s.chunk != nil {
+			rd = s.chunk.Child("rebuild-read", c.eng.Now())
+			rd.SetBlocks(s.n)
 		}
-		c.disks[s].Submit(&disk.Request{
-			StartBlock: pos, Blocks: n,
-			Priority: disk.PriBackground, Span: rd, OnDone: read.done,
-		})
+		s.reads[i] = disk.Request{
+			StartBlock: s.pos, Blocks: s.n,
+			Priority: disk.PriBackground, Span: rd, OnDone: s.readDoneFn,
+		}
+		c.disks[src].Submit(&s.reads[i])
 	}
+}
+
+// readDone counts a source read in; the last one issues the write.
+func (s *sweepRec) readDone() {
+	if !countDown(&s.left) {
+		return
+	}
+	c := s.c
+	var wr *obs.Span
+	if s.chunk != nil {
+		wr = s.chunk.Child("rebuild-write", c.eng.Now())
+		wr.SetBlocks(s.n)
+	}
+	s.write = disk.Request{
+		StartBlock: s.pos, Blocks: s.n, Write: true,
+		Priority: disk.PriBackground, Span: wr, OnDone: s.writeDoneFn,
+	}
+	c.disks[s.d].Submit(&s.write)
+}
+
+// writeDone ends the chunk and schedules the next one.
+func (s *sweepRec) writeDone() {
+	c := s.c
+	bpd := c.cfg.Spec.BlocksPerDisk()
+	c.cfg.Rec.RebuildIO(c.eng.Now(), s.n)
+	c.cfg.Rec.RebuildProgress(s.d, float64(s.pos+int64(s.n))/float64(bpd))
+	if s.chunk != nil {
+		c.tr.FinishBackground(s.chunk, c.eng.Now())
+		s.chunk = nil
+	}
+	if c.cfg.RebuildPause > 0 {
+		c.eng.After(c.cfg.RebuildPause, s.nextFn)
+	} else {
+		s.next()
+	}
+}
+
+func (s *sweepRec) next() {
+	s.pos += int64(s.n)
+	s.step()
 }
 
 // RebuildActive reports whether any slot is still being swept; the run

@@ -45,11 +45,13 @@ func (p *pool[T]) put(x *T) {
 	p.free = append(p.free, x)
 }
 
-// recPools holds a controller's free lists. The last three serve only
-// the cache front-end (cached.go).
+// recPools holds a controller's free lists. hedges serves hedged reads
+// (robust.go); the last three serve only the cache front-end
+// (cached.go).
 type recPools struct {
 	reqs       pool[reqRec]
 	reads      pool[readRec]
+	hedges     pool[hedgeOp]
 	batches    pool[batchRec]
 	creqs      pool[creqRec]
 	rooms      pool[roomRec]
@@ -60,7 +62,7 @@ type recPools struct {
 // controller has drained and no destage batch is in flight.
 func (c *common) liveRecords() int {
 	r := &c.recs
-	return r.reqs.live + r.reads.live + r.batches.live + r.creqs.live + r.rooms.live + r.writeBacks.live
+	return r.reqs.live + r.reads.live + r.hedges.live + r.batches.live + r.creqs.live + r.rooms.live + r.writeBacks.live
 }
 
 // countDown signals one completion on an outstanding count (a latch's
@@ -85,7 +87,8 @@ type reqRec struct {
 	lbas  []int64 // [r.LBA, r.LBA+r.Blocks)
 	rb    runBuf
 	runs  []run
-	left  int // run reads outstanding
+	left  int       // run reads outstanding
+	ch    *obs.Span // the open channel span of the transfer, when traced
 
 	admitStart sim.Time
 
@@ -142,11 +145,12 @@ func (q *reqRec) admit() {
 
 func (q *reqRec) runDone() {
 	if countDown(&q.left) {
-		q.c.chanXferSpan(q.r.Blocks, q.sp, q.xferDoneFn)
+		q.ch = q.c.chanXferUnder(q.sp, q.r.Blocks, q.xferDoneFn)
 	}
 }
 
 func (q *reqRec) xferDone() {
+	q.c.closeChan(&q.ch)
 	q.c.buf.Release(len(q.runs))
 	q.finish()
 }
@@ -195,7 +199,8 @@ type batchRec struct {
 
 	nbuf       int // track buffers released when the batch completes
 	admitStart sim.Time
-	issue      func() // runs once buffers and the channel are through
+	issue      func()    // runs once buffers and the channel are through
+	ch         *obs.Span // the open channel span of the transfer, when traced
 
 	// legs holds one record per device write: data runs first, then
 	// parity run i at legs[nd+i]. Legs persist with the batch record.
@@ -203,7 +208,7 @@ type batchRec struct {
 	nd             int
 	left, dataLeft int // legs and data legs outstanding
 
-	admitFn, legDoneFn, dataDoneFn, finishFn, plainFn, updateFn func()
+	admitFn, xferDoneFn, legDoneFn, dataDoneFn, finishFn, plainFn, updateFn func()
 }
 
 // legRec is one device write of a batch. Data legs list the parity runs
@@ -225,7 +230,7 @@ func (c *common) newBatch(w writeOp) *batchRec {
 	b := c.recs.batches.take()
 	if b == nil {
 		b = &batchRec{c: c}
-		b.admitFn, b.legDoneFn, b.dataDoneFn, b.finishFn = b.admitted, b.legDone, b.dataDone, b.finish
+		b.admitFn, b.xferDoneFn, b.legDoneFn, b.dataDoneFn, b.finishFn = b.admitted, b.xferDone, b.legDone, b.dataDone, b.finish
 		b.plainFn, b.updateFn = b.issuePlain, b.executeUpdate
 	}
 	b.w = w
@@ -257,10 +262,15 @@ func (b *batchRec) admitted() {
 		b.w.span.ChildSpan(obs.SpanAdmit, b.admitStart, now)
 	}
 	if b.w.xfer > 0 {
-		c.chanXferSpan(b.w.xfer, b.w.span, b.issue)
+		b.ch = c.chanXferUnder(b.w.span, b.w.xfer, b.xferDoneFn)
 	} else {
 		b.issue()
 	}
+}
+
+func (b *batchRec) xferDone() {
+	b.c.closeChan(&b.ch)
+	b.issue()
 }
 
 // leg returns the batch's i-th leg, making legs up to it on first use.

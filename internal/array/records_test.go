@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"raidsim/internal/disk"
 	"raidsim/internal/fault"
 	"raidsim/internal/geom"
+	"raidsim/internal/obs"
 	"raidsim/internal/rng"
 	"raidsim/internal/sim"
 	"raidsim/internal/trace"
@@ -22,6 +24,28 @@ func commonOf(t *testing.T, ctrl Controller) *common {
 	}
 	t.Fatalf("no common state in %T", ctrl)
 	return nil
+}
+
+// closedLoop returns a function that submits one request of 1-4 blocks
+// at a random address, running the engine first until fewer than 8 are
+// outstanding: a fixed number of requests in flight keeps every queue at
+// its steady-state depth. Each request's op is *op at submission.
+func closedLoop(eng *sim.Engine, ctrl Controller, op *trace.Op) func() {
+	src := rng.New(42)
+	capacity := ctrl.DataBlocks()
+	const mpl = 8
+	outstanding := 0
+	onComplete := func() { outstanding-- }
+	return func() {
+		for outstanding >= mpl {
+			eng.RunFor(sim.Millisecond)
+		}
+		outstanding++
+		ctrl.Submit(Request{
+			Op: *op, LBA: src.Int63n(capacity - 8), Blocks: 1 + src.Intn(4),
+			OnComplete: onComplete,
+		})
+	}
 }
 
 // TestSubmitAllocBudgets pins the steady-state allocations of one
@@ -55,23 +79,7 @@ func TestSubmitAllocBudgets(t *testing.T) {
 			eng, ctrl := build(t, Config{
 				Org: c.org, N: 10, Spec: geom.Default(), Sync: c.sync, Seed: 1,
 			})
-			src := rng.New(42)
-			capacity := ctrl.DataBlocks()
-			// Closed loop: a fixed number of requests outstanding keeps
-			// every queue at its steady-state depth.
-			const mpl = 8
-			outstanding := 0
-			onComplete := func() { outstanding-- }
-			submit := func() {
-				for outstanding >= mpl {
-					eng.RunFor(sim.Millisecond)
-				}
-				outstanding++
-				ctrl.Submit(Request{
-					Op: c.op, LBA: src.Int63n(capacity - 8), Blocks: 1 + src.Intn(4),
-					OnComplete: onComplete,
-				})
-			}
+			submit := closedLoop(eng, ctrl, &c.op)
 			for i := 0; i < 4000; i++ {
 				submit()
 			}
@@ -100,25 +108,11 @@ func TestCachedSubmitAllocBudgets(t *testing.T) {
 					Org: org, N: 10, Spec: geom.Default(), Sync: DF, Seed: 1,
 					Cached: true, CacheBlocks: 512,
 				})
-				src := rng.New(42)
-				capacity := ctrl.DataBlocks()
-				const mpl = 8
-				outstanding := 0
-				onComplete := func() { outstanding-- }
 				// Warm up with writes so the measured phase starts from a
 				// cache full of dirty blocks: reads then evict dirty
 				// victims too.
 				cur := trace.Write
-				submit := func() {
-					for outstanding >= mpl {
-						eng.RunFor(sim.Millisecond)
-					}
-					outstanding++
-					ctrl.Submit(Request{
-						Op: cur, LBA: src.Int63n(capacity - 8), Blocks: 1 + src.Intn(4),
-						OnComplete: onComplete,
-					})
-				}
+				submit := closedLoop(eng, ctrl, &cur)
 				for i := 0; i < 4000; i++ {
 					submit()
 				}
@@ -149,13 +143,57 @@ func TestCachedSubmitAllocBudgets(t *testing.T) {
 	}
 }
 
+// TestRobustSubmitAllocBudgets is TestSubmitAllocBudgets with the
+// robustness layer and span tracing armed: deadlines, retries, shedding
+// and quantile-hedged reads on mirror and RAID1/0, and span trees on
+// those and on RAID5. Hedges must be issued and lost while allocations
+// are counted, so the pooled hedge records and their cancelled timers
+// are exercised, and every record must be back in its pool after drain.
+func TestRobustSubmitAllocBudgets(t *testing.T) {
+	for _, org := range []Org{OrgMirror, OrgRAID10, OrgRAID5} {
+		for _, op := range []trace.Op{trace.Read, trace.Write} {
+			t.Run(fmt.Sprintf("%v/%v", org, op), func(t *testing.T) {
+				eng, ctrl := build(t, Config{
+					Org: org, N: 10, Spec: geom.Default(), Sync: DF, Seed: 1,
+					Robust: RobustConfig{
+						Deadline: 100 * sim.Millisecond, Retries: 2,
+						HedgeQuantile: 0.95, HedgeAfter: 10 * sim.Millisecond, ShedQueue: 64,
+					},
+					Rec: obs.NewRecorder(obs.Config{SpanTopK: 8}),
+				})
+				c := commonOf(t, ctrl)
+				submit := closedLoop(eng, ctrl, &op)
+				for i := 0; i < 4000; i++ {
+					submit()
+				}
+				hedges, losses := c.rb.hedges, c.rb.hedgeLosses
+				if n := testing.AllocsPerRun(2000, submit); n != 0 {
+					t.Errorf("%.0f allocations per request, want 0", n)
+				}
+				if org != OrgRAID5 && op == trace.Read {
+					if c.rb.hedges == hedges || c.rb.hedgeLosses == losses {
+						t.Errorf("hedges issued %d, lost %d while allocations were counted; want both",
+							c.rb.hedges-hedges, c.rb.hedgeLosses-losses)
+					}
+				}
+				drain(t, eng, ctrl)
+				if n := c.liveRecords(); n != 0 {
+					t.Errorf("%d records still live after drain", n)
+				}
+			})
+		}
+	}
+}
+
 // TestRecordsBalanceUnderFaults drives each failure path that detours a
 // pooled record — drops, retries, hedges, reconstruction, rebuild — and
 // checks that every record taken was returned once the run drained.
+// A case with a drive function runs it instead of the request burst.
 func TestRecordsBalanceUnderFaults(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   func() Config
+		drive func(t *testing.T, eng *sim.Engine, c *common)
 		check func(t *testing.T, c *common, reqs []Request)
 	}{{
 		name: "drop",
@@ -207,6 +245,69 @@ func TestRecordsBalanceUnderFaults(t *testing.T) {
 			}
 		},
 	}, {
+		name: "hedge-quantile",
+		cfg: func() Config {
+			cfg := faultConfig(OrgRAID10, false)
+			cfg.Robust = RobustConfig{HedgeQuantile: 0.9, HedgeAfter: 2 * sim.Millisecond}
+			return cfg
+		},
+		check: func(t *testing.T, c *common, _ []Request) {
+			if c.rb.readHist.N() < 32 {
+				t.Errorf("%d read samples, too few to hedge on the quantile", c.rb.readHist.N())
+			}
+			if c.rb.hedgeWins == 0 || c.rb.hedgeLosses == 0 {
+				t.Errorf("hedge wins %d, losses %d; want both", c.rb.hedgeWins, c.rb.hedgeLosses)
+			}
+		},
+	}, {
+		// Read 1's primary wins before its hedge timer; its continuation
+		// issues read 2 at once, which takes the same hedge record and arms
+		// a new timer while read 1's cancelled one is still queued. Read 2
+		// is held on a hung drive past the cancelled timer's time: that
+		// timer must not dispatch a hedge for the reused record. Read 2's
+		// own timer then hedges it, and the hedge wins.
+		name: "hedge-reuse",
+		cfg: func() Config {
+			cfg := faultConfig(OrgMirror, false)
+			cfg.Robust = RobustConfig{HedgeAfter: 30 * sim.Millisecond}
+			return cfg
+		},
+		drive: func(t *testing.T, eng *sim.Engine, c *common) {
+			rn := run{disk: 0, start: 100, blocks: 1}
+			t0 := eng.Now()
+			var t1 sim.Time // read 2's issue
+			done := 0
+			read2 := func() { done++ }
+			c.readRunHedged(rn, disk.PriNormal, nil, func() {
+				done++
+				t1 = eng.Now()
+				reused := c.recs.hedges.free[len(c.recs.hedges.free)-1]
+				c.disks[0].Hang(t1 + 60*sim.Millisecond)
+				c.readRunHedged(rn, disk.PriNormal, nil, read2)
+				if len(c.recs.hedges.free) != 0 || reused.onDone == nil {
+					t.Fatal("read 2 did not take read 1's hedge record")
+				}
+			})
+			eng.RunUntil(t0 + 29*sim.Millisecond)
+			if done != 1 || c.rb.hedges != 0 {
+				t.Fatalf("read 1 not won by its primary before its timer: %d reads done, %d hedges", done, c.rb.hedges)
+			}
+			// Past read 1's cancelled timer, before read 2's own.
+			eng.RunUntil(t0 + 30*sim.Millisecond + (t1-t0)/2)
+			if c.rb.hedges != 0 || done != 1 {
+				t.Fatalf("%d hedges, %d reads done after the cancelled timer's time; want 0, 1", c.rb.hedges, done)
+			}
+			eng.RunFor(200 * sim.Millisecond)
+			if done != 2 {
+				t.Fatalf("%d of 2 reads done", done)
+			}
+		},
+		check: func(t *testing.T, c *common, _ []Request) {
+			if c.rb.hedges != 1 || c.rb.hedgeWins != 1 || c.rb.hedgeLosses != 0 {
+				t.Errorf("hedges %d, wins %d, losses %d; want 1, 1, 0", c.rb.hedges, c.rb.hedgeWins, c.rb.hedgeLosses)
+			}
+		},
+	}, {
 		name: "reconstruct-rebuild",
 		cfg: func() Config {
 			cfg := faultConfig(OrgRAID5, false)
@@ -241,11 +342,16 @@ func TestRecordsBalanceUnderFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, ctrl := build(t, tc.cfg())
 			c := commonOf(t, ctrl)
-			reqs := burst(ctrl.DataBlocks())
-			for i, r := range reqs {
-				eng.At(burstAt(i), func() { ctrl.Submit(r) })
+			var reqs []Request
+			if tc.drive != nil {
+				tc.drive(t, eng, c)
+			} else {
+				reqs = burst(ctrl.DataBlocks())
+				for i, r := range reqs {
+					eng.At(burstAt(i), func() { ctrl.Submit(r) })
+				}
+				eng.RunUntil(sim.Second)
 			}
-			eng.RunUntil(sim.Second)
 			runUntilRepaired(t, eng, ctrl)
 			tc.check(t, c, reqs)
 			if n := c.liveRecords(); n != 0 {

@@ -149,9 +149,9 @@ type robustState struct {
 	on  bool
 	src *rng.Source // retry jitter; allocated only when enabled
 
-	// readHist observes read responses (ms) to derive the quantile-based
-	// hedge delay.
-	readHist obs.Histogram
+	// readHist observes read responses (ms) and keeps the HedgeQuantile
+	// of them current, the quantile-based hedge delay.
+	readHist obs.TrackedQuantile
 
 	deadlineMet  [NumSLOClasses]int64
 	deadlineMiss [NumSLOClasses]int64
@@ -225,6 +225,7 @@ func (c *common) initRobust() {
 	c.rb.on = c.cfg.Robust.Enabled()
 	if c.rb.on {
 		c.rb.src = rng.New(c.cfg.Seed ^ 0x5105510551055105)
+		c.rb.readHist = obs.NewTrackedQuantile(c.cfg.Robust.HedgeQuantile)
 	}
 }
 
@@ -252,7 +253,7 @@ func (c *common) robustResults() RobustResults {
 func (c *common) finishRobust(r Request, start sim.Time) {
 	now := c.eng.Now()
 	ms := sim.Millis(now - start)
-	if r.Op == trace.Read {
+	if r.Op == trace.Read && c.rb.cfg.HedgeQuantile > 0 {
 		c.rb.readHist.Add(ms)
 	}
 	if start < c.cfg.Warmup {
@@ -333,7 +334,7 @@ type hedger interface {
 func (c *common) hedgeDelay() sim.Time {
 	cfg := &c.rb.cfg
 	if cfg.HedgeQuantile > 0 && c.rb.readHist.N() >= 32 {
-		return sim.Time(c.rb.readHist.Quantile(cfg.HedgeQuantile) * float64(sim.Millisecond))
+		return sim.Time(c.rb.readHist.Value() * float64(sim.Millisecond))
 	}
 	return cfg.HedgeAfter
 }
@@ -341,7 +342,11 @@ func (c *common) hedgeDelay() sim.Time {
 // hedgeOp tracks one hedged read: the primary leg, the (possibly
 // cancelled) hedge timer, and the speculative leg. First completion
 // wins; the loser's disk access still finishes but its callback is
-// swallowed here.
+// swallowed here. hedgeOps are pooled records (see records.go) whose
+// lifetime is their legs', not their request's: the record goes back to
+// its pool when the last leg it issued settles, which for a hedged read
+// is after the winner has already run the request's continuation. A
+// cancelled timer never fires, so it cannot reach a record taken again.
 type hedgeOp struct {
 	c      *common
 	alt    run // the partner-copy run the hedge leg reads
@@ -349,9 +354,11 @@ type hedgeOp struct {
 	op     *obs.Span // the primary's device-op span; legs nest beneath it
 	onDone func()
 
-	timer  *sim.Call // pending hedge dispatch; nil once fired or cancelled
-	issued bool      // the hedge leg was dispatched
-	done   bool      // a leg already won
+	timer *sim.Call // pending hedge dispatch; nil once fired or cancelled
+	done  bool      // a leg already won
+	legs  int       // issued legs not yet settled
+
+	priDoneFn, hedgeDoneFn func()
 }
 
 // readRunHedged issues a foreground read run with hedging when armed:
@@ -389,21 +396,23 @@ func (c *common) readRunHedged(rn run, pri disk.Priority, op *obs.Span, onDone f
 	// into. A late leg's only detour, the mirror fallback, reads no
 	// lbas, so the leg carries none.
 	rn.lbas = nil
-	h := &hedgeOp{c: c, alt: alt, pri: pri, op: op, onDone: onDone}
+	h := c.recs.hedges.take()
+	if h == nil {
+		h = &hedgeOp{c: c}
+		h.priDoneFn, h.hedgeDoneFn = h.priDone, h.hedgeDone
+	}
+	h.alt, h.pri, h.op, h.onDone, h.legs = alt, pri, op, onDone, 1
 	h.timer = c.eng.AfterCall(delay, hedgeFire)
 	h.timer.A = h
-	c.readRun(rn, pri, op, func() { h.settle(false) })
+	c.readRun(rn, pri, op, h.priDoneFn)
 }
 
 // hedgeFire dispatches the speculative leg: A = the hedgeOp.
 func hedgeFire(_ *sim.Engine, cl *sim.Call) {
 	h := cl.A.(*hedgeOp)
 	h.timer = nil
-	if h.done {
-		return
-	}
 	c := h.c
-	h.issued = true
+	h.legs++
 	c.rb.hedges++
 	c.rb.hedgeLegs++
 	c.cfg.Rec.HedgeIssued(c.eng.Now(), h.alt.disk)
@@ -413,21 +422,30 @@ func hedgeFire(_ *sim.Engine, cl *sim.Call) {
 		leg.SetDisk(h.alt.disk)
 		leg.SetBlocks(int(h.alt.blocks))
 	}
-	c.mediaRead(h.alt, h.pri, 0, 0, leg, func() { h.settle(true) })
+	c.mediaRead(h.alt, h.pri, 0, 0, leg, h.hedgeDoneFn)
+}
+
+func (h *hedgeOp) priDone() { h.settle(false) }
+
+func (h *hedgeOp) hedgeDone() {
+	h.c.rb.hedgeLegs--
+	h.settle(true)
 }
 
 // settle resolves one leg's completion: the first caller wins and runs
 // the request's continuation, the loser is counted and swallowed. A
 // primary win before the hedge delay cancels the pending timer, so its
-// event never fires and its payload recycles cleanly.
+// event never fires. The last leg to settle returns the record, before
+// the continuation runs, so the continuation may take it again.
 func (h *hedgeOp) settle(fromHedge bool) {
 	c := h.c
-	if fromHedge {
-		c.rb.hedgeLegs--
-	}
+	h.legs--
 	if h.done {
 		if fromHedge {
 			c.rb.hedgeLosses++
+		}
+		if h.legs == 0 {
+			h.release()
 		}
 		return
 	}
@@ -440,7 +458,16 @@ func (h *hedgeOp) settle(fromHedge bool) {
 		c.rb.hedgeWins++
 		c.cfg.Rec.HedgeWon(c.eng.Now(), h.alt.disk)
 	}
-	h.onDone()
+	onDone := h.onDone
+	if h.legs == 0 {
+		h.release()
+	}
+	onDone()
+}
+
+func (h *hedgeOp) release() {
+	h.op, h.onDone, h.done = nil, nil, false
+	h.c.recs.hedges.put(h)
 }
 
 // hedgeAlt implements hedger for the mirror family: the partner copy of

@@ -32,14 +32,14 @@ type scheme interface {
 
 	// The degraded-mode mapping, called from the shared fault machinery:
 	// onFail classifies a fresh failure of slot d (data-loss accounting),
-	// rebuildSources lists the disks a rebuild of slot d reads from (nil
-	// means reconstruction is impossible), and readFallback serves a read
-	// run whose home disk is unreadable from redundancy, returning false
-	// when the data is unrecoverable.
+	// rebuildSources appends to dst the disks a rebuild of slot d reads
+	// from (none means reconstruction is impossible), and readFallback
+	// serves a read run whose home disk is unreadable from redundancy,
+	// returning false when the data is unrecoverable.
 	// op is the device-op span the failed read was issued under (nil when
 	// tracing is off); recovery legs hang their spans beneath it.
 	onFail(d int)
-	rebuildSources(d int) []int
+	rebuildSources(dst []int, d int) []int
 	readFallback(rn run, pri disk.Priority, op *obs.Span, onDone func()) bool
 }
 

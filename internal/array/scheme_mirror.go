@@ -88,11 +88,11 @@ func (s *mirrorScheme) onFail(d int) {
 	}
 }
 
-func (s *mirrorScheme) rebuildSources(d int) []int {
+func (s *mirrorScheme) rebuildSources(dst []int, d int) []int {
 	if s.c.fs.failed[d^1] {
-		return nil
+		return dst
 	}
-	return []int{d ^ 1}
+	return append(dst, d^1)
 }
 
 func (s *mirrorScheme) readFallback(rn run, pri disk.Priority, op *obs.Span, onDone func()) bool {

@@ -38,8 +38,10 @@ func (s *parityScheme) write(w writeOp) {
 	b.admit(b.nbuf, b.updateFn)
 }
 
-func (s *parityScheme) onFail(d int)               { s.c.parityOnFail(d) }
-func (s *parityScheme) rebuildSources(d int) []int { return s.c.parityRebuildSources(d) }
+func (s *parityScheme) onFail(d int) { s.c.parityOnFail(d) }
+func (s *parityScheme) rebuildSources(dst []int, d int) []int {
+	return s.c.parityRebuildSources(dst, d)
+}
 func (s *parityScheme) readFallback(rn run, pri disk.Priority, op *obs.Span, onDone func()) bool {
 	return s.c.parityReadFallback(s.lay, rn, pri, op, onDone)
 }
@@ -58,18 +60,18 @@ func (c *common) parityOnFail(d int) {
 	}
 }
 
-func (c *common) parityRebuildSources(d int) []int {
-	srcs := make([]int, 0, len(c.disks)-1)
+func (c *common) parityRebuildSources(dst []int, d int) []int {
+	n := len(dst)
 	for i := range c.disks {
 		if i == d {
 			continue
 		}
 		if c.fs.failed[i] {
-			return nil
+			return dst[:n]
 		}
-		srcs = append(srcs, i)
+		dst = append(dst, i)
 	}
-	return srcs
+	return dst
 }
 
 func (c *common) parityReadFallback(lay layout.ParityLayout, rn run, pri disk.Priority, op *obs.Span, onDone func()) bool {

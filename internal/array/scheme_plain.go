@@ -38,6 +38,6 @@ type noRedundancy struct{ c *common }
 
 func (s noRedundancy) onFail(int) { s.c.fs.dataLossEvents++ }
 
-func (noRedundancy) rebuildSources(int) []int { return nil }
+func (noRedundancy) rebuildSources(dst []int, _ int) []int { return dst }
 
 func (noRedundancy) readFallback(run, disk.Priority, *obs.Span, func()) bool { return false }

@@ -1,6 +1,10 @@
 package obs
 
-import "math"
+import (
+	"math"
+
+	"raidsim/internal/logbin"
+)
 
 // Histogram is a log-bucketed latency histogram: geometric bins over
 // [histLo, ∞) milliseconds with a fixed growth ratio. Quantiles are read
@@ -21,9 +25,9 @@ const (
 	histGrowth = 1.08 // bin growth ratio; 256 bins reach ~3e5 ms
 )
 
-var histLogGrowth = math.Log(histGrowth)
-
-func histBin(x float64) int {
+// histBinLog is the histogram's defining bin formula. Add does not call
+// it: histBin looks the same bin up in tables built from it at init.
+func histBinLog(x float64) int {
 	if x <= histLo {
 		return 0
 	}
@@ -34,19 +38,56 @@ func histBin(x float64) int {
 	return b
 }
 
-// binMid returns the geometric midpoint of bin b.
-func binMid(b int) float64 {
-	return histLo * math.Pow(histGrowth, float64(b)+0.5)
+var (
+	histLogGrowth = math.Log(histGrowth)
+
+	// The logbin lookup tables of histBinLog.
+	histThresh     [histBins]float64
+	histGuide      []uint8
+	histGuideFirst uint64
+
+	// binMids[b] is the geometric midpoint of bin b, the value a
+	// quantile reads back from it.
+	binMids [histBins]float64
+)
+
+func init() {
+	t := logbin.Build(histLo, histLo*math.Pow(histGrowth, histBins+1), histBins, histBinLog)
+	copy(histThresh[:], t.Thresh)
+	histGuide, histGuideFirst = t.Guide, t.First
+	for b := range binMids {
+		binMids[b] = histLo * math.Pow(histGrowth, float64(b)+0.5)
+	}
+}
+
+// histBin returns histBinLog(x) without a logarithm.
+func histBin(x float64) int {
+	if x <= histLo {
+		return 0
+	}
+	if x >= histThresh[histBins-1] {
+		return histBins - 1
+	}
+	b := int(histGuide[logbin.Cell(x)-histGuideFirst])
+	if x >= histThresh[b+1] {
+		b++
+	}
+	return b
 }
 
 // Add records one latency sample in milliseconds.
-func (h *Histogram) Add(ms float64) {
-	h.counts[histBin(ms)]++
+func (h *Histogram) Add(ms float64) { h.add(ms) }
+
+// add is Add, returning the sample's bin.
+func (h *Histogram) add(ms float64) int {
+	b := histBin(ms)
+	h.counts[b]++
 	h.n++
 	h.sum += ms
 	if ms > h.max {
 		h.max = ms
 	}
+	return b
 }
 
 // N returns the sample count.
@@ -80,11 +121,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for b, c := range h.counts {
 		cum += c
 		if cum >= target {
-			v := binMid(b)
-			if v > h.max {
-				v = h.max
-			}
-			return v
+			return min(binMids[b], h.max)
 		}
 	}
 	return h.max
@@ -100,4 +137,55 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o.max > h.max {
 		h.max = o.max
 	}
+}
+
+// TrackedQuantile is a Histogram that keeps one fixed quantile current
+// as samples arrive, so reading it is O(1) where Histogram.Quantile
+// scans the bins. It keeps a cursor on the bin holding the target rank,
+// the smallest bin whose cumulative count reaches it, and the count of
+// samples below that bin. The target rank grows by at most one per
+// sample, so each Add moves the cursor across at most one nonempty bin,
+// plus any empty bins in between. Value equals Histogram.Quantile(q) on
+// the same samples, bit for bit.
+type TrackedQuantile struct {
+	h     Histogram
+	q     float64
+	rank  int64 // the target rank, as Histogram.Quantile computes it
+	cur   int   // the bin holding the target rank (0 with no samples)
+	below int64 // samples in bins below cur
+}
+
+// NewTrackedQuantile returns an empty histogram tracking quantile q
+// (0 < q <= 1).
+func NewTrackedQuantile(q float64) TrackedQuantile { return TrackedQuantile{q: q} }
+
+// Add records one latency sample in milliseconds.
+func (t *TrackedQuantile) Add(ms float64) {
+	if t.h.add(ms) < t.cur {
+		t.below++
+	}
+	t.rank = max(int64(math.Ceil(t.q*float64(t.h.n))), 1)
+	// Invariant: below < rank <= below + counts[cur].
+	for t.below+t.h.counts[t.cur] < t.rank {
+		t.below += t.h.counts[t.cur]
+		t.cur++
+	}
+	for t.below >= t.rank {
+		t.cur--
+		t.below -= t.h.counts[t.cur]
+	}
+}
+
+// N returns the sample count.
+func (t *TrackedQuantile) N() int64 { return t.h.n }
+
+// Value returns the tracked quantile as Histogram.Quantile(q) would.
+func (t *TrackedQuantile) Value() float64 {
+	if t.h.n == 0 {
+		return 0
+	}
+	if t.rank >= t.h.n {
+		return t.h.max
+	}
+	return min(binMids[t.cur], t.h.max)
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"raidsim/internal/logbin"
 )
 
 // Summary accumulates scalar samples with Welford's online algorithm plus
@@ -128,27 +130,13 @@ const (
 
 // A sample's bin is defined as int(log(x/histLo) / log(histStep)),
 // clamped to the last bin. Add runs on every response, so binOf finds
-// that bin without a logarithm, by lookup tables built once from the
-// definition itself and therefore bit-exact with it:
-//
-//   - binThresh[b] is the smallest float64 whose defined bin is b
-//     (1 <= b < nBins), found by bisecting on the float bits.
-//   - binGuide has one entry per guide cell — every float64 sharing a
-//     sign, exponent and top guideBits mantissa bits — above histLo and
-//     below binThresh[nBins-1]: the bin of the cell's smallest value.
-//     A cell spans a ratio below 1+2^-guideBits, far less than
-//     histStep, so it holds at most one bin edge, and one compare
-//     against binThresh finishes the lookup.
-const guideBits = 8
-
+// that bin without a logarithm, in logbin lookup tables built once from
+// the definition itself and therefore bit-exact with it.
 var (
 	binThresh  [nBins]float64
 	binGuide   []uint8
 	guideFirst uint64 // the guide cell of histLo
 )
-
-// guideCell returns the guide cell of a positive float64.
-func guideCell(x float64) uint64 { return math.Float64bits(x) >> (52 - guideBits) }
 
 func init() {
 	logStep := math.Log(histStep)
@@ -158,32 +146,9 @@ func init() {
 		}
 		return min(int(math.Log(x/histLo)/logStep), nBins-1)
 	}
-	// Positive floats order as their bit patterns do, so bisecting the
-	// bits finds the first float of each bin.
-	hiBits := math.Float64bits(histLo * math.Pow(histStep, nBins+1))
-	for b := 1; b < nBins; b++ {
-		lo, hi := math.Float64bits(histLo), hiBits // defined(lo) < b <= defined(hi)
-		for hi-lo > 1 {
-			mid := lo + (hi-lo)/2
-			if defined(math.Float64frombits(mid)) >= b {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		binThresh[b] = math.Float64frombits(hi)
-	}
-	guideFirst = guideCell(histLo)
-	last := guideCell(binThresh[nBins-1])
-	binGuide = make([]uint8, last-guideFirst+1)
-	b := 0
-	for k := range binGuide {
-		low := math.Float64frombits((guideFirst + uint64(k)) << (52 - guideBits))
-		for b+1 < nBins && binThresh[b+1] <= low {
-			b++
-		}
-		binGuide[k] = uint8(b)
-	}
+	t := logbin.Build(histLo, histLo*math.Pow(histStep, nBins+1), nBins, defined)
+	copy(binThresh[:], t.Thresh)
+	binGuide, guideFirst = t.Guide, t.First
 }
 
 func binOf(x float64) int {
@@ -193,7 +158,7 @@ func binOf(x float64) int {
 	if x >= binThresh[nBins-1] {
 		return nBins - 1
 	}
-	b := int(binGuide[guideCell(x)-guideFirst])
+	b := int(binGuide[logbin.Cell(x)-guideFirst])
 	if x >= binThresh[b+1] {
 		b++
 	}
