@@ -12,7 +12,7 @@
 //	campaign -spec sweep.json -out sweep.jsonl -workers 8
 //	campaign -spec sweep.json -a org=raid5 -b org=mirror
 //	campaign -spec sweep.json -csv > groups.csv
-//	campaign -spec sweep.json -out sweep.jsonl -runlog sweep.runs.jsonl -self-metrics
+//	campaign -spec sweep.json -out sweep.jsonl -self-metrics
 //	campaign -spec sweep.json -http :9090 -http-hold 1m
 package main
 
@@ -45,8 +45,7 @@ func main() {
 
 		httpAddr    = flag.String("http", "", "serve live campaign introspection (/metrics, /runs, /healthz, pprof) on this address, e.g. :9090")
 		httpHold    = flag.Duration("http-hold", 0, "keep the introspection server up this long after the campaign finishes")
-		runlogPath  = flag.String("runlog", "", "write a structured execution log (raidsim-runlog/1 JSONL) alongside the journal; truncated each execution")
-		selfMetrics = flag.Bool("self-metrics", false, "meter each run's engine (events/sec, heap depth, allocations); never changes results")
+		selfMetrics = flag.Bool("self-metrics", false, "meter each run's engine (events/sec, heap depth, allocations) and journal it in the record's engine field; never changes results")
 	)
 	flag.Parse()
 	if *specPath == "" {
@@ -79,14 +78,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "campaign: introspection on http://%s (/metrics /runs /healthz /debug/pprof/)\n", srv.Addr)
-	}
-	var runlog *campaign.RunLog
-	if *runlogPath != "" {
-		runlog, err = campaign.OpenRunLog(*runlogPath, spec.Name)
-		if err != nil {
-			fatal(err)
-		}
-		opts.RunLog = runlog
 	}
 	if *out != "" {
 		if *fresh {
@@ -148,11 +139,6 @@ func main() {
 			if err := ft.Render(os.Stderr); err != nil {
 				fatal(err)
 			}
-		}
-	}
-	if runlog != nil {
-		if err := runlog.Close(); err != nil {
-			fatal(err)
 		}
 	}
 

@@ -12,8 +12,8 @@
 //
 // The layering: shard knows nothing about simulations, campaign knows
 // nothing about rendering. cmd/campaign turns Fleet groups into
-// report tables; internal/exp and internal/fault run their sweeps on
-// the same pool.
+// report tables; internal/fault runs its Monte-Carlo sweep on the same
+// pool.
 package campaign
 
 import (
@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"raidsim/internal/core"
+	"raidsim/internal/sim"
 	"raidsim/internal/stats"
 	"raidsim/internal/trace"
 )
@@ -85,9 +86,13 @@ type RunRecord struct {
 	WriteHits   int64 `json:"write_hits"`
 	WriteMisses int64 `json:"write_misses"`
 
-	// ElapsedMS is host wall-clock time; informational only and
-	// excluded from Fingerprint (it is the one non-deterministic field).
-	ElapsedMS float64 `json:"elapsed_ms"`
+	// ElapsedMS, Worker and Engine describe how the run executed, not
+	// what it computed: host wall-clock time, the pool worker that ran
+	// it, and (under Options.SelfMetrics only) its engine self-metrics.
+	// They depend on the host and the pool, so Fingerprint excludes them.
+	ElapsedMS float64         `json:"elapsed_ms"`
+	Worker    int             `json:"worker"`
+	Engine    *sim.MeterStats `json:"engine,omitempty"`
 }
 
 // NewRecord summarizes one run's results into a journalable record.

@@ -41,20 +41,18 @@ type Options struct {
 	// sees the campaign in flight. Pure observation — the registry never
 	// feeds back into execution.
 	Live *obs.Live
-	// RunLog, when set, receives one structured entry per point
-	// (executed, resumed, or failed) alongside the journal.
-	RunLog *RunLog
 	// SelfMetrics arms per-run engine metering (core.Config.SelfMetrics)
-	// so records in Live, the run log, and Outcome.Engine carry engine
-	// self-metrics. Metered runs are bit-identical to unmetered ones.
+	// so Live, each executed RunRecord's Engine field, and
+	// Outcome.Engine carry engine self-metrics. Metered runs are
+	// bit-identical to unmetered ones.
 	SelfMetrics bool
 }
 
-// Outcome is what a campaign execution produced: one record per point
-// in input order (journal-replayed or freshly run; nil Params-less
-// zero records never appear — a failed run leaves a zero ID and its
-// error in Errors).
+// Outcome is what a campaign execution produced.
 type Outcome struct {
+	// Records[i] is points[i]'s record, journal-replayed or freshly run;
+	// a failed point leaves the zero RunRecord (empty ID) there and its
+	// reason in Errors[i].
 	Records []RunRecord
 	// Errors[i] is the failure of points[i] ("" = success). Failed runs
 	// are not journaled, so a resume retries them.
@@ -119,11 +117,6 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 				out.Records[i] = rec
 				out.Skipped++
 				opts.Live.RunFinished(runStatus(p, rec, "resumed"))
-				if opts.RunLog != nil {
-					if err := opts.RunLog.Append(runLogEntry(p, rec, "resumed", -1, "", sim.MeterStats{})); err != nil {
-						return nil, err
-					}
-				}
 			} else {
 				pending = append(pending, i)
 			}
@@ -138,6 +131,15 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 	start := time.Now()
 	var mu sync.Mutex
 	finished := out.Skipped
+	// fail records points[i]'s failure in the outcome and the live
+	// registry. The caller holds mu.
+	fail := func(i, worker int, msg string) {
+		out.Errors[i] = msg
+		st := runStatus(points[i], RunRecord{}, "failed")
+		st.Worker = worker
+		st.Err = msg
+		opts.Live.RunFinished(st)
+	}
 	// workerTasks tracks completions per worker for the live registry;
 	// the pool's own stats (steals, busy time) replace it when the pool
 	// returns. Sized the way shard.MapStats sizes its pool.
@@ -156,9 +158,9 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 		i := pending[pi]
 		p := points[i]
 		if err := ctx.Err(); err != nil {
-			msg := fmt.Sprintf("%s: canceled: %v", p.ID, err)
-			out.Errors[i] = msg
-			finishRun(opts, &mu, p, RunRecord{}, "failed", worker, msg, sim.MeterStats{})
+			mu.Lock()
+			defer mu.Unlock()
+			fail(i, worker, fmt.Sprintf("%s: canceled: %v", p.ID, err))
 			return
 		}
 		opts.Live.RunStarted(p.ID, paramKey(p.Params, true), p.Config.Seed, worker)
@@ -167,17 +169,22 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 		t0 := time.Now()
 		res, err := core.RunContext(ctx, cfg, p.Trace)
 		if err != nil {
-			msg := fmt.Sprintf("%s: %v", p.ID, err)
-			out.Errors[i] = msg
-			finishRun(opts, &mu, p, RunRecord{}, "failed", worker, msg, sim.MeterStats{})
+			mu.Lock()
+			defer mu.Unlock()
+			fail(i, worker, fmt.Sprintf("%s: %v", p.ID, err))
 			return
 		}
 		rec := NewRecord(p, res, float64(time.Since(t0))/float64(time.Millisecond))
+		rec.Worker = worker
+		if opts.SelfMetrics {
+			m := res.Engine
+			rec.Engine = &m
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		if opts.Journal != nil {
 			if err := opts.Journal.Append(rec); err != nil {
-				out.Errors[i] = fmt.Sprintf("%s: %v", p.ID, err)
+				fail(i, worker, fmt.Sprintf("%s: %v", p.ID, err))
 				return
 			}
 		}
@@ -186,16 +193,10 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 		out.Events += res.Events
 		out.Engine.Add(res.Engine)
 		finished++
-		opts.Live.RunFinished(runStatusMetered(p, rec, "done", worker, res.Engine))
+		opts.Live.RunFinished(runStatusDone(p, rec))
 		if workerTasks != nil {
 			workerTasks[worker]++
 			opts.Live.PublishWorkers(liveWorkers(workerTasks))
-		}
-		if opts.RunLog != nil {
-			if err := opts.RunLog.Append(runLogEntry(p, rec, "executed", worker, "", res.Engine)); err != nil {
-				out.Errors[i] = fmt.Sprintf("%s: %v", p.ID, err)
-				return
-			}
 		}
 		if opts.OnResult != nil {
 			opts.OnResult(i, p, res)
@@ -208,25 +209,6 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 	out.Workers = stats
 	opts.Live.PublishWorkers(shardWorkers(stats))
 	return out, nil
-}
-
-// finishRun records a failed point in the live registry and run log,
-// serialized under the completion mutex.
-func finishRun(opts Options, mu *sync.Mutex, p Point, rec RunRecord, state string, worker int, errMsg string, m sim.MeterStats) {
-	if opts.Live == nil && opts.RunLog == nil {
-		return
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	st := runStatus(p, rec, state)
-	st.Worker = worker
-	st.Err = errMsg
-	opts.Live.RunFinished(st)
-	if opts.RunLog != nil {
-		// A failed append here has nowhere better to go than the log's
-		// own error on Close; the run's primary error is already recorded.
-		_ = opts.RunLog.Append(runLogEntry(p, rec, state, worker, errMsg, m))
-	}
 }
 
 // runStatus converts a point and its record into the live registry's
@@ -244,30 +226,15 @@ func runStatus(p Point, rec RunRecord, state string) obs.RunStatus {
 	}
 }
 
-func runStatusMetered(p Point, rec RunRecord, state string, worker int, m sim.MeterStats) obs.RunStatus {
-	st := runStatus(p, rec, state)
-	st.Worker = worker
-	if m.WallNS > 0 {
-		st.EventsPerSec = m.EventsPerSec()
+// runStatusDone is runStatus for a freshly executed run: it names the
+// worker and, under SelfMetrics, the engine's own event rate.
+func runStatusDone(p Point, rec RunRecord) obs.RunStatus {
+	st := runStatus(p, rec, "done")
+	st.Worker = rec.Worker
+	if rec.Engine != nil && rec.Engine.WallNS > 0 {
+		st.EventsPerSec = rec.Engine.EventsPerSec()
 	}
 	return st
-}
-
-// runLogEntry converts a completed point into its run-log form.
-func runLogEntry(p Point, rec RunRecord, outcome string, worker int, errMsg string, m sim.MeterStats) RunLogEntry {
-	return RunLogEntry{
-		ID:       p.ID,
-		Seed:     p.Config.Seed,
-		Group:    paramKey(p.Params, true),
-		Worker:   worker,
-		Outcome:  outcome,
-		Err:      errMsg,
-		WallMS:   rec.ElapsedMS,
-		Events:   rec.Events,
-		Requests: rec.Requests,
-		MeanMS:   rec.Resp.Mean,
-		Engine:   m,
-	}
 }
 
 // liveWorkers renders the in-flight task counters for the registry.

@@ -1,63 +1,18 @@
 // Package shard provides the deterministic sharding primitives every
-// campaign-style sweep in the repository shares: a bounded worker pool
-// that maps a function over an index range, and a stable per-run seed
-// derivation. The package is dependency-free so that low-level layers
-// (the Monte-Carlo MTTDL campaign in internal/fault, the experiment
-// harness in internal/exp) can use the same pool as the top-level
+// campaign-style sweep in the repository shares: a bounded, work-stealing
+// worker pool that maps a function over an index range (MapStats), and a
+// stable per-run seed derivation (SeedFor). The package is
+// dependency-free so that a low-level layer — the Monte-Carlo MTTDL
+// campaign in internal/fault — can use the same pool as the top-level
 // internal/campaign runner without import cycles.
 //
-// Determinism contract: Map gives no ordering guarantees between
+// Determinism contract: MapStats gives no ordering guarantees between
 // invocations of fn, so fn must write its result into an index-addressed
 // slot and leave every reduction (sums, mins, merges) to the caller, who
-// performs it in index order after Map returns. That keeps floating-point
-// accumulation order — and therefore every output bit — independent of
-// the worker count.
+// performs it in index order after MapStats returns. That keeps
+// floating-point accumulation order — and therefore every output bit —
+// independent of the worker count.
 package shard
-
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// Map runs fn(i) for every i in [0, n) on a pool of at most workers
-// goroutines (workers <= 0 means GOMAXPROCS). It returns when every call
-// has completed. fn must be safe for concurrent invocation on distinct
-// indexes and must not assume any execution order.
-func Map(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 const (
 	fnvOffset = 14695981039346656037

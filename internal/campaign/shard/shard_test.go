@@ -1,53 +1,6 @@
 package shard
 
-import (
-	"sync/atomic"
-	"testing"
-)
-
-func TestMapCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 8, 100} {
-		const n = 257
-		var hits [n]int32
-		Map(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestMapEmptyAndNegative(t *testing.T) {
-	called := false
-	Map(4, 0, func(int) { called = true })
-	Map(4, -3, func(int) { called = true })
-	if called {
-		t.Fatal("fn called for empty range")
-	}
-}
-
-// TestMapReductionIsWorkerCountIndependent exercises the package's
-// determinism contract: index-addressed results reduced in index order
-// are bit-identical for any worker count.
-func TestMapReductionIsWorkerCountIndependent(t *testing.T) {
-	const n = 1000
-	reduce := func(workers int) float64 {
-		vals := make([]float64, n)
-		Map(workers, n, func(i int) { vals[i] = 1.0 / float64(i+1) })
-		var sum float64
-		for _, v := range vals {
-			sum += v
-		}
-		return sum
-	}
-	want := reduce(1)
-	for _, workers := range []int{2, 7, 64} {
-		if got := reduce(workers); got != want {
-			t.Fatalf("workers=%d: sum %x, want %x", workers, got, want)
-		}
-	}
-}
+import "testing"
 
 func TestSeedForStability(t *testing.T) {
 	// Pinned values: the derivation is part of the journal-resume

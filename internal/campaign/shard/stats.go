@@ -17,13 +17,16 @@ type WorkerStats struct {
 	Busy   time.Duration
 }
 
-// MapStats is Map with per-worker occupancy accounting. Each worker owns
-// the stride {w, w+workers, w+2·workers, ...}; a worker that drains its
-// own stride scans the claim array for unclaimed indexes and steals them,
-// so a worker stuck on one long run (an overloaded config simulating for
-// minutes) cannot strand the rest of its stride while others sit idle.
+// MapStats runs fn(worker, i) for every i in [0, n) on a pool of at
+// most workers goroutines (workers <= 0 means GOMAXPROCS) and returns
+// when every call has completed, with per-worker occupancy accounting.
+// Each worker owns the stride {w, w+workers, w+2·workers, ...}; a
+// worker that drains its own stride scans the claim array for unclaimed
+// indexes and steals them, so a worker stuck on one long run (an
+// overloaded config simulating for minutes) cannot strand the rest of
+// its stride while others sit idle.
 // Every index is claimed exactly once through a CAS, fn receives
-// (worker, i), and the same determinism contract as Map applies: fn
+// (worker, i), and the package's determinism contract applies: fn
 // writes index-addressed slots, reductions happen in index order after
 // return, so results never depend on the worker count — only the
 // WorkerStats do.

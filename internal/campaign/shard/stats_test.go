@@ -9,7 +9,7 @@ import (
 // TestMapStatsCoversEveryIndexOnce: exactly-once execution regardless of
 // who claims an index, for a spread of worker counts.
 func TestMapStatsCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
+	for _, workers := range []int{0, 1, 2, 3, 7, 16, 200} {
 		const n = 103
 		var hits [n]atomic.Int32
 		stats := MapStats(workers, n, func(_, i int) { hits[i].Add(1) })
@@ -96,8 +96,8 @@ func TestMapStatsBusyTime(t *testing.T) {
 	}
 }
 
-// TestMapStatsReductionIsWorkerCountIndependent: same contract as Map —
-// index-addressed slots reduced in order give bit-identical results for
+// TestMapStatsReductionIsWorkerCountIndependent exercises the package's
+// determinism contract: index-addressed slots reduced in order give bit-identical results for
 // any worker count.
 func TestMapStatsReductionIsWorkerCountIndependent(t *testing.T) {
 	const n = 100

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -8,9 +10,9 @@ import (
 )
 
 // TestExecuteTelemetry runs a campaign with the full telemetry surface
-// armed — live registry, run log, self-metrics — and checks the three
-// views agree with the outcome and with each other, then resumes from
-// the journal and checks replays are logged as "resumed".
+// armed — live registry, self-metrics, a journal — and checks the
+// outcome, the registry and the reloaded journal agree with each other,
+// then resumes from the journal and checks the replay appends nothing.
 func TestExecuteTelemetry(t *testing.T) {
 	s := testSpec()
 	points, err := s.Points()
@@ -28,17 +30,7 @@ func TestExecuteTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rlPath := filepath.Join(dir, "runlog.jsonl")
-	rl, err := OpenRunLog(rlPath, s.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := executeSpec(t, s, Options{
-		Workers: 2, Journal: j, Live: live, RunLog: rl, SelfMetrics: true,
-	})
-	if err := rl.Close(); err != nil {
-		t.Fatal(err)
-	}
+	out := executeSpec(t, s, Options{Workers: 2, Journal: j, Live: live, SelfMetrics: true})
 	j.Close()
 
 	for i := range out.Records {
@@ -79,72 +71,106 @@ func TestExecuteTelemetry(t *testing.T) {
 		t.Errorf("no worker occupancy published")
 	}
 
-	// Run log replays to the same fleet totals as the journal.
-	name, entries, torn, err := ReadRunLog(rlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if torn != 0 {
-		t.Errorf("clean run log reports %d torn lines", torn)
-	}
-	if name != s.Name {
-		t.Errorf("run log names campaign %q, want %q", name, s.Name)
-	}
-	tot := SummarizeRunLog(entries)
-	if tot.Executed != len(points) || tot.Resumed != 0 || tot.Failed != 0 {
-		t.Errorf("run log totals: %+v", tot)
-	}
-	if tot.Events != out.Events {
-		t.Errorf("run log events %d, outcome %d", tot.Events, out.Events)
-	}
-	var reqs int64
-	for _, rec := range out.Records {
-		reqs += rec.Requests
-	}
-	if tot.Requests != reqs {
-		t.Errorf("run log requests %d, journal %d", tot.Requests, reqs)
-	}
-	for _, e := range entries {
-		if e.Engine.Events == 0 || e.Engine.WallNS <= 0 {
-			t.Errorf("%s: entry missing self-metrics: %+v", e.ID, e.Engine)
-		}
-		if e.Worker < 0 || e.Worker > 1 {
-			t.Errorf("%s: worker %d out of pool range", e.ID, e.Worker)
-		}
-	}
-
-	// Resume: everything replays; the fresh run log records it as such.
+	// The reloaded journal carries each run's worker and engine meter.
 	j2, err := OpenJournal(jpath, s.Name, s.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl2, err := OpenRunLog(rlPath, s.Name)
+	done := j2.Done()
+	if len(done) != len(points) {
+		t.Fatalf("journal holds %d records, want %d", len(done), len(points))
+	}
+	var events uint64
+	for id, rec := range done {
+		if rec.Worker < 0 || rec.Worker > 1 {
+			t.Errorf("%s: worker %d out of pool range", id, rec.Worker)
+		}
+		if rec.Engine == nil {
+			t.Errorf("%s: journaled record has no engine meter", id)
+		} else if rec.Engine.Events != rec.Events || rec.Engine.WallNS <= 0 {
+			t.Errorf("%s: engine meter %+v disagrees with %d events", id, *rec.Engine, rec.Events)
+		}
+		events += rec.Events
+	}
+	if events != out.Events {
+		t.Errorf("journal events %d, outcome %d", events, out.Events)
+	}
+
+	// Resume: everything replays and the journal gains nothing.
+	before, err := os.Stat(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live2 := obs.NewLive()
-	out2 := executeSpec(t, s, Options{Workers: 2, Journal: j2, Live: live2, RunLog: rl2})
-	if err := rl2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	out2 := executeSpec(t, s, Options{Workers: 2, Journal: j2, Live: live2})
 	j2.Close()
 	if out2.Executed != 0 || out2.Skipped != len(points) {
 		t.Fatalf("resume executed %d, skipped %d", out2.Executed, out2.Skipped)
 	}
-	if _, entries2, _, err := ReadRunLog(rlPath); err != nil {
+	if after, err := os.Stat(jpath); err != nil {
 		t.Fatal(err)
-	} else {
-		tot2 := SummarizeRunLog(entries2)
-		if tot2.Resumed != len(points) || tot2.Executed != 0 {
-			t.Errorf("resumed run log totals: %+v", tot2)
-		}
-		// Replays carry the journaled outcome, so fleet totals survive.
-		if tot2.Events != out.Events || tot2.Requests != reqs {
-			t.Errorf("resumed run log events/requests %d/%d, want %d/%d",
-				tot2.Events, tot2.Requests, out.Events, reqs)
-		}
+	} else if after.Size() != before.Size() {
+		t.Errorf("resume grew the journal from %d to %d bytes", before.Size(), after.Size())
 	}
 	if f2 := live2.Fleet(); f2.Resumed != len(points) || f2.Events != out.Events {
 		t.Errorf("resumed fleet status: %+v", f2)
+	}
+}
+
+// TestJournalOmitsEngineWithoutSelfMetrics: an unmetered campaign
+// journals no "engine" key, only the worker.
+func TestJournalOmitsEngineWithoutSelfMetrics(t *testing.T) {
+	s := testSpec()
+	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenJournal(jpath, s.Name, s.Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	executeSpec(t, s, Options{Workers: 2, Journal: j})
+	j.Close()
+	raw, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"engine"`)) {
+		t.Error(`unmetered journal carries an "engine" key`)
+	}
+	if got := bytes.Count(raw, []byte(`"worker":`)); got != 4 {
+		t.Errorf(`journal has %d "worker" keys, want one per record (4)`, got)
+	}
+}
+
+// TestJournalAppendFailureFinishesRun: a run whose journal append fails
+// is recorded as failed — in the outcome and the live registry — rather
+// than left "running" forever.
+func TestJournalAppendFailureFinishesRun(t *testing.T) {
+	s := testSpec()
+	points, err := s.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"), s.Name, s.Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close() // every Append now fails
+	live := obs.NewLive()
+	out, err := Execute(points, Options{Workers: 2, Journal: j, Live: live})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Executed != 0 {
+		t.Errorf("executed %d runs with an unwritable journal, want 0", out.Executed)
+	}
+	if got := len(out.Failed()); got != len(points) {
+		t.Errorf("%d failures, want %d", got, len(points))
+	}
+	if f := live.Fleet(); f.Failed != len(points) {
+		t.Errorf("fleet status: %+v", f)
+	}
+	for _, r := range live.Runs() {
+		if r.State == "running" {
+			t.Errorf("%s left running", r.ID)
+		}
 	}
 }

@@ -106,7 +106,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		seeds[run] = src.Uint64()
 	}
 	times := make([]float64, cfg.Runs)
-	shard.Map(cfg.Workers, cfg.Runs, func(run int) {
+	shard.MapStats(cfg.Workers, cfg.Runs, func(_, run int) {
 		times[run] = timeToDataLoss(rng.New(seeds[run]), disks, cfg.MTTFHours, cfg.MTTRHours)
 	})
 	var sum float64

@@ -80,25 +80,30 @@ func Parse(r io.Reader, what string, h Header, v any) error {
 }
 
 // checkHeader extracts the version field from the raw document and
-// compares it against the expected string.
+// compares it against the expected string. encoding/json matches keys
+// case-insensitively, so every key the decoder would store in the
+// header field ("spec", "SPEC", "Spec", ...) must carry the version.
 func checkHeader(raw []byte, what string, h Header) error {
 	var top map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &top); err != nil {
 		return fmt.Errorf("%s: %w", what, err)
 	}
-	fv, ok := top[h.field()]
-	if !ok {
-		if h.Required {
-			return fmt.Errorf("%s: missing version header: want %q: %q", what, h.field(), h.Want)
+	found := false
+	for k, fv := range top {
+		if !strings.EqualFold(k, h.field()) {
+			continue
 		}
-		return nil
+		found = true
+		var got string
+		if err := json.Unmarshal(fv, &got); err != nil {
+			return fmt.Errorf("%s: version header %q is not a string", what, k)
+		}
+		if got != h.Want {
+			return fmt.Errorf("%s: unsupported spec version %q (this reader understands %q)", what, got, h.Want)
+		}
 	}
-	var got string
-	if err := json.Unmarshal(fv, &got); err != nil {
-		return fmt.Errorf("%s: version header %q is not a string", what, h.field())
-	}
-	if got != h.Want {
-		return fmt.Errorf("%s: unsupported spec version %q (this reader understands %q)", what, got, h.Want)
+	if !found && h.Required {
+		return fmt.Errorf("%s: missing version header: want %q: %q", what, h.field(), h.Want)
 	}
 	return nil
 }

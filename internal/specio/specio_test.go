@@ -66,6 +66,11 @@ func TestHeaderValidation(t *testing.T) {
 		{"mismatch even optional", `{"spec":"other","name":"x"}`, Header{Want: "t/1"}, "unsupported spec version"},
 		{"non-string", `{"spec":3,"name":"x"}`, Header{Want: "t/1"}, "not a string"},
 		{"no check", `{"spec":"whatever","name":"x"}`, Header{}, ""},
+		// The decoder matches keys case-insensitively; so must the check.
+		{"case-folded match", `{"SPEC":"t/1","name":"x"}`, Header{Want: "t/1", Required: true}, ""},
+		{"case-folded mismatch", `{"Spec":"t/2","name":"x"}`, Header{Want: "t/1"}, "unsupported spec version"},
+		{"unicode-folded mismatch", `{"ſpec":"t/2","name":"x"}`, Header{Want: "t/1"}, "unsupported spec version"},
+		{"second spelling mismatch", `{"spec":"t/1","SPEC":"t/2","name":"x"}`, Header{Want: "t/1"}, "unsupported spec version"},
 	}
 	for _, c := range cases {
 		var v target
