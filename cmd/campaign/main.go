@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -115,13 +114,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
 	sec := outcome.Elapsed.Seconds()
 	fmt.Fprintf(os.Stderr, "%s: %d runs (%d executed, %d resumed) in %.1fs on %d workers",
-		spec.Name, len(points), outcome.Executed, outcome.Skipped, sec, w)
+		spec.Name, len(points), outcome.Executed, outcome.Skipped, sec, len(outcome.Workers))
 	if outcome.Executed > 0 && sec > 0 {
 		fmt.Fprintf(os.Stderr, " — %.1f runs/s, %.0f events/s", float64(outcome.Executed)/sec, float64(outcome.Events)/sec)
 	}
@@ -132,7 +127,7 @@ func main() {
 	if !*quiet {
 		// The fleet table goes to stderr with the rest of the timing:
 		// stdout is reserved for the deterministic result tables.
-		if ft := report.FleetTable("fleet execution", fleetStats(outcome, len(points))); ft != nil {
+		if ft := report.FleetTable("fleet execution", live.Fleet()); ft != nil {
 			if *selfMetrics {
 				ft.AddNote("engine: " + outcome.Engine.String())
 			}
@@ -214,27 +209,6 @@ func progressSuffix(f obs.FleetStatus, done, total int) string {
 		return ""
 	}
 	return " — " + strings.Join(parts, ", ")
-}
-
-// fleetStats translates a campaign outcome into the report layer's
-// fleet-summary shape (report stays ignorant of the campaign package's
-// types; this is the one place the two vocabularies meet).
-func fleetStats(o *campaign.Outcome, runs int) report.FleetStats {
-	f := report.FleetStats{
-		Runs:     runs,
-		Executed: o.Executed,
-		Resumed:  o.Skipped,
-		Failed:   len(o.Failed()),
-		Events:   o.Events,
-		WallNS:   o.Elapsed.Nanoseconds(),
-	}
-	for _, w := range o.Workers {
-		f.BusyNS += int64(w.Busy)
-		f.Workers = append(f.Workers, report.WorkerRow{
-			Worker: w.Worker, Tasks: w.Tasks, Steals: w.Steals, BusyNS: int64(w.Busy),
-		})
-	}
-	return f
 }
 
 // render writes the per-group summary table.

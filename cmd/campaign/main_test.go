@@ -16,11 +16,9 @@ func TestProgressSuffixAllReplay(t *testing.T) {
 		Total:   4,
 		Resumed: 4,
 		// The replay pass folded a million recorded events into the
-		// wall-clock rate over a 2 ms replay: the absurd figure the
-		// suffix must not print.
-		Events:       1_000_000,
-		EventsPerSec: 5e8,
-		ElapsedSec:   0.002,
+		// journal-inclusive total; over a 2 ms replay they would read
+		// 5e8 ev/s, the absurd figure the suffix must not print.
+		Events: 1_000_000,
 	}
 	if s := progressSuffix(f, 4, 4); s != "" {
 		t.Errorf("all-replay resume printed %q, want no suffix", s)
@@ -29,19 +27,15 @@ func TestProgressSuffixAllReplay(t *testing.T) {
 
 // TestProgressSuffixOneFreshRun: a mostly-replayed resume with one fresh
 // run finished. The ETA must extrapolate from the fresh execution clock
-// (0.5 s/run), not the campaign clock that has been running since before
-// the replay pass — and the ev/s figure must come from fresh events
+// (0.5 s/run), not a clock that started before the replay pass — and the ev/s figure must come from fresh events
 // only, not the journal's replayed totals.
 func TestProgressSuffixOneFreshRun(t *testing.T) {
 	f := obs.FleetStatus{
 		Total:    8,
 		Finished: 1,
 		Resumed:  3,
-		// Campaign-clock view (poisoned by replays + startup): 60 s
-		// elapsed, 1.2 M mostly-replayed events.
-		Events:       1_200_000,
-		EventsPerSec: 20_000,
-		ElapsedSec:   60,
+		// 1.2 M mostly-replayed events: not a basis for any rate.
+		Events: 1_200_000,
 		// Fresh-execution view: one run, 50 k events, half a second.
 		FreshEvents:       50_000,
 		FreshEventsPerSec: 100_000,
@@ -68,7 +62,7 @@ func TestProgressSuffixOneFreshRun(t *testing.T) {
 // TestProgressSuffixNoFreshClock: a finished count without an execution
 // clock (pathological registry state) must not divide by zero.
 func TestProgressSuffixNoFreshClock(t *testing.T) {
-	f := obs.FleetStatus{Total: 4, Finished: 1, ElapsedSec: 3}
+	f := obs.FleetStatus{Total: 4, Finished: 1, Events: 700}
 	if s := progressSuffix(f, 1, 4); s != "" {
 		t.Errorf("zero ExecElapsedSec printed %q, want no suffix", s)
 	}

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"raidsim/internal/array"
@@ -47,7 +46,7 @@ func main() {
 		obsCSV   = flag.String("obs-csv", "", "write the windowed time series to this CSV file")
 		obsJSONL = flag.String("obs-jsonl", "", "write the retained observability events to this JSONL file")
 
-		traceSpans = flag.String("trace-spans", "", "export retained span trees to this file (.csv = flat CSV, otherwise Chrome trace-event JSON for Perfetto)")
+		traceSpans = flag.String("trace-spans", "", "export retained span trees to this file as Chrome trace-event JSON for Perfetto")
 		httpAddr   = flag.String("http", "", "serve live /metrics (Prometheus text) and /debug/pprof on this address during the run (e.g. :8080)")
 		httpHold   = flag.Duration("http-hold", 0, "keep the -http server (and process) alive this long after the run completes")
 	)
@@ -135,8 +134,7 @@ func main() {
 
 // printSpans renders the tail-anatomy table and exports the retained span
 // trees (tail requests plus background activity) as Chrome trace-event
-// JSON — loadable in Perfetto / chrome://tracing — or flat CSV when the
-// path ends in .csv.
+// JSON, loadable in Perfetto / chrome://tracing.
 func printSpans(res *core.Results, path string) {
 	if len(res.TailSpans) == 0 && len(res.BgSpans) == 0 {
 		return
@@ -152,12 +150,7 @@ func printSpans(res *core.Results, path string) {
 	if err != nil {
 		fatal(err)
 	}
-	if strings.HasSuffix(path, ".csv") {
-		err = obs.WriteSpansCSV(f, samples)
-	} else {
-		err = obs.WriteSpansChrome(f, samples)
-	}
-	if err != nil {
+	if err := obs.WriteSpansChrome(f, samples); err != nil {
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {

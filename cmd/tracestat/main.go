@@ -26,13 +26,13 @@ func main() {
 		perDisk  = flag.Bool("per-disk", false, "print the per-disk access histogram")
 		analyze  = flag.Bool("analyze", false, "print arrival/locality/spatial analysis")
 		hitCurve = flag.Bool("hit-curve", false, "print the predicted hit-ratio curve from stack distances")
-		spans    = flag.Bool("spans", false, "analyze a span export from raidsim -trace-spans (Chrome JSON, or CSV by .csv suffix)")
+		spans    = flag.Bool("spans", false, "analyze a span export from raidsim -trace-spans (Chrome trace-event JSON)")
 	)
 	flag.Parse()
 
 	if *spans {
 		if flag.NArg() != 1 {
-			fatal(fmt.Errorf("usage: tracestat -spans <spans.json|spans.csv>"))
+			fatal(fmt.Errorf("usage: tracestat -spans <spans.json>"))
 		}
 		runSpans(flag.Arg(0))
 		return

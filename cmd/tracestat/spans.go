@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"raidsim/internal/obs"
 )
 
-// spanRec is one span flattened out of either export format.
+// spanRec is one span flattened out of the Chrome trace-event export.
 type spanRec struct {
 	name   string
 	parent string // parent span's name; "" for roots
@@ -21,15 +19,9 @@ type spanRec struct {
 }
 
 // runSpans analyzes a span export written by raidsim -trace-spans:
-// Chrome trace-event JSON, or the flat CSV when the path ends in .csv.
+// Chrome trace-event JSON.
 func runSpans(path string) {
-	var recs []spanRec
-	var err error
-	if strings.HasSuffix(path, ".csv") {
-		recs, err = loadSpansCSV(path)
-	} else {
-		recs, err = loadSpansChrome(path)
-	}
+	recs, err := loadSpansChrome(path)
 	if err != nil {
 		fatal(err)
 	}
@@ -120,67 +112,6 @@ func loadSpansChrome(path string) ([]spanRec, error) {
 			}
 		}
 		recs = append(recs, r)
-	}
-	return recs, nil
-}
-
-func loadSpansCSV(path string) ([]spanRec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) > 0 && strings.HasPrefix(lines[0], "# schema ") {
-		if s := strings.TrimPrefix(lines[0], "# schema "); s != obs.SpanSchemaVersion {
-			return nil, fmt.Errorf("%s: schema %q, this tool reads %q", path, s, obs.SpanSchemaVersion)
-		}
-		lines = lines[1:]
-	}
-	if len(lines) > 0 && strings.HasPrefix(lines[0], "array,") {
-		lines = lines[1:]
-	}
-	// Columns: array,tree,background,class,span,parent,name,disk,blocks,start_ms,dur_ms
-	type key struct {
-		array, tree, span int
-	}
-	names := map[key]string{}
-	type row struct {
-		k      key
-		parent int
-		name   string
-		class  string
-		durMS  float64
-	}
-	var rows []row
-	for i, ln := range lines {
-		f := strings.Split(ln, ",")
-		if len(f) != 11 {
-			return nil, fmt.Errorf("%s line %d: %d fields, want 11", path, i+2, len(f))
-		}
-		arr, _ := strconv.Atoi(f[0])
-		tree, _ := strconv.Atoi(f[1])
-		span, _ := strconv.Atoi(f[4])
-		parent, err := strconv.Atoi(f[5])
-		if err != nil {
-			return nil, fmt.Errorf("%s line %d: bad parent %q", path, i+2, f[5])
-		}
-		dur, err := strconv.ParseFloat(f[10], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s line %d: bad dur_ms %q", path, i+2, f[10])
-		}
-		k := key{arr, tree, span}
-		names[k] = f[6]
-		rows = append(rows, row{k: k, parent: parent, name: f[6], class: f[3], durMS: dur})
-	}
-	recs := make([]spanRec, 0, len(rows))
-	for _, r := range rows {
-		rec := spanRec{name: r.name, class: r.class, durMS: r.durMS}
-		if r.parent < 0 {
-			rec.root = true
-		} else {
-			rec.parent = names[key{r.k.array, r.k.tree, r.parent}]
-		}
-		recs = append(recs, rec)
 	}
 	return recs, nil
 }

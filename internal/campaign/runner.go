@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -36,10 +35,9 @@ type Options struct {
 	Context context.Context
 
 	// Live, when set, receives fleet telemetry as the campaign runs:
-	// SetFleet on entry, RunStarted/RunFinished per point, worker
-	// occupancy as completions land, so an HTTP introspection server
-	// sees the campaign in flight. Pure observation — the registry never
-	// feeds back into execution.
+	// SetFleet on entry, RunStarted/RunFinished per point, so an HTTP
+	// introspection server sees the campaign in flight. Pure
+	// observation — the registry never feeds back into execution.
 	Live *obs.Live
 	// SelfMetrics arms per-run engine metering (core.Config.SelfMetrics)
 	// so Live, each executed RunRecord's Engine field, and
@@ -140,20 +138,6 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 		st.Err = msg
 		opts.Live.RunFinished(st)
 	}
-	// workerTasks tracks completions per worker for the live registry;
-	// the pool's own stats (steals, busy time) replace it when the pool
-	// returns. Sized the way shard.MapStats sizes its pool.
-	var workerTasks []int
-	if len(pending) > 0 {
-		n := opts.Workers
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		if n > len(pending) {
-			n = len(pending)
-		}
-		workerTasks = make([]int, n)
-	}
 	stats := shard.MapStats(opts.Workers, len(pending), func(worker, pi int) {
 		i := pending[pi]
 		p := points[i]
@@ -193,11 +177,9 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 		out.Events += res.Events
 		out.Engine.Add(res.Engine)
 		finished++
-		opts.Live.RunFinished(runStatusDone(p, rec))
-		if workerTasks != nil {
-			workerTasks[worker]++
-			opts.Live.PublishWorkers(liveWorkers(workerTasks))
-		}
+		st := runStatus(p, rec, "done")
+		st.Worker = worker
+		opts.Live.RunFinished(st)
 		if opts.OnResult != nil {
 			opts.OnResult(i, p, res)
 		}
@@ -207,7 +189,6 @@ func Execute(points []Point, opts Options) (*Outcome, error) {
 	})
 	out.Elapsed = time.Since(start)
 	out.Workers = stats
-	opts.Live.PublishWorkers(shardWorkers(stats))
 	return out, nil
 }
 
@@ -224,36 +205,4 @@ func runStatus(p Point, rec RunRecord, state string) obs.RunStatus {
 		Requests: rec.Requests,
 		MeanMS:   rec.Resp.Mean,
 	}
-}
-
-// runStatusDone is runStatus for a freshly executed run: it names the
-// worker and, under SelfMetrics, the engine's own event rate.
-func runStatusDone(p Point, rec RunRecord) obs.RunStatus {
-	st := runStatus(p, rec, "done")
-	st.Worker = rec.Worker
-	if rec.Engine != nil && rec.Engine.WallNS > 0 {
-		st.EventsPerSec = rec.Engine.EventsPerSec()
-	}
-	return st
-}
-
-// liveWorkers renders the in-flight task counters for the registry.
-func liveWorkers(tasks []int) []obs.WorkerStatus {
-	out := make([]obs.WorkerStatus, len(tasks))
-	for w, n := range tasks {
-		out[w] = obs.WorkerStatus{Worker: w, Tasks: n}
-	}
-	return out
-}
-
-// shardWorkers converts the pool's final per-worker stats.
-func shardWorkers(stats []shard.WorkerStats) []obs.WorkerStatus {
-	if len(stats) == 0 {
-		return nil
-	}
-	out := make([]obs.WorkerStatus, len(stats))
-	for i, st := range stats {
-		out[i] = obs.WorkerStatus{Worker: st.Worker, Tasks: st.Tasks, Steals: st.Steals, BusyNS: int64(st.Busy)}
-	}
-	return out
 }

@@ -1,10 +1,11 @@
 // Package shard provides the deterministic sharding primitives every
-// campaign-style sweep in the repository shares: a bounded, work-stealing
+// parallel loop in the repository shares: a bounded, work-stealing
 // worker pool that maps a function over an index range (MapStats), and a
 // stable per-run seed derivation (SeedFor). The package is
-// dependency-free so that a low-level layer — the Monte-Carlo MTTDL
-// campaign in internal/fault — can use the same pool as the top-level
-// internal/campaign runner without import cycles.
+// dependency-free so that low-level layers can use the same pool as the
+// top-level internal/campaign runner without import cycles: the per-run
+// array executor in internal/core and the Monte-Carlo MTTDL campaign in
+// internal/fault both run on MapStats.
 //
 // Determinism contract: MapStats gives no ordering guarantees between
 // invocations of fn, so fn must write its result into an index-addressed
@@ -12,6 +13,11 @@
 // performs it in index order after MapStats returns. That keeps
 // floating-point accumulation order — and therefore every output bit —
 // independent of the worker count.
+//
+// The pool is spawned even for one worker. Running the tasks inline on
+// the caller's goroutine instead measured slower, with a larger peak
+// RSS, on the fleet campaign benchmark, where most runs are a single
+// array executed by core on a campaign worker's goroutine.
 package shard
 
 const (

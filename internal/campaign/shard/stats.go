@@ -17,9 +17,18 @@ type WorkerStats struct {
 	Busy   time.Duration
 }
 
-// MapStats runs fn(worker, i) for every i in [0, n) on a pool of at
-// most workers goroutines (workers <= 0 means GOMAXPROCS) and returns
-// when every call has completed, with per-worker occupancy accounting.
+// Workers returns the width of the pool MapStats runs n tasks on:
+// workers, or GOMAXPROCS when workers <= 0, and never more than n.
+func Workers(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
+}
+
+// MapStats runs fn(worker, i) for every i in [0, n) on a pool of
+// Workers(workers, n) goroutines and returns when every call has
+// completed, with per-worker occupancy accounting.
 // Each worker owns the stride {w, w+workers, w+2·workers, ...}; a
 // worker that drains its own stride scans the claim array for unclaimed
 // indexes and steals them, so a worker stuck on one long run (an
@@ -34,21 +43,8 @@ func MapStats(workers, n int, fn func(worker, i int)) []WorkerStats {
 	if n <= 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = Workers(workers, n)
 	stats := make([]WorkerStats, workers)
-	if workers == 1 {
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		stats[0] = WorkerStats{Worker: 0, Tasks: n, Busy: time.Since(t0)}
-		return stats
-	}
 	claimed := make([]atomic.Bool, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"raidsim/internal/obs"
@@ -70,6 +71,14 @@ func TestExecuteTelemetry(t *testing.T) {
 	if len(f.Workers) == 0 {
 		t.Errorf("no worker occupancy published")
 	}
+	var busyNS int64
+	for _, w := range f.Workers {
+		busyNS += w.BusyNS
+	}
+	if float64(busyNS)/1e9 > float64(len(f.Workers))*f.ExecElapsedSec {
+		t.Errorf("workers busy %d ns in total, more than %d workers × %gs of execution",
+			busyNS, len(f.Workers), f.ExecElapsedSec)
+	}
 
 	// The reloaded journal carries each run's worker and engine meter.
 	j2, err := OpenJournal(jpath, s.Name, s.Hash())
@@ -81,6 +90,7 @@ func TestExecuteTelemetry(t *testing.T) {
 		t.Fatalf("journal holds %d records, want %d", len(done), len(points))
 	}
 	var events uint64
+	journalBusy := map[int]int64{}
 	for id, rec := range done {
 		if rec.Worker < 0 || rec.Worker > 1 {
 			t.Errorf("%s: worker %d out of pool range", id, rec.Worker)
@@ -91,6 +101,17 @@ func TestExecuteTelemetry(t *testing.T) {
 			t.Errorf("%s: engine meter %+v disagrees with %d events", id, *rec.Engine, rec.Events)
 		}
 		events += rec.Events
+		journalBusy[rec.Worker] += int64(rec.ElapsedMS * 1e6)
+	}
+	// The registry's ledger and the journal describe the same runs.
+	liveBusy := map[int]int64{}
+	for _, ws := range f.Workers {
+		if ws.Tasks > 0 {
+			liveBusy[ws.Worker] = ws.BusyNS
+		}
+	}
+	if !reflect.DeepEqual(liveBusy, journalBusy) {
+		t.Errorf("per-worker busy ns: registry %v, journal records %v", liveBusy, journalBusy)
 	}
 	if events != out.Events {
 		t.Errorf("journal events %d, outcome %d", events, out.Events)
@@ -112,7 +133,8 @@ func TestExecuteTelemetry(t *testing.T) {
 	} else if after.Size() != before.Size() {
 		t.Errorf("resume grew the journal from %d to %d bytes", before.Size(), after.Size())
 	}
-	if f2 := live2.Fleet(); f2.Resumed != len(points) || f2.Events != out.Events {
+	if f2 := live2.Fleet(); f2.Resumed != len(points) || f2.Events != out.Events ||
+		len(f2.Workers) != 0 || f2.FreshEventsPerSec != 0 {
 		t.Errorf("resumed fleet status: %+v", f2)
 	}
 }

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"raidsim/internal/array"
+	"raidsim/internal/campaign/shard"
 	"raidsim/internal/obs"
 	"raidsim/internal/sim"
 	"raidsim/internal/trace"
@@ -21,10 +19,11 @@ type driveFunc func(eng *sim.Engine, ctrl array.Controller, sub *trace.Trace) (s
 
 // execute is the one way core simulates a system. It validates cfg
 // against tr, splits the trace into per-array sub-traces, and runs the
-// arrays on a pool of min(Workers, arrays) goroutines. Each worker owns
-// one engine for the whole run, claims array indices from a shared
-// counter, builds array g's controller on its engine, lets drive replay
-// the sub-trace, and Resets the engine before claiming the next array.
+// arrays on shard.MapStats with min(Workers, arrays) workers. Each worker
+// creates one engine the first time it claims an array and keeps it for
+// the whole run: it builds array g's controller on that engine, lets
+// drive replay the sub-trace, and Resets the engine before its next
+// array.
 // Every output lands in a slot addressed by g and is folded in index
 // order afterwards, so results are bit-identical at any worker count:
 // arrays share nothing but the workload, every per-array seed is a pure
@@ -87,35 +86,14 @@ func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) 
 		}
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	// The pool is spawned even for one worker. Running the arrays inline
-	// on the caller's goroutine instead measured slower and with a larger
-	// peak RSS on the fleet campaign, where most runs are one array
-	// executed on a campaign worker's goroutine.
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := sim.New()
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= n {
-					return
-				}
-				runArray(eng, g)
-				eng.Reset()
-			}
-		}()
-	}
-	wg.Wait()
+	engines := make([]*sim.Engine, shard.Workers(cfg.Workers, n))
+	shard.MapStats(cfg.Workers, n, func(w, g int) {
+		if engines[w] == nil {
+			engines[w] = sim.New()
+		}
+		runArray(engines[w], g)
+		engines[w].Reset()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err

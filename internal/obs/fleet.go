@@ -28,13 +28,12 @@ type RunStatus struct {
 	MeanMS       float64 `json:"mean_ms"`
 }
 
-// WorkerStatus is one pool worker's occupancy as reported by the shard
-// pool: tasks it completed, how many of those it stole from another
-// worker's stride, and host time spent inside run functions.
+// WorkerStatus is one pool worker's share of a campaign's fresh runs:
+// how many it finished and their summed host wall time (each run's
+// WallMS).
 type WorkerStatus struct {
 	Worker int   `json:"worker"`
 	Tasks  int   `json:"tasks"`
-	Steals int   `json:"steals"`
 	BusyNS int64 `json:"busy_ns"`
 }
 
@@ -54,7 +53,8 @@ type groupAgg struct {
 }
 
 // FleetStatus is the aggregate view of a campaign in flight: progress
-// counters, engine throughput, and worker occupancy.
+// counters, engine throughput, and worker occupancy. Every figure is
+// derived from the RunStarted/RunFinished stream.
 type FleetStatus struct {
 	Total    int `json:"total"`
 	Running  int `json:"running"`
@@ -62,13 +62,8 @@ type FleetStatus struct {
 	Failed   int `json:"failed"`
 	Resumed  int `json:"resumed"` // journal replays
 
-	// Events sums engine events over finished runs; EventsPerSec divides
-	// by elapsed wall time since SetFleet. EngineBusyNS sums per-run wall
-	// time (engine-busy, exceeds elapsed when workers overlap).
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-	EngineBusyNS int64   `json:"engine_busy_ns"`
+	// Events sums engine events over done and resumed runs.
+	Events uint64 `json:"events"`
 
 	// FreshEvents counts only events from freshly executed runs (journal
 	// replays fold their recorded events into Events without simulating
@@ -81,6 +76,8 @@ type FleetStatus struct {
 	FreshEventsPerSec float64 `json:"fresh_events_per_sec"`
 	ExecElapsedSec    float64 `json:"exec_elapsed_sec"`
 
+	// Workers[w] sums the done runs worker w finished; resumed and
+	// failed runs add nothing, so a replay-only pass leaves it empty.
 	Workers []WorkerStatus   `json:"workers,omitempty"`
 	Groups  []GroupAggregate `json:"groups,omitempty"`
 }
@@ -105,20 +102,18 @@ func freshRate(events uint64, elapsedSec float64) float64 {
 func (f FleetStatus) Done() int { return f.Finished + f.Failed + f.Resumed }
 
 // SetFleet arms the fleet section of the registry for a campaign of
-// total runs, resetting any previous campaign's state and starting the
-// elapsed/throughput clock.
+// total runs, resetting any previous campaign's state.
 func (l *Live) SetFleet(total int) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	l.fleetTotal = total
-	l.fleetStart = time.Now()
 	l.execStart = time.Time{}
 	l.runs = make(map[string]RunStatus, total)
 	l.workers = nil
-	l.started, l.finished, l.failed, l.resumed = 0, 0, 0, 0
-	l.events, l.freshEvents, l.busyNS = 0, 0, 0
+	l.running, l.finished, l.failed, l.resumed = 0, 0, 0, 0
+	l.events, l.freshEvents = 0, 0
 	l.groups = map[string]*groupAgg{}
 	l.mu.Unlock()
 }
@@ -133,7 +128,9 @@ func (l *Live) RunStarted(id, group string, seed uint64, worker int) {
 	if l.execStart.IsZero() {
 		l.execStart = time.Now()
 	}
-	l.started++
+	if l.runs[id].State != "running" {
+		l.running++
+	}
 	l.runs[id] = RunStatus{ID: id, Group: group, Seed: seed, Worker: worker, State: "running"}
 	l.mu.Unlock()
 }
@@ -141,20 +138,31 @@ func (l *Live) RunStarted(id, group string, seed uint64, worker int) {
 // RunFinished records a run's terminal status. st.State selects the
 // counter: "done" (fresh execution), "resumed" (journal replay), and
 // anything else counts as failed. Done and resumed runs fold into the
-// fleet's event totals and their group's response aggregate.
+// fleet's event totals and their group's response aggregate; a done run
+// also adds one task and its WallMS to its worker's ledger. The run's
+// EventsPerSec is set to Events / WallMS.
 func (l *Live) RunFinished(st RunStatus) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	l.ensureFleet()
-	if st.WallMS > 0 && st.EventsPerSec == 0 {
+	st.EventsPerSec = 0
+	if st.WallMS > 0 {
 		st.EventsPerSec = float64(st.Events) / (st.WallMS / 1e3)
+	}
+	if l.runs[st.ID].State == "running" {
+		l.running--
 	}
 	l.runs[st.ID] = st
 	switch st.State {
 	case "done":
 		l.finished++
+		for len(l.workers) <= st.Worker {
+			l.workers = append(l.workers, WorkerStatus{Worker: len(l.workers)})
+		}
+		l.workers[st.Worker].Tasks++
+		l.workers[st.Worker].BusyNS += int64(st.WallMS * 1e6)
 	case "resumed":
 		l.resumed++
 	default:
@@ -165,7 +173,6 @@ func (l *Live) RunFinished(st RunStatus) {
 		if st.State == "done" {
 			l.freshEvents += st.Events
 		}
-		l.busyNS += int64(st.WallMS * 1e6)
 		g := l.groups[st.Group]
 		if g == nil {
 			g = &groupAgg{}
@@ -178,16 +185,6 @@ func (l *Live) RunFinished(st RunStatus) {
 	l.mu.Unlock()
 }
 
-// PublishWorkers replaces the per-worker occupancy snapshot.
-func (l *Live) PublishWorkers(ws []WorkerStatus) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.workers = append(l.workers[:0], ws...)
-	l.mu.Unlock()
-}
-
 // ensureFleet lazily initializes fleet maps for callers that publish
 // runs without SetFleet (total then stays 0 = unknown). Callers hold mu.
 func (l *Live) ensureFleet() {
@@ -196,9 +193,6 @@ func (l *Live) ensureFleet() {
 	}
 	if l.groups == nil {
 		l.groups = map[string]*groupAgg{}
-	}
-	if l.fleetStart.IsZero() {
-		l.fleetStart = time.Now()
 	}
 }
 
@@ -224,24 +218,14 @@ func (l *Live) Fleet() FleetStatus {
 	}
 	l.mu.Lock()
 	f := FleetStatus{
-		Total:        l.fleetTotal,
-		Running:      l.started - l.finished - l.failed,
-		Finished:     l.finished,
-		Failed:       l.failed,
-		Resumed:      l.resumed,
-		Events:       l.events,
-		FreshEvents:  l.freshEvents,
-		EngineBusyNS: l.busyNS,
-		Workers:      append([]WorkerStatus(nil), l.workers...),
-	}
-	if f.Running < 0 {
-		f.Running = 0
-	}
-	if !l.fleetStart.IsZero() {
-		f.ElapsedSec = time.Since(l.fleetStart).Seconds()
-	}
-	if f.ElapsedSec > 0 {
-		f.EventsPerSec = float64(f.Events) / f.ElapsedSec
+		Total:       l.fleetTotal,
+		Running:     l.running,
+		Finished:    l.finished,
+		Failed:      l.failed,
+		Resumed:     l.resumed,
+		Events:      l.events,
+		FreshEvents: l.freshEvents,
+		Workers:     append([]WorkerStatus(nil), l.workers...),
 	}
 	if !l.execStart.IsZero() {
 		f.ExecElapsedSec = time.Since(l.execStart).Seconds()
@@ -256,7 +240,6 @@ func (l *Live) Fleet() FleetStatus {
 	}
 	l.mu.Unlock()
 	sort.Slice(f.Groups, func(i, j int) bool { return f.Groups[i].Group < f.Groups[j].Group })
-	sort.Slice(f.Workers, func(i, j int) bool { return f.Workers[i].Worker < f.Workers[j].Worker })
 	return f
 }
 
@@ -280,20 +263,14 @@ func (l *Live) writeFleetMetrics(w io.Writer) {
 	fmt.Fprintf(w, "raidsim_fleet_runs_planned %d\n", f.Total)
 	fmt.Fprintf(w, "# HELP raidsim_fleet_events_total Engine events summed over completed runs.\n# TYPE raidsim_fleet_events_total counter\n")
 	fmt.Fprintf(w, "raidsim_fleet_events_total %d\n", f.Events)
-	fmt.Fprintf(w, "# HELP raidsim_fleet_events_per_sec Aggregate engine events per wall-clock second.\n# TYPE raidsim_fleet_events_per_sec gauge\n")
-	fmt.Fprintf(w, "raidsim_fleet_events_per_sec %g\n", f.EventsPerSec)
-	fmt.Fprintf(w, "# HELP raidsim_fleet_engine_busy_seconds Summed per-run engine wall time.\n# TYPE raidsim_fleet_engine_busy_seconds counter\n")
-	fmt.Fprintf(w, "raidsim_fleet_engine_busy_seconds %g\n", float64(f.EngineBusyNS)/1e9)
+	fmt.Fprintf(w, "# HELP raidsim_fleet_events_per_sec Engine events of fresh runs per wall-clock second since the first fresh run started.\n# TYPE raidsim_fleet_events_per_sec gauge\n")
+	fmt.Fprintf(w, "raidsim_fleet_events_per_sec %g\n", f.FreshEventsPerSec)
 	if len(f.Workers) > 0 {
-		fmt.Fprintf(w, "# HELP raidsim_fleet_worker_tasks_total Runs completed per pool worker.\n# TYPE raidsim_fleet_worker_tasks_total counter\n")
+		fmt.Fprintf(w, "# HELP raidsim_fleet_worker_tasks_total Fresh runs completed per pool worker.\n# TYPE raidsim_fleet_worker_tasks_total counter\n")
 		for _, ws := range f.Workers {
 			fmt.Fprintf(w, "raidsim_fleet_worker_tasks_total{worker=\"%d\"} %d\n", ws.Worker, ws.Tasks)
 		}
-		fmt.Fprintf(w, "# HELP raidsim_fleet_worker_steals_total Runs stolen from another worker's stride.\n# TYPE raidsim_fleet_worker_steals_total counter\n")
-		for _, ws := range f.Workers {
-			fmt.Fprintf(w, "raidsim_fleet_worker_steals_total{worker=\"%d\"} %d\n", ws.Worker, ws.Steals)
-		}
-		fmt.Fprintf(w, "# HELP raidsim_fleet_worker_busy_seconds Host time per worker spent inside run functions.\n# TYPE raidsim_fleet_worker_busy_seconds counter\n")
+		fmt.Fprintf(w, "# HELP raidsim_fleet_worker_busy_seconds Host wall time of the fresh runs this worker finished.\n# TYPE raidsim_fleet_worker_busy_seconds counter\n")
 		for _, ws := range f.Workers {
 			fmt.Fprintf(w, "raidsim_fleet_worker_busy_seconds{worker=\"%d\"} %g\n", ws.Worker, float64(ws.BusyNS)/1e9)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,12 +17,14 @@ func TestFleetLifecycle(t *testing.T) {
 	l.SetFleet(4)
 	l.RunStarted("a", "g1", 1, 0)
 	l.RunStarted("b", "g1", 2, 1)
-	l.RunFinished(RunStatus{ID: "a", Group: "g1", State: "done", WallMS: 10, Events: 1000, Requests: 100, MeanMS: 2})
-	l.RunFinished(RunStatus{ID: "b", Group: "g1", State: "done", WallMS: 10, Events: 3000, Requests: 300, MeanMS: 4})
-	l.RunFinished(RunStatus{ID: "c", Group: "g2", State: "resumed", Events: 500, Requests: 50, MeanMS: 1})
+	if f := l.Fleet(); f.Running != 2 {
+		t.Errorf("running %d, want 2", f.Running)
+	}
+	l.RunFinished(RunStatus{ID: "a", Group: "g1", Worker: 0, State: "done", WallMS: 10, Events: 1000, Requests: 100, MeanMS: 2})
+	l.RunFinished(RunStatus{ID: "b", Group: "g1", Worker: 1, State: "done", WallMS: 10, Events: 3000, Requests: 300, MeanMS: 4})
+	l.RunFinished(RunStatus{ID: "c", Group: "g2", State: "resumed", WallMS: 7, Events: 500, Requests: 50, MeanMS: 1})
 	l.RunStarted("d", "g2", 4, 0)
 	l.RunFinished(RunStatus{ID: "d", Group: "g2", State: "failed", Err: "boom"})
-	l.PublishWorkers([]WorkerStatus{{Worker: 1, Tasks: 1, Steals: 1, BusyNS: 5e6}, {Worker: 0, Tasks: 2, BusyNS: 1e7}})
 
 	f := l.Fleet()
 	if f.Total != 4 || f.Finished != 2 || f.Failed != 1 || f.Resumed != 1 || f.Running != 0 {
@@ -33,11 +36,11 @@ func TestFleetLifecycle(t *testing.T) {
 	if f.Events != 4500 {
 		t.Errorf("events %d, want 4500 (failed runs excluded)", f.Events)
 	}
-	if f.EngineBusyNS != 2e7 {
-		t.Errorf("busy %d ns, want 2e7", f.EngineBusyNS)
-	}
-	if len(f.Workers) != 2 || f.Workers[0].Worker != 0 || f.Workers[1].Steals != 1 {
-		t.Errorf("workers: %+v", f.Workers)
+	// The ledger holds the two done runs only: the resumed run's
+	// recorded wall time and the failed run add nothing.
+	want := []WorkerStatus{{Worker: 0, Tasks: 1, BusyNS: 1e7}, {Worker: 1, Tasks: 1, BusyNS: 1e7}}
+	if !reflect.DeepEqual(f.Workers, want) {
+		t.Errorf("workers %+v, want %+v", f.Workers, want)
 	}
 	if len(f.Groups) != 2 || f.Groups[0].Group != "g1" {
 		t.Fatalf("groups: %+v", f.Groups)
@@ -59,9 +62,78 @@ func TestFleetLifecycle(t *testing.T) {
 	if runs[3].State != "failed" || runs[3].Err != "boom" {
 		t.Errorf("failed run status: %+v", runs[3])
 	}
-	// Finished runs derive events/sec from wall time.
+	// Finished runs derive events/sec from wall time, overriding any
+	// rate the caller supplied.
 	if runs[0].EventsPerSec != 1000/(10e-3) {
 		t.Errorf("run a events/sec = %g, want 1e5", runs[0].EventsPerSec)
+	}
+	l.RunFinished(RunStatus{ID: "a", Group: "g1", State: "done", WallMS: 10, Events: 1000, EventsPerSec: 42})
+	if got := l.Runs()[0].EventsPerSec; got != 1e5 {
+		t.Errorf("supplied rate kept: run a events/sec = %g, want 1e5", got)
+	}
+}
+
+// TestFleetRunningFailBeforeStart: a run that fails before it starts (a
+// canceled context) finishes without a RunStarted. It must not hide
+// another run that is still executing.
+func TestFleetRunningFailBeforeStart(t *testing.T) {
+	l := NewLive()
+	l.SetFleet(3)
+	l.RunStarted("a", "g", 1, 0)
+	l.RunFinished(RunStatus{ID: "b", Group: "g", State: "failed", Err: "canceled"})
+	if f := l.Fleet(); f.Running != 1 || f.Failed != 1 {
+		t.Errorf("running %d failed %d, want 1 and 1 (a still runs)", f.Running, f.Failed)
+	}
+	l.RunStarted("a", "g", 1, 0) // a repeated start is still one run
+	l.RunFinished(RunStatus{ID: "a", Group: "g", State: "done", WallMS: 1})
+	if f := l.Fleet(); f.Running != 0 {
+		t.Errorf("running %d after a finished, want 0", f.Running)
+	}
+}
+
+// TestFleetWorkerLedger: per-worker tasks and busy time come from done
+// runs alone, and a replay-only pass reports no workers and no fresh
+// rate, in Fleet and in /metrics.
+func TestFleetWorkerLedger(t *testing.T) {
+	l := NewLive()
+	l.SetFleet(4)
+	for i, r := range []struct {
+		worker int
+		wallMS float64
+	}{{0, 1.5}, {1, 2.25}, {0, 3}, {1, 0.125}} {
+		id := fmt.Sprintf("r%d", i)
+		l.RunStarted(id, "g", uint64(i), r.worker)
+		l.RunFinished(RunStatus{ID: id, Group: "g", Worker: r.worker, State: "done", WallMS: r.wallMS, Events: 100})
+	}
+	f := l.Fleet()
+	want := []WorkerStatus{{Worker: 0, Tasks: 2, BusyNS: 4_500_000}, {Worker: 1, Tasks: 2, BusyNS: 2_375_000}}
+	if !reflect.DeepEqual(f.Workers, want) {
+		t.Errorf("workers %+v, want %+v", f.Workers, want)
+	}
+	tasks := 0
+	for _, w := range f.Workers {
+		tasks += w.Tasks
+	}
+	if tasks != f.Finished {
+		t.Errorf("worker tasks sum to %d, finished %d", tasks, f.Finished)
+	}
+
+	// A full resume: every run replays from the journal.
+	l.SetFleet(4)
+	for i := 0; i < 4; i++ {
+		l.RunFinished(RunStatus{ID: fmt.Sprintf("r%d", i), Group: "g", Worker: i % 2, State: "resumed", WallMS: 2, Events: 1_000_000})
+	}
+	f = l.Fleet()
+	if len(f.Workers) != 0 || f.FreshEventsPerSec != 0 || f.Resumed != 4 || f.Events != 4_000_000 {
+		t.Errorf("replay-only fleet: %+v", f)
+	}
+	var b strings.Builder
+	l.WriteMetrics(&b)
+	if !strings.Contains(b.String(), "raidsim_fleet_events_per_sec 0\n") {
+		t.Errorf("replay-only metrics report a rate:\n%s", b.String())
+	}
+	if strings.Contains(b.String(), "raidsim_fleet_worker_") {
+		t.Errorf("replay-only metrics list workers:\n%s", b.String())
 	}
 }
 
@@ -140,7 +212,6 @@ func TestFleetConcurrentPublish(t *testing.T) {
 					ID: id, Group: fmt.Sprintf("g%d", i%4), Worker: w,
 					State: "done", WallMS: 1, Events: 100, Requests: 10, MeanMS: 2,
 				})
-				l.PublishWorkers([]WorkerStatus{{Worker: w, Tasks: i + 1}})
 			}
 		}(w)
 	}
@@ -177,6 +248,17 @@ func TestFleetConcurrentPublish(t *testing.T) {
 	if len(l.Runs()) != workers*runsPer {
 		t.Errorf("tracked %d runs, want %d", len(l.Runs()), workers*runsPer)
 	}
+	if f.Running != 0 {
+		t.Errorf("running %d after every run finished", f.Running)
+	}
+	if len(f.Workers) != workers {
+		t.Fatalf("ledger has %d workers, want %d", len(f.Workers), workers)
+	}
+	for w, ws := range f.Workers {
+		if ws.Worker != w || ws.Tasks != runsPer || ws.BusyNS != int64(runsPer*1e6) {
+			t.Errorf("worker %d ledger %+v, want %d tasks and %d ns", w, ws, runsPer, int64(runsPer*1e6))
+		}
+	}
 }
 
 // TestFleetMetricsAndRuns checks the HTTP surface: fleet families appear
@@ -191,7 +273,6 @@ func TestFleetMetricsAndRuns(t *testing.T) {
 
 	l.SetFleet(2)
 	l.RunFinished(RunStatus{ID: "x", Group: "n=5", State: "done", WallMS: 5, Events: 200, Requests: 20, MeanMS: 7})
-	l.PublishWorkers([]WorkerStatus{{Worker: 0, Tasks: 1, BusyNS: 5e6}})
 	b.Reset()
 	l.WriteMetrics(&b)
 	for _, want := range []string{
@@ -199,6 +280,7 @@ func TestFleetMetricsAndRuns(t *testing.T) {
 		"raidsim_fleet_runs_planned 2",
 		"raidsim_fleet_events_total 200",
 		"raidsim_fleet_worker_tasks_total{worker=\"0\"} 1",
+		"raidsim_fleet_worker_busy_seconds{worker=\"0\"} 0.005",
 		"raidsim_group_requests_total{group=\"n=5\"} 20",
 		"raidsim_group_response_ms{group=\"n=5\",stat=\"mean\"} 7",
 	} {
@@ -221,7 +303,7 @@ func TestFleetMetricsAndRuns(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("/runs content type %q", ct)
 	}
-	for _, want := range []string{`"id": "x"`, `"state": "done"`, `"total": 2`} {
+	for _, want := range []string{`"id": "x"`, `"state": "done"`, `"total": 2`, `"busy_ns": 5000000`} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/runs missing %q:\n%s", want, body)
 		}

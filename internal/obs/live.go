@@ -40,20 +40,18 @@ type Live struct {
 
 	// Fleet state (fleet.go). Armed by SetFleet; zero until then.
 	fleetTotal int
-	fleetStart time.Time
 	// execStart is when the first fresh run started: journal replays
 	// finish in microseconds before execution begins, so rates and ETAs
-	// extrapolated from fresh runs measure from here, not fleetStart.
+	// extrapolated from fresh runs measure from here.
 	execStart   time.Time
 	runs        map[string]RunStatus
-	workers     []WorkerStatus
-	started     int
+	workers     []WorkerStatus // indexed by worker; done runs only
+	running     int            // runs whose latest state is "running"
 	finished    int
 	failed      int
 	resumed     int
 	events      uint64
 	freshEvents uint64
-	busyNS      int64
 	groups      map[string]*groupAgg
 }
 

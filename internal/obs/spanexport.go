@@ -8,9 +8,8 @@ import (
 	"raidsim/internal/sim"
 )
 
-// SpanSchemaVersion identifies the span export format, carried in both
-// the Chrome JSON envelope and the CSV header so downstream tooling can
-// detect drift.
+// SpanSchemaVersion identifies the span export format, carried in the
+// Chrome JSON envelope so downstream tooling can detect drift.
 const SpanSchemaVersion = "raidsim-spans/1"
 
 // chromeEvent is one Chrome trace-event ("X" complete events for spans,
@@ -79,32 +78,4 @@ func WriteSpansChrome(w io.Writer, samples []SpanSample) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&tr)
-}
-
-// spanCSVHeader lists the flat-CSV columns, one row per span.
-var spanCSVHeader = "array,tree,background,class,span,parent,name,disk,blocks,start_ms,dur_ms"
-
-// WriteSpansCSV exports span trees as flat CSV, one row per span, with a
-// leading "# schema" comment line. parent is the span index within the
-// same tree (-1 for roots).
-func WriteSpansCSV(w io.Writer, samples []SpanSample) error {
-	if _, err := fmt.Fprintf(w, "# schema %s\n%s\n", SpanSchemaVersion, spanCSVHeader); err != nil {
-		return err
-	}
-	for ti, sm := range samples {
-		t := sm.Tree
-		bg := 0
-		if t.Background {
-			bg = 1
-		}
-		for _, s := range t.Spans() {
-			_, err := fmt.Fprintf(w, "%d,%d,%d,%s,%d,%d,%s,%d,%d,%.4f,%.4f\n",
-				sm.Array, ti, bg, t.Class, s.idx, s.parent, s.Name, s.Disk, s.Blocks,
-				sim.Millis(s.Start), sim.Millis(s.Duration()))
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

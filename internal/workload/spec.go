@@ -2,7 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"strings"
 
 	"raidsim/internal/campaign/shard"
@@ -125,11 +127,25 @@ type PhaseSpec struct {
 	Rate   float64 `json:"rate"`
 }
 
-// LoadSpec reads a workload Spec from a JSON file: strict keys ("did you
-// mean" on typos) and a required "spec": "raidsim-workload/1" header.
+// LoadSpec reads a workload Spec from a JSON file with ParseSpec.
 func LoadSpec(path string) (Spec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Spec{}, err
+	}
+	defer f.Close()
+	s, err := ParseSpec(f)
+	if err != nil {
+		return Spec{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// ParseSpec decodes a workload Spec from JSON: strict keys ("did you
+// mean" on typos) and a required "spec": "raidsim-workload/1" header.
+func ParseSpec(r io.Reader) (Spec, error) {
 	var s Spec
-	if err := specio.Load(path, specio.Header{Want: SpecVersion, Required: true}, &s); err != nil {
+	if err := specio.Parse(r, "workload spec", specio.Header{Want: SpecVersion, Required: true}, &s); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
