@@ -704,7 +704,7 @@ func (c *common) baseResults(org Org) *Results {
 		r.HeldRotations += d.S.HeldRotations
 		distSum += d.S.SeekDistSum
 		seeks += d.S.SeekCount
-		r.Stages.QueueMS += d.S.QueueWait.Mean() * float64(d.S.QueueWait.N())
+		r.Stages.QueueMS += sim.Millis(d.S.QueueTime)
 		r.Stages.SeekRotateMS += sim.Millis(d.S.SeekTime + d.S.RotateTime)
 		r.Stages.TransferMS += sim.Millis(d.S.TransferTime)
 		r.Stages.ParitySyncMS += sim.Millis(d.S.HeldRotations * rot)

@@ -65,10 +65,12 @@ func TestRAID3SpindlesForcedSynchronized(t *testing.T) {
 	r3 := ctrl.(*schemeCtrl)
 	ctrl.Submit(Request{Op: trace.Read, LBA: 0, Blocks: 1})
 	drain(t, eng, ctrl)
-	first := r3.disks[0].S.ServiceTime.Mean()
+	// Each disk serves one access, so its busy time is that access's
+	// service time.
+	first := r3.disks[0].S.Util.BusyTime(eng.Now())
 	for d := 1; d < cfg.N; d++ {
-		if got := r3.disks[d].S.ServiceTime.Mean(); got != first {
-			t.Fatalf("unsynchronized slices: disk %d %.4f vs %.4f", d, got, first)
+		if got := r3.disks[d].S.Util.BusyTime(eng.Now()); got != first {
+			t.Fatalf("unsynchronized slices: disk %d %d vs %d ns", d, got, first)
 		}
 	}
 }

@@ -212,16 +212,17 @@ func TestSyncSpindlesGivesCommonPhase(t *testing.T) {
 	b := ctrl.(*schemeCtrl)
 	// Same physical block on each disk, issued simultaneously from idle:
 	// identical phases mean identical *disk* service times (completions
-	// still spread out over the shared channel).
+	// still spread out over the shared channel). Each disk serves one
+	// access, so its busy time is that access's service time.
 	bpd := cfg.Spec.BlocksPerDisk()
 	for d := 0; d < 4; d++ {
 		ctrl.Submit(Request{Op: trace.Read, LBA: int64(d)*bpd + 42, Blocks: 1})
 	}
 	drain(t, eng, ctrl)
-	first := b.disks[0].S.ServiceTime.Mean()
+	first := b.disks[0].S.Util.BusyTime(eng.Now())
 	for i := 1; i < 4; i++ {
-		if got := b.disks[i].S.ServiceTime.Mean(); got != first {
-			t.Fatalf("synchronized spindles served identical targets in different times: disk %d %.4f vs %.4f", i, got, first)
+		if got := b.disks[i].S.Util.BusyTime(eng.Now()); got != first {
+			t.Fatalf("synchronized spindles served identical targets in different times: disk %d %d vs %d ns", i, got, first)
 		}
 	}
 
@@ -234,9 +235,9 @@ func TestSyncSpindlesGivesCommonPhase(t *testing.T) {
 	}
 	drain(t, eng2, ctrl2)
 	allSame := true
-	first2 := b2.disks[0].S.ServiceTime.Mean()
+	first2 := b2.disks[0].S.Util.BusyTime(eng2.Now())
 	for i := 1; i < 4; i++ {
-		if b2.disks[i].S.ServiceTime.Mean() != first2 {
+		if b2.disks[i].S.Util.BusyTime(eng2.Now()) != first2 {
 			allSame = false
 		}
 	}

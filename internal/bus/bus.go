@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"raidsim/internal/sim"
-	"raidsim/internal/stats"
 )
 
 // Channel is a FIFO transfer server. All host<->controller block movement
@@ -18,17 +17,11 @@ type Channel struct {
 	rate float64 // bytes per nanosecond
 	busy bool
 	q    []transfer
-
-	Util     stats.Utilization
-	Waits    stats.Summary // queueing delay in ms
-	NumXfers int64
-	NumBytes int64
 }
 
 type transfer struct {
-	bytes    int64
-	enqueued sim.Time
-	onDone   func()
+	bytes  int64
+	onDone func()
 }
 
 // NewChannel returns a channel transferring at mbps megabytes per second.
@@ -50,7 +43,7 @@ func (c *Channel) Transfer(bytes int64, onDone func()) {
 	if bytes <= 0 {
 		panic("bus: transfer of non-positive size")
 	}
-	c.q = append(c.q, transfer{bytes: bytes, enqueued: c.eng.Now(), onDone: onDone})
+	c.q = append(c.q, transfer{bytes: bytes, onDone: onDone})
 	c.kick()
 }
 
@@ -62,11 +55,6 @@ func (c *Channel) kick() {
 	copy(c.q, c.q[1:])
 	c.q = c.q[:len(c.q)-1]
 	c.busy = true
-	now := c.eng.Now()
-	c.Util.SetBusy(now)
-	c.Waits.Add(sim.Millis(now - t.enqueued))
-	c.NumXfers++
-	c.NumBytes += t.bytes
 	cc := c.eng.AfterCall(c.TransferTime(t.bytes), xferDoneFire)
 	cc.A, cc.B = c, t.onDone
 }
@@ -76,7 +64,6 @@ func (c *Channel) kick() {
 func xferDoneFire(e *sim.Engine, cc *sim.Call) {
 	c := cc.A.(*Channel)
 	c.busy = false
-	c.Util.SetIdle(e.Now())
 	if done := cc.B.(func()); done != nil {
 		done()
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"raidsim/internal/array"
 	"raidsim/internal/geom"
 	"raidsim/internal/sim"
+	"raidsim/internal/trace"
 	"raidsim/internal/workload"
 )
 
@@ -107,6 +109,35 @@ func TestRunRejectsMismatchedTrace(t *testing.T) {
 	tr2.BlocksPerDisk = 1234
 	if _, err := Run(cfg, &tr2); err == nil {
 		t.Fatal("blocks-per-disk mismatch accepted")
+	}
+}
+
+// TestRunRejectsRecordOutsideSpace: a record that starts past the last
+// logical block is an error naming the record, not a panic in the split;
+// one that starts inside but runs past the end is clamped and served.
+func TestRunRejectsRecordOutsideSpace(t *testing.T) {
+	cfg := Config{Org: array.OrgRAID5, DataDisks: 20, N: 10, Spec: geom.Default(), Sync: array.DF}
+	bpd := cfg.Spec.BlocksPerDisk()
+	tr := &trace.Trace{
+		Name: "edge", NumDisks: 20, BlocksPerDisk: bpd,
+		Records: []trace.Record{
+			{At: 0, Op: trace.Read, LBA: 5, Blocks: 1},
+			{At: sim.Millisecond, Op: trace.Write, LBA: 20*bpd - 1, Blocks: 4},
+		},
+	}
+	res, err := Run(cfg, tr)
+	if err != nil {
+		t.Fatalf("record running past the end should be clamped: %v", err)
+	}
+	if res.Requests != 2 {
+		t.Fatalf("served %d requests, want 2", res.Requests)
+	}
+	for _, lba := range []int64{20 * bpd, -1} {
+		tr.Records[1].LBA = lba
+		_, err := Run(cfg, tr)
+		if err == nil || !strings.Contains(err.Error(), `"edge"`) || !strings.Contains(err.Error(), "record 1") {
+			t.Fatalf("LBA %d: got %v, want an error naming trace \"edge\" and record 1", lba, err)
+		}
 	}
 }
 

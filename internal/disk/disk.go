@@ -95,13 +95,14 @@ type Stats struct {
 	// Mechanism-time attribution for the latency breakdown. The three sums
 	// partition the pure mechanism time (seek travel, rotational
 	// positioning including RMW write-pass realignment, media passes);
-	// held rotations and queueing are tracked separately above. An aborted
-	// RMW keeps the mechanism time it consumed, like HeldRotations.
+	// held rotations are tracked separately above. An aborted RMW keeps
+	// the mechanism time it consumed, like HeldRotations. QueueTime sums
+	// the time accesses waited in the queue, each wait counted again when
+	// an aborted RMW requeues.
 	SeekTime     sim.Time
 	RotateTime   sim.Time
 	TransferTime sim.Time
-	QueueWait    stats.Summary
-	ServiceTime  stats.Summary
+	QueueTime    sim.Time
 	Util         stats.Utilization
 }
 
@@ -363,7 +364,7 @@ func (d *Disk) trySchedule() {
 	now := d.eng.Now()
 	d.busySince = now
 	d.S.Util.SetBusy(now)
-	d.S.QueueWait.Add(sim.Millis(now - r.enqueued))
+	d.S.QueueTime += now - r.enqueued
 	if now > r.enqueued {
 		r.Span.ChildSpan(obs.SpanQueue, r.enqueued, now)
 	}
@@ -468,7 +469,7 @@ func (d *Disk) service(r *Request, now sim.Time) {
 	if !r.RMW {
 		r.Span.ChildSpan(obs.SpanTransfer, passStart, passEnd)
 		fc := d.eng.AtCall(passEnd, finishFire)
-		fc.A, fc.B, fc.N0 = d, r, now
+		fc.A, fc.B = d, r
 		return
 	}
 	r.Span.ChildSpan(obs.SpanReadOld, passStart, passEnd)
@@ -480,22 +481,21 @@ func (d *Disk) service(r *Request, now sim.Time) {
 	// alignment because the layout is skewed).
 	rc := d.eng.AtCall(passEnd, rmwReadDoneFire)
 	rc.A, rc.B = d, r
-	rc.N0, rc.N1 = plan.duration, now
+	rc.N0 = plan.duration
 }
 
-// finishFire completes an access: A = disk, B = request, N0 = service
-// start time.
+// finishFire completes an access: A = disk, B = request.
 func finishFire(_ *sim.Engine, c *sim.Call) {
-	c.A.(*Disk).finish(c.B.(*Request), c.N0)
+	c.A.(*Disk).finish(c.B.(*Request))
 }
 
 // rmwReadDoneFire runs at the end of an RMW old-data read pass: A =
-// disk, B = request, N0 = media-pass duration, N1 = service start. The
-// pass start is recovered from the clock (the event fires at pass end).
+// disk, B = request, N0 = media-pass duration. The pass start is
+// recovered from the clock (the event fires at pass end).
 func rmwReadDoneFire(e *sim.Engine, c *sim.Call) {
 	d := c.A.(*Disk)
 	r := c.B.(*Request)
-	dur, svcStart := c.N0, c.N1
+	dur := c.N0
 	passEnd := e.Now()
 	passStart := passEnd - dur
 	if r.OnReadDone != nil {
@@ -510,7 +510,7 @@ func rmwReadDoneFire(e *sim.Engine, c *sim.Call) {
 	// is rotational repositioning.
 	d.S.RotateTime += k*rot - dur
 	r.Span.ChildSpan(obs.SpanRealign, passEnd, passStart+k*rot)
-	d.rmwWriteAttempt(r, passStart+k*rot, dur, svcStart, 0)
+	d.rmwWriteAttempt(r, passStart+k*rot, dur, 0)
 }
 
 // maxHeldRotations bounds how long an RMW may hold the mechanism waiting
@@ -523,19 +523,19 @@ const maxHeldRotations = 8
 
 // rmwWriteAttempt tries to start the RMW write pass at writeStart; if the
 // inputs are not ready the head must make another full rotation.
-func (d *Disk) rmwWriteAttempt(r *Request, writeStart sim.Time, dur sim.Time, svcStart sim.Time, holds int) {
+func (d *Disk) rmwWriteAttempt(r *Request, writeStart sim.Time, dur sim.Time, holds int) {
 	c := d.eng.AtCall(writeStart, rmwWriteFire)
 	c.A, c.B = d, r
-	c.N0, c.N1, c.N2 = dur, svcStart, int64(holds)
+	c.N0, c.N2 = dur, int64(holds)
 }
 
 // rmwWriteFire runs at an RMW write-pass start attempt: A = disk, B =
-// request, N0 = pass duration, N1 = service start, N2 = rotations held
-// so far. The event fires at the attempted write start.
+// request, N0 = pass duration, N2 = rotations held so far. The event
+// fires at the attempted write start.
 func rmwWriteFire(e *sim.Engine, c *sim.Call) {
 	d := c.A.(*Disk)
 	r := c.B.(*Request)
-	dur, svcStart, holds := c.N0, c.N1, int(c.N2)
+	dur, holds := c.N0, int(c.N2)
 	writeStart := e.Now()
 	if r.Ready != nil && !r.Ready() {
 		d.S.HeldRotations++
@@ -545,13 +545,13 @@ func rmwWriteFire(e *sim.Engine, c *sim.Call) {
 			d.requeue(r)
 			return
 		}
-		d.rmwWriteAttempt(r, writeStart+d.rot, dur, svcStart, holds+1)
+		d.rmwWriteAttempt(r, writeStart+d.rot, dur, holds+1)
 		return
 	}
 	d.S.TransferTime += dur
 	r.Span.ChildSpan(obs.SpanWriteNew, writeStart, writeStart+dur)
 	fc := d.eng.AtCall(writeStart+dur, finishFire)
-	fc.A, fc.B, fc.N0 = d, r, svcStart
+	fc.A, fc.B = d, r
 }
 
 // requeue releases the mechanism and puts the request at the back of its
@@ -580,9 +580,8 @@ func (d *Disk) requeue(r *Request) {
 	d.trySchedule()
 }
 
-func (d *Disk) finish(r *Request, svcStart sim.Time) {
+func (d *Disk) finish(r *Request) {
 	now := d.eng.Now()
-	d.S.ServiceTime.Add(sim.Millis(now - svcStart))
 	d.busy = false
 	d.S.Util.SetIdle(now)
 	if d.probe != nil {

@@ -8,6 +8,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"raidsim/internal/sim"
 )
@@ -32,11 +33,13 @@ func (o Op) String() string {
 // space of NumDisks * BlocksPerDisk blocks: logical disk d holds blocks
 // [d*BlocksPerDisk, (d+1)*BlocksPerDisk). At is the absolute arrival time
 // from the start of the trace.
+//
+// The fields are ordered largest first so a Record packs into 32 bytes.
 type Record struct {
 	At     sim.Time
-	Op     Op
 	LBA    int64
 	Blocks int
+	Op     Op
 	// Class indexes the trace's Classes table (the client class that
 	// issued this request). Always 0 for classless traces.
 	Class uint8
@@ -184,7 +187,11 @@ func (t *Trace) Truncate(n int) *Trace {
 // group: group g holds logical disks [g*perGroup, (g+1)*perGroup), the
 // last group taking any remainder. Each sub-trace keeps global timestamps
 // and is re-addressed to its own compact logical space, which is what an
-// independent array simulation consumes.
+// independent array simulation consumes. One counting pass sizes every
+// group and rejects a record that starts outside the logical space; the
+// records then fill one exact-size slab, carved into per-group windows.
+// A single group that needs no clamping shares the parent's records, as
+// Truncate does: consumers only read them.
 func (t *Trace) SplitByGroup(perGroup int) ([]*Trace, error) {
 	if perGroup <= 0 {
 		return nil, fmt.Errorf("trace: group size must be positive, got %d", perGroup)
@@ -196,17 +203,40 @@ func (t *Trace) SplitByGroup(perGroup int) ([]*Trace, error) {
 		if g == ngroups-1 {
 			disks = t.NumDisks - g*perGroup
 		}
+		// Concatenated rather than formatted: fmt's buffer pool drops
+		// entries at random under the race detector, and the split's
+		// allocation count is pinned.
 		out[g] = &Trace{
-			Name:          fmt.Sprintf("%s/g%d", t.Name, g),
+			Name:          t.Name + "/g" + strconv.Itoa(g),
 			NumDisks:      disks,
 			BlocksPerDisk: t.BlocksPerDisk,
 			Classes:       copyClasses(t.Classes),
 		}
 	}
+	total := int64(t.NumDisks) * t.BlocksPerDisk
+	span := int64(perGroup) * t.BlocksPerDisk
+	counts := make([]int, ngroups)
+	pastEnd := false
+	for i, r := range t.Records {
+		if r.LBA < 0 || r.LBA >= total {
+			return nil, fmt.Errorf("trace %q: record %d starts at block %d outside [0,%d)", t.Name, i, r.LBA, total)
+		}
+		counts[r.LBA/span]++
+		pastEnd = pastEnd || r.LBA+int64(r.Blocks) > total
+	}
+	if ngroups == 1 && !pastEnd {
+		out[0].Records = t.Records
+		return out, nil
+	}
+	slab := make([]Record, len(t.Records))
+	off := 0
+	for g, n := range counts {
+		out[g].Records = slab[off : off : off+n]
+		off += n
+	}
 	for _, r := range t.Records {
-		g := int(r.LBA / t.BlocksPerDisk / int64(perGroup))
-		base := int64(g) * int64(perGroup) * t.BlocksPerDisk
-		r.LBA -= base
+		g := r.LBA / span
+		r.LBA -= g * span
 		// A multiblock request never spans logical disks in the traces we
 		// generate; clamp defensively in case a hand-written trace does.
 		sub := out[g]

@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"raidsim/internal/rng"
 	"raidsim/internal/sim"
@@ -137,6 +139,9 @@ func TestSplitByGroup(t *testing.T) {
 	}
 }
 
+// TestSplitPreservesEverything: every sub-record is its source record
+// re-addressed by its group's base and clamped to the group's end, and
+// each group keeps its records in source order.
 func TestSplitPreservesEverything(t *testing.T) {
 	f := func(seed uint64, groupRaw uint8) bool {
 		tr := randomTrace(seed, 300)
@@ -145,24 +150,104 @@ func TestSplitPreservesEverything(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		total := 0
-		for g, sub := range subs {
-			total += len(sub.Records)
+		next := make([]int, len(subs))
+		for _, src := range tr.Records {
+			g := int(src.LBA / tr.BlocksPerDisk / int64(per))
 			base := int64(g) * int64(per) * tr.BlocksPerDisk
-			for _, r := range sub.Records {
-				if r.LBA < 0 || r.LBA >= int64(sub.NumDisks)*sub.BlocksPerDisk {
-					return false
-				}
-				_ = base
+			sub := subs[g]
+			want := src
+			want.LBA -= base
+			if end := int64(sub.NumDisks) * sub.BlocksPerDisk; want.LBA+int64(want.Blocks) > end {
+				want.Blocks = int(end - want.LBA)
 			}
-			if sub.Validate() != nil {
+			if next[g] >= len(sub.Records) || sub.Records[next[g]] != want {
+				return false
+			}
+			next[g]++
+		}
+		for g, sub := range subs {
+			if next[g] != len(sub.Records) || sub.Validate() != nil {
 				return false
 			}
 		}
-		return total == len(tr.Records)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitSingleGroupSharesRecords: a split into one group that needs no
+// clamping shares the parent's records and leaves them unchanged; a record
+// running past the end forces a copy, and the clamp lands in the copy.
+func TestSplitSingleGroupSharesRecords(t *testing.T) {
+	tr := randomTrace(3, 200)
+	before := append([]Record(nil), tr.Records...)
+	for _, per := range []int{tr.NumDisks, tr.NumDisks + 3} {
+		subs, err := tr.SplitByGroup(per)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(subs) != 1 || subs[0].NumDisks != tr.NumDisks {
+			t.Fatalf("per %d: %d groups", per, len(subs))
+		}
+		if len(subs[0].Records) != len(tr.Records) || &subs[0].Records[0] != &tr.Records[0] {
+			t.Fatalf("per %d: one-group split copied the records", per)
+		}
+	}
+	if !reflect.DeepEqual(tr.Records, before) {
+		t.Fatal("split changed the parent's records")
+	}
+
+	tr = sampleTrace()
+	tr.Records[3].Blocks = 3 // LBA 3999: runs two blocks past the end
+	subs, err := tr.SplitByGroup(tr.NumDisks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &subs[0].Records[0] == &tr.Records[0] {
+		t.Fatal("a split that clamps must not share the parent's records")
+	}
+	if got := subs[0].Records[3].Blocks; got != 1 || tr.Records[3].Blocks != 3 {
+		t.Fatalf("clamped blocks %d (parent %d), want 1 (parent 3)", got, tr.Records[3].Blocks)
+	}
+}
+
+// TestSplitRejectsRecordsOutsideSpace: a record that starts outside the
+// logical space is an error naming the trace and the record.
+func TestSplitRejectsRecordsOutsideSpace(t *testing.T) {
+	for _, lba := range []int64{4000, 4999, -1} {
+		for _, per := range []int{2, 4} {
+			tr := sampleTrace()
+			tr.Records[2].LBA = lba
+			_, err := tr.SplitByGroup(per)
+			if err == nil || !strings.Contains(err.Error(), `"sample"`) || !strings.Contains(err.Error(), "record 2") {
+				t.Errorf("LBA %d per %d: got %v, want an error naming trace \"sample\" and record 2", lba, per, err)
+			}
+		}
+	}
+}
+
+// TestSplitByGroupAllocBudget: the split allocates the same number of
+// times whatever the trace's length (one slab, no per-record growth).
+func TestSplitByGroupAllocBudget(t *testing.T) {
+	small, large := randomTrace(5, 1000), randomTrace(5, 100000)
+	allocs := func(tr *Trace) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := tr.SplitByGroup(3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Fatalf("split of 1K records allocates %v times, of 100K %v times", a, b)
+	}
+}
+
+// TestRecordSize: a Record packs into 32 bytes.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 32 {
+		t.Fatalf("Record is %d bytes, want 32", got)
 	}
 }
 
