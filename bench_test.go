@@ -277,8 +277,8 @@ func BenchmarkExtRAID3(b *testing.B) {
 
 // BenchmarkCampaign measures the fleet campaign runner end to end: a
 // 4-organization x 4-seed grid (16 runs) per iteration, sharded over 1
-// worker vs GOMAXPROCS-bounded pools. Reported runs/s and events/s feed
-// the campaign_scaling section of BENCH_array.json. Worker count never
+// worker vs GOMAXPROCS-bounded pools; the benchmark's fleet-grid
+// workload (bench/) is the end-to-end measure. Worker count never
 // changes results (TestWorkerCountInvariance pins that); only
 // wall-clock should move.
 func BenchmarkCampaign(b *testing.B) {
@@ -329,9 +329,9 @@ func BenchmarkCampaign(b *testing.B) {
 // *Meter variants arm the engine self-meter. Each gap to the matching plain/Obs run is that
 // layer's overhead budget (≤5% for obs, ≤1% for the meter). These are
 // micro-benchmarks for profiling one layer; performance claims use the
-// workloads of bench/ (see bench/README.md), which supersede the history
-// kept in BENCH_array.json. TestSubmitAllocBudgets in internal/array
-// pins this path's steady-state allocations at 0 per request.
+// workloads of bench/ (see bench/README.md and BENCHMARK.json).
+// TestSubmitAllocBudgets in internal/array pins this path's steady-state
+// allocations at 0 per request.
 func BenchmarkArraySubmit(b *testing.B) {
 	points := []struct {
 		name   string

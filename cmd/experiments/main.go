@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"raidsim/internal/array"
 	"raidsim/internal/cliflag"
 	"raidsim/internal/exp"
 	"raidsim/internal/obs"
@@ -38,17 +37,8 @@ func main() {
 		outDir    = flag.String("out", "", "write each experiment's output to <dir>/<id>.txt instead of stdout")
 		quiet     = flag.Bool("quiet", false, "suppress progress messages on stderr")
 		obsWindow = flag.Duration("obs-window", 0, "record windowed time series at this granularity in every run (0 = off)")
-		obsTrace  = flag.Int("obs-trace", 0, "retain up to this many observability events per run (0 = off)")
 		traceTopK = flag.Int("trace-topk", 0, "trace per-request span trees in every run, keeping the slowest K per class (0 = off)")
 		httpAddr  = flag.String("http", "", "serve live /metrics (Prometheus text) and /debug/pprof on this address while experiments run")
-
-		deadline      = flag.Duration("deadline", 0, "score every run's gold-class completions against this deadline (0 = off)")
-		batchDeadline = flag.Duration("batch-deadline", 0, "batch-class deadline (0 = use -deadline)")
-		retries       = flag.Int("retries", 0, "retry transient media errors up to N times in every run")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "hedge mirror reads still unanswered after this delay in every run (0 = off)")
-		hedgeQuantile = flag.Float64("hedge-quantile", 0, "derive the hedge delay from this read-response quantile (0 = fixed)")
-		shedQueue     = flag.Int("shed-queue", 0, "shed batch-class requests while total disk queue depth >= N (0 = off)")
-		shedDirty     = flag.Float64("shed-dirty", 0, "shed batch-class requests while cache dirty fraction >= this (0 = off)")
 	)
 	prof := cliflag.BindProfile(flag.CommandLine)
 	flag.Parse()
@@ -112,16 +102,7 @@ func main() {
 			Out:    out,
 			CSV:    *csv,
 			Plot:   *plot,
-			Obs:    obs.Config{Window: sim.Time(*obsWindow), TraceCap: *obsTrace, SpanTopK: *traceTopK, Live: live},
-			Robust: array.RobustConfig{
-				Deadline:      sim.Time(*deadline),
-				BatchDeadline: sim.Time(*batchDeadline),
-				Retries:       *retries,
-				HedgeAfter:    sim.Time(*hedgeAfter),
-				HedgeQuantile: *hedgeQuantile,
-				ShedQueue:     *shedQueue,
-				ShedDirty:     *shedDirty,
-			},
+			Obs:    obs.Config{Window: sim.Time(*obsWindow), SpanTopK: *traceTopK, Live: live},
 		})
 	}
 	var ctx *exp.Context

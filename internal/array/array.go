@@ -363,24 +363,6 @@ type Results struct {
 	Stages StageBreakdown
 }
 
-// ReadHitRatio returns read hits / read requests.
-func (r *Results) ReadHitRatio() float64 {
-	n := r.ReadHits + r.ReadMisses
-	if n == 0 {
-		return 0
-	}
-	return float64(r.ReadHits) / float64(n)
-}
-
-// WriteHitRatio returns write hits / write requests.
-func (r *Results) WriteHitRatio() float64 {
-	n := r.WriteHits + r.WriteMisses
-	if n == 0 {
-		return 0
-	}
-	return float64(r.WriteHits) / float64(n)
-}
-
 // Controller is a simulated array controller.
 type Controller interface {
 	// Submit presents a request at the current simulation time. The LBA

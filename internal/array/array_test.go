@@ -451,17 +451,6 @@ func TestRAID4TinyCacheStallsButProgresses(t *testing.T) {
 	}
 }
 
-func TestResultsHitRatios(t *testing.T) {
-	r := &Results{ReadHits: 3, ReadMisses: 1, WriteHits: 1, WriteMisses: 3}
-	if r.ReadHitRatio() != 0.75 || r.WriteHitRatio() != 0.25 {
-		t.Fatal("hit ratio math wrong")
-	}
-	empty := &Results{}
-	if empty.ReadHitRatio() != 0 || empty.WriteHitRatio() != 0 {
-		t.Fatal("empty ratios should be 0")
-	}
-}
-
 func TestSubmitValidatesRange(t *testing.T) {
 	_, ctrl := build(t, testConfig(OrgBase, false))
 	defer func() {

@@ -26,15 +26,6 @@ type ClassResults struct {
 	Shed int64
 }
 
-// MissFrac returns the fraction of deadline-checked requests that missed.
-func (r *ClassResults) MissFrac() float64 {
-	n := r.DeadlineMet + r.DeadlineMissed
-	if n == 0 {
-		return 0
-	}
-	return float64(r.DeadlineMissed) / float64(n)
-}
-
 // Merge folds o into r (same class from another array or run).
 func (r *ClassResults) Merge(o *ClassResults) {
 	r.Requests += o.Requests

@@ -86,16 +86,12 @@ type RobustConfig struct {
 	// while the total queued accesses across the array's drives is at or
 	// above this depth.
 	ShedQueue int
-	// ShedDirty, when in (0,1], sheds batch-class requests while the
-	// cache dirty fraction is at or above this threshold (cached
-	// controllers only).
-	ShedDirty float64
 }
 
 // Enabled reports whether any robustness feature is on.
 func (c RobustConfig) Enabled() bool {
 	return c.Deadline > 0 || c.BatchDeadline > 0 || c.Retries > 0 ||
-		c.HedgeAfter > 0 || c.HedgeQuantile > 0 || c.ShedQueue > 0 || c.ShedDirty > 0
+		c.HedgeAfter > 0 || c.HedgeQuantile > 0 || c.ShedQueue > 0
 }
 
 // Validate reports configuration errors.
@@ -117,9 +113,6 @@ func (c RobustConfig) Validate() error {
 	}
 	if c.ShedQueue < 0 {
 		return fmt.Errorf("array: negative shed queue depth")
-	}
-	if c.ShedDirty < 0 || c.ShedDirty > 1 {
-		return fmt.Errorf("array: shed dirty fraction %g outside [0,1]", c.ShedDirty)
 	}
 	return nil
 }
@@ -276,28 +269,24 @@ func (c *common) finishRobust(r Request, start sim.Time) {
 	}
 }
 
-// maybeShed is the admission-side hook: under overload (deep disk queues
-// or a dirty-saturated cache), batch-class requests are rejected before
-// any resource is committed. The rejected request's OnComplete still
-// fires (asynchronously, as callers expect) so closed-loop drivers keep
+// maybeShed is the admission-side hook: under overload (deep disk
+// queues), batch-class requests are rejected before any resource is
+// committed. The rejected request's OnComplete still fires
+// (asynchronously, as callers expect) so closed-loop drivers keep
 // running; it is counted as shed, not completed.
 func (c *common) maybeShed(r Request) bool {
 	if !c.rb.on || r.Class != SLOBatch {
 		return false
 	}
-	cfg := &c.rb.cfg
-	over := false
-	if cfg.ShedQueue > 0 {
-		depth := 0
-		for _, d := range c.disks {
-			depth += d.QueueLen()
-		}
-		over = depth >= cfg.ShedQueue
+	shedQueue := c.rb.cfg.ShedQueue
+	if shedQueue <= 0 {
+		return false
 	}
-	if !over && cfg.ShedDirty > 0 && c.dirtyFrac != nil {
-		over = c.dirtyFrac() >= cfg.ShedDirty
+	depth := 0
+	for _, d := range c.disks {
+		depth += d.QueueLen()
 	}
-	if !over {
+	if depth < shedQueue {
 		return false
 	}
 	c.rb.shed[SLOBatch]++

@@ -38,9 +38,6 @@ func New(lay layout.ParityLayout, blockSize int) *Store {
 	return s
 }
 
-// BlockSize returns the device block size in bytes.
-func (s *Store) BlockSize() int { return s.blockSize }
-
 // Capacity returns the number of addressable logical blocks.
 func (s *Store) Capacity() int64 { return s.lay.DataBlocks() }
 

@@ -420,8 +420,8 @@ func (c *Cache) AddParityPending(k ParityKey, full bool) bool {
 	return true
 }
 
-// HasParityPending reports whether the key is buffered.
-func (c *Cache) HasParityPending(k ParityKey) bool {
+// hasParityPending reports whether the key is buffered.
+func (c *Cache) hasParityPending(k ParityKey) bool {
 	_, ok := c.parityIndex(k)
 	return ok
 }

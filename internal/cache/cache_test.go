@@ -198,7 +198,7 @@ func TestParityPending(t *testing.T) {
 	if c.Used() != 1 {
 		t.Fatalf("used %d after removal", c.Used())
 	}
-	if c.HasParityPending(k1) {
+	if c.hasParityPending(k1) {
 		t.Fatal("removed key still pending")
 	}
 	c.RemoveParityPending(k2)

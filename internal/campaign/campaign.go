@@ -115,11 +115,11 @@ func NewRecord(p Point, res *core.Results, elapsedMS float64) RunRecord {
 	}
 }
 
-// Fingerprint pins the deterministic content of the record: every
+// fingerprint pins the deterministic content of the record: every
 // counter and the exact bits of every mean. Two runs of the same point
 // must produce equal fingerprints regardless of worker count, and a
 // journal replay must reproduce the live fingerprint exactly.
-func (r *RunRecord) Fingerprint() string {
+func (r *RunRecord) fingerprint() string {
 	hex := func(f float64) string { return fmt.Sprintf("%x", f) }
 	return fmt.Sprintf("id=%s seed=%d ev=%d req=%d resp=%d/%s rd=%d/%s wr=%d/%s hits=%d,%d,%d,%d",
 		r.ID, r.Seed, r.Events, r.Requests,

@@ -32,8 +32,8 @@ func TestSpecPointsAreStableAndSeedKeyed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != s.Size() || len(a) != 4 {
-		t.Fatalf("expanded %d points, want %d", len(a), s.Size())
+	if len(a) != s.size() || len(a) != 4 {
+		t.Fatalf("expanded %d points, want %d", len(a), s.size())
 	}
 	for i := range a {
 		if a[i].ID != b[i].ID || a[i].Config.Seed != b[i].Config.Seed {
@@ -133,7 +133,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	base := executeSpec(t, s, Options{Workers: 1})
 	want := make(map[string]string, len(base.Records))
 	for i := range base.Records {
-		want[base.Records[i].ID] = base.Records[i].Fingerprint()
+		want[base.Records[i].ID] = base.Records[i].fingerprint()
 	}
 	baseFleet, err := Merge(base.Records)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		out := executeSpec(t, s, Options{Workers: w})
 		for i := range out.Records {
 			r := &out.Records[i]
-			if got := r.Fingerprint(); got != want[r.ID] {
+			if got := r.fingerprint(); got != want[r.ID] {
 				t.Errorf("workers=%d: run %s diverged:\n got %s\nwant %s", w, r.ID, got, want[r.ID])
 			}
 		}
@@ -204,7 +204,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("resume executed %d skipped %d, want 0/4", out2.Executed, out2.Skipped)
 	}
 	for i := range out.Records {
-		if out.Records[i].Fingerprint() != out2.Records[i].Fingerprint() {
+		if out.Records[i].fingerprint() != out2.Records[i].fingerprint() {
 			t.Errorf("replayed record %s diverged from live run", out.Records[i].ID)
 		}
 	}
@@ -271,8 +271,8 @@ func TestResumeAfterTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.TornLines() != 1 {
-		t.Errorf("torn lines = %d, want 1", j2.TornLines())
+	if j2.tornLines() != 1 {
+		t.Errorf("torn lines = %d, want 1", j2.tornLines())
 	}
 	resumed := executeSpec(t, s, Options{Workers: 2, Journal: j2})
 	if resumed.Executed != 8-keep || resumed.Skipped != keep {

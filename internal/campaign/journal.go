@@ -164,9 +164,9 @@ func (j *Journal) Done() map[string]RunRecord {
 	return j.done
 }
 
-// TornLines reports how many unparsable (torn or foreign) lines the
+// tornLines reports how many unparsable (torn or foreign) lines the
 // load skipped.
-func (j *Journal) TornLines() int { return j.torn }
+func (j *Journal) tornLines() int { return j.torn }
 
 // Append journals one completed run. Records are flushed line-at-a-time
 // so the journal never holds more than one torn record after a crash.

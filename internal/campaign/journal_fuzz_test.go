@@ -10,7 +10,7 @@ import (
 
 // FuzzJournalLoad appends arbitrary bytes after a valid journal header.
 // OpenJournal must never panic; when it loads, every non-empty line
-// after the header is either a loaded record or counted by TornLines,
+// after the header is either a loaded record or counted by tornLines,
 // and the index holds exactly the loaded records' IDs. Lines split as
 // the loader's scanner splits them: on '\n', minus one trailing '\r'.
 // A record appended after the load must survive a reload beside every
@@ -48,8 +48,8 @@ func FuzzJournalLoad(f *testing.F) {
 				tornTerminated++
 			}
 		}
-		if loaded+j.TornLines() != lines {
-			t.Fatalf("%d records loaded + %d torn != %d non-empty lines", loaded, j.TornLines(), lines)
+		if loaded+j.tornLines() != lines {
+			t.Fatalf("%d records loaded + %d torn != %d non-empty lines", loaded, j.tornLines(), lines)
 		}
 		done := j.Done()
 		if len(done) != len(ids) {
@@ -79,8 +79,8 @@ func FuzzJournalLoad(f *testing.F) {
 				t.Fatalf("record %q lost across append and reload", id)
 			}
 		}
-		if j2.TornLines() != tornTerminated {
-			t.Fatalf("reload counts %d torn lines, want the %d newline-terminated ones", j2.TornLines(), tornTerminated)
+		if j2.tornLines() != tornTerminated {
+			t.Fatalf("reload counts %d torn lines, want the %d newline-terminated ones", j2.tornLines(), tornTerminated)
 		}
 	})
 }
@@ -111,8 +111,8 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.TornLines() != 1 {
-		t.Errorf("first reopen counts %d torn lines, want 1", j.TornLines())
+	if j.tornLines() != 1 {
+		t.Errorf("first reopen counts %d torn lines, want 1", j.tornLines())
 	}
 	if err := j.Append(RunRecord{ID: "c"}); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 	if _, ok := done["c"]; !ok {
 		t.Fatal("the record appended after the torn tail was lost")
 	}
-	if j.TornLines() != 0 {
-		t.Errorf("second reopen counts %d torn lines, want 0", j.TornLines())
+	if j.tornLines() != 0 {
+		t.Errorf("second reopen counts %d torn lines, want 0", j.tornLines())
 	}
 }

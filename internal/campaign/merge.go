@@ -65,15 +65,6 @@ type Estimate struct {
 	N    int
 }
 
-// PercentOfMean renders the half-width as a percentage of the mean
-// ("±3.1%"), benchstat-style; "" when there is no interval.
-func (e Estimate) PercentOfMean() string {
-	if e.N < 2 || e.Mean == 0 {
-		return ""
-	}
-	return fmt.Sprintf("±%.1f%%", 100*e.Half/math.Abs(e.Mean))
-}
-
 // Fleet is the merged view of a whole campaign: per-group aggregates
 // plus the fleet-wide response summary across every run.
 type Fleet struct {

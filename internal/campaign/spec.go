@@ -168,8 +168,8 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Size returns the number of runs the spec expands to.
-func (s Spec) Size() int {
+// size returns the number of runs the spec expands to.
+func (s Spec) size() int {
 	s.fill()
 	return len(s.Traces) * len(s.Speeds) * len(s.Orgs) * len(s.N) *
 		len(s.CacheMB) * len(s.StripingUnit) * s.Seeds

@@ -35,7 +35,7 @@ func TestExecuteTelemetry(t *testing.T) {
 	j.Close()
 
 	for i := range out.Records {
-		if got, want := out.Records[i].Fingerprint(), bare.Records[i].Fingerprint(); got != want {
+		if got, want := out.Records[i].fingerprint(), bare.Records[i].fingerprint(); got != want {
 			t.Errorf("telemetry changed run %s:\n got: %s\nwant: %s", points[i].ID, got, want)
 		}
 	}

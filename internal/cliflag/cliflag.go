@@ -62,7 +62,6 @@ type Binding struct {
 	hedgeAfter    *time.Duration
 	hedgeQuantile *float64
 	shedQueue     *int
-	shedDirty     *float64
 
 	sickDisk      *int
 	sickAt        *time.Duration
@@ -113,7 +112,6 @@ func Bind(fs *flag.FlagSet) *Binding {
 		hedgeAfter:    fs.Duration("hedge-after", 0, "hedge mirror reads still unanswered after this delay (0 = off)"),
 		hedgeQuantile: fs.Float64("hedge-quantile", 0, "derive the hedge delay from this read-response quantile, e.g. 0.95 (0 = fixed)"),
 		shedQueue:     fs.Int("shed-queue", 0, "shed batch-class requests while total disk queue depth >= N (0 = off)"),
-		shedDirty:     fs.Float64("shed-dirty", 0, "shed batch-class requests while cache dirty fraction >= this (0 = off)"),
 
 		sickDisk:      fs.Int("sick-disk", -1, "physical disk that turns sick (array-major numbering; -1 = none)"),
 		sickAt:        fs.Duration("sick-at", 0, "when the sick disk's symptoms start"),
@@ -255,9 +253,6 @@ func (b *Binding) Apply(cfg *core.Config) error {
 	}
 	if set["shed-queue"] {
 		cfg.Robust.ShedQueue = *b.shedQueue
-	}
-	if set["shed-dirty"] {
-		cfg.Robust.ShedDirty = *b.shedDirty
 	}
 	if set["sick-disk"] && *b.sickDisk >= 0 {
 		cfg.Fault.SickDisks = append(cfg.Fault.SickDisks, fault.SickDisk{

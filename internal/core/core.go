@@ -116,8 +116,8 @@ func (c Config) Validate() error {
 	return c.Fault.Validate()
 }
 
-// Arrays returns the number of arrays the system needs.
-func (c Config) Arrays() int { return (c.DataDisks + c.N - 1) / c.N }
+// arrays returns the number of arrays the system needs.
+func (c Config) arrays() int { return (c.DataDisks + c.N - 1) / c.N }
 
 // PhysicalDisks returns the total drive count, the cost side of the
 // paper's equal-capacity comparison.

@@ -22,8 +22,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := wide.Validate(); err != nil {
 		t.Errorf("wide array rejected: %v", err)
 	}
-	if wide.Arrays() != 1 || wide.PhysicalDisks() != 21 {
-		t.Errorf("wide array: %d arrays, %d disks", wide.Arrays(), wide.PhysicalDisks())
+	if wide.arrays() != 1 || wide.PhysicalDisks() != 21 {
+		t.Errorf("wide array: %d arrays, %d disks", wide.arrays(), wide.PhysicalDisks())
 	}
 	bad := []Config{
 		{Org: array.OrgBase, DataDisks: 0, N: 5, Spec: geom.Default()},
@@ -52,7 +52,7 @@ func TestArrayAndDiskCounts(t *testing.T) {
 	}
 	for _, c := range cases {
 		cfg := Config{Org: c.org, DataDisks: c.d, N: c.n, Spec: geom.Default()}
-		if got := cfg.Arrays(); got != c.arrays {
+		if got := cfg.arrays(); got != c.arrays {
 			t.Errorf("%v D=%d N=%d: arrays %d, want %d", c.org, c.d, c.n, got, c.arrays)
 		}
 		if got := cfg.PhysicalDisks(); got != c.physical {
@@ -230,5 +230,16 @@ func TestCacheErasesWritePenalty(t *testing.T) {
 	cached := run(array.OrgRAID5, true)
 	if cached > uncached/5 {
 		t.Errorf("cache left write response at %.2f ms (uncached %.2f)", cached, uncached)
+	}
+}
+
+func TestResultsHitRatios(t *testing.T) {
+	r := &Results{ReadHits: 3, ReadMisses: 1, WriteHits: 1, WriteMisses: 3}
+	if r.ReadHitRatio() != 0.75 || r.WriteHitRatio() != 0.25 {
+		t.Fatal("hit ratio math wrong")
+	}
+	empty := &Results{}
+	if empty.ReadHitRatio() != 0 || empty.WriteHitRatio() != 0 {
+		t.Fatal("empty ratios should be 0")
 	}
 }

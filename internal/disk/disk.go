@@ -116,7 +116,6 @@ type Probe interface {
 type Disk struct {
 	ID   int
 	eng  *sim.Engine
-	spec geom.Spec
 	seek geom.SeekModel
 
 	phase  float64 // initial rotational phase, fraction of a revolution
@@ -167,7 +166,7 @@ func New(eng *sim.Engine, id int, spec geom.Spec, seek geom.SeekModel, phase flo
 		return nil, err
 	}
 	return &Disk{
-		ID: id, eng: eng, spec: spec, seek: seek, phase: phase,
+		ID: id, eng: eng, seek: seek, phase: phase,
 		bpt:        int64(spec.BlocksPerTrack()),
 		bpc:        int64(spec.BlocksPerCylinder()),
 		bpd:        spec.BlocksPerDisk(),
@@ -188,14 +187,6 @@ func (d *Disk) SetSlowFactor(factor float64) {
 		return
 	}
 	d.slow = factor
-}
-
-// SlowFactor returns the active slowdown (1 when healthy).
-func (d *Disk) SlowFactor() float64 {
-	if d.slow > 1 {
-		return d.slow
-	}
-	return 1
 }
 
 // Hang stalls the mechanism until the given absolute time: queued and
@@ -226,18 +217,12 @@ func (d *Disk) armHangWake() {
 	})
 }
 
-// Hanging reports whether the mechanism is currently refusing new work.
-func (d *Disk) Hanging() bool { return d.eng.Now() < d.hangUntil }
-
-// Spec returns the drive's geometry.
-func (d *Disk) Spec() geom.Spec { return d.spec }
-
 // Cylinder returns the arm's current (or in-flight target) cylinder, used
 // by the mirrored organization's shortest-seek read routing.
 func (d *Disk) Cylinder() int { return d.cyl }
 
-// CylinderOf returns the cylinder holding block, the same as
-// Spec().ToCHS(block).Cylinder for a block on the drive.
+// CylinderOf returns the cylinder holding block, the same as the drive
+// spec's ToCHS(block).Cylinder for a block on the drive.
 func (d *Disk) CylinderOf(block int64) int { return int(block / d.bpc) }
 
 // chs returns block's cylinder and its block index within its track, as
@@ -264,9 +249,6 @@ func (d *Disk) QueueLen() int {
 
 // Busy reports whether the mechanism is in use.
 func (d *Disk) Busy() bool { return d.busy }
-
-// Failed reports whether the drive has failed.
-func (d *Disk) Failed() bool { return d.failed }
 
 // Fail kills the drive. Queued requests are dropped — their callbacks
 // still fire (in order, a moment later) so controller bookkeeping that

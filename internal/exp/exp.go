@@ -39,10 +39,6 @@ type Options struct {
 	// Obs threads an observability config into every BaseConfig, so any
 	// experiment can be run with windowed time series on.
 	Obs obs.Config
-	// Robust threads the request-robustness layer (deadlines, retries,
-	// hedging, shedding) into every BaseConfig. Experiments that sweep
-	// robustness themselves (ext-slo) override it.
-	Robust array.RobustConfig
 }
 
 func (o *Options) fill() {
@@ -92,9 +88,6 @@ func NewContext(opts Options) *Context {
 		},
 	}
 }
-
-// Out returns the destination writer.
-func (ctx *Context) Out() io.Writer { return ctx.opts.Out }
 
 // TraceNames returns the selected workloads.
 func (ctx *Context) TraceNames() []string { return ctx.opts.Traces }
@@ -148,7 +141,6 @@ func (ctx *Context) BaseConfig(name string) core.Config {
 		Sync:      array.DF,
 		Seed:      ctx.opts.Seed + 1,
 		Obs:       ctx.opts.Obs,
-		Robust:    ctx.opts.Robust,
 	}.Normalize()
 }
 

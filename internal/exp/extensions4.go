@@ -11,14 +11,13 @@ import (
 
 func init() {
 	register(Experiment{ID: "ext-slo", Title: "Extension: deadline misses under a sick disk, with and without the robustness layer", Figure: "extension",
-		Knobs: "org: raid10, raid5+cache; gold deadline sweep; sick disk (slow, transient errors); retries/hedging/shedding on vs off", Run: extSLO})
+		Knobs: "org: raid10, raid5+cache; gold deadline sweep; sick disk (slow, transient errors); retries/hedging on vs off", Run: extSLO})
 }
 
 // extSLO measures the goodput-vs-deadline curve when one drive turns
 // sick mid-run (4x slower, transiently failing reads) and compares a
 // naive array against one using the robustness layer: bounded retries
-// everywhere, hedged mirror reads on RAID1/0, and dirty-fraction load
-// shedding on the cached RAID5. Expected shape: the sick drive fattens
+// everywhere and hedged mirror reads on RAID1/0. Expected shape: the sick drive fattens
 // the response tail, so tight deadlines miss heavily; hedging clips the
 // tail on the mirrored organization (the healthy twin answers first)
 // while retries keep transient errors from escalating into stripe-wide
@@ -48,7 +47,7 @@ func extSLO(ctx *Context) error {
 		}
 		t := &report.Table{
 			Title:   fmt.Sprintf("Extension (%s): deadline misses with a sick disk (4x slow + 2%% transient errors over the middle half)", name),
-			Columns: []string{"config", "deadline", "gold miss%", "batch miss%", "gold p95 (ms)", "retries", "hedge wins", "shed"},
+			Columns: []string{"config", "deadline", "gold miss%", "batch miss%", "gold p95 (ms)", "retries", "hedge wins"},
 		}
 		var jobs []job
 		for _, p := range points {
@@ -68,9 +67,6 @@ func extSLO(ctx *Context) error {
 						cfg.Robust.HedgeAfter = 30 * sim.Millisecond
 						cfg.Robust.HedgeQuantile = 0.95
 					}
-					if p.cached {
-						cfg.Robust.ShedDirty = 0.9
-					}
 				}
 				jobs = append(jobs, job{cfg: cfg, tr: tr})
 			}
@@ -83,7 +79,7 @@ func extSLO(ctx *Context) error {
 				r := res[i]
 				i++
 				if r == nil {
-					t.AddRow(p.label, fmt.Sprintf("%dms", dl/sim.Millisecond), "-", "-", "-", "-", "-", "-")
+					t.AddRow(p.label, fmt.Sprintf("%dms", dl/sim.Millisecond), "-", "-", "-", "-", "-")
 					continue
 				}
 				rb := &r.Robust
@@ -93,11 +89,10 @@ func extSLO(ctx *Context) error {
 					fmt.Sprintf("%.2f%%", 100*rb.DeadlineMissFrac(array.SLOBatch)),
 					fmt.Sprintf("%.2f", rb.ClassResp[array.SLOGold].Quantile(0.95)),
 					fmt.Sprintf("%d", rb.Retries),
-					fmt.Sprintf("%d", rb.HedgeWins),
-					fmt.Sprintf("%d", rb.Shed[array.SLOBatch]))
+					fmt.Sprintf("%d", rb.HedgeWins))
 			}
 		}
-		t.AddNote("robust = 2 retries with backoff; RAID1/0 adds hedged reads (p95-derived delay), cached RAID5 adds dirty-fraction shedding at 0.9")
+		t.AddNote("robust = 2 retries with backoff; RAID1/0 adds hedged reads (p95-derived delay)")
 		t.AddNote("naive runs still count transient errors: they fall straight through to redundancy reconstruction")
 		if err := ctx.Render(t); err != nil {
 			return err

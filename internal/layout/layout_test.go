@@ -241,7 +241,7 @@ func TestParityStripingInvariants(t *testing.T) {
 					locs := checkDataBijective(t, lay, bpd)
 					checkParity(t, lay, locs)
 					// All parity lives in each disk's parity slot.
-					a := lay.AreaBlocks()
+					a := lay.areaBlocks()
 					var slot int64
 					if pl == EndPlacement {
 						slot = int64(n)
@@ -270,7 +270,7 @@ func TestParityStripingInvariants(t *testing.T) {
 // skipped parity area.
 func TestParityStripingContiguity(t *testing.T) {
 	lay := NewParityStriping(3, 64, MiddlePlacement, 0)
-	perDisk := int64(3) * lay.AreaBlocks()
+	perDisk := int64(3) * lay.areaBlocks()
 	for l := int64(0); l < lay.DataBlocks()-1; l++ {
 		if (l+1)%perDisk == 0 {
 			continue // next logical disk
@@ -279,7 +279,7 @@ func TestParityStripingContiguity(t *testing.T) {
 		if a.Disk != b.Disk {
 			t.Fatalf("blocks %d,%d on different disks %d,%d", l, l+1, a.Disk, b.Disk)
 		}
-		if b.Block != a.Block+1 && b.Block != a.Block+1+lay.AreaBlocks() {
+		if b.Block != a.Block+1 && b.Block != a.Block+1+lay.areaBlocks() {
 			t.Fatalf("non-sequential physical blocks %d -> %d at lba %d", a.Block, b.Block, l)
 		}
 	}
@@ -294,10 +294,10 @@ func TestFineGrainedParitySpread(t *testing.T) {
 	fine := NewParityStriping(n, bpd, MiddlePlacement, 8)
 
 	countDisks := func(lay ParityLayout) int {
-		// One data area on disk 0: logical blocks [0, AreaBlocks).
+		// One data area on disk 0: logical blocks [0, areaBlocks).
 		seen := make(map[int]bool)
 		ps := lay.(*ParityStriping)
-		for l := int64(0); l < ps.AreaBlocks(); l++ {
+		for l := int64(0); l < ps.areaBlocks(); l++ {
 			seen[lay.Parity(l).Disk] = true
 		}
 		return len(seen)

@@ -73,8 +73,8 @@ func (ps *ParityStriping) DataBlocks() int64 {
 // StripeWidth implements ParityLayout.
 func (ps *ParityStriping) StripeWidth() int { return ps.n }
 
-// AreaBlocks returns A, the size of each area in blocks.
-func (ps *ParityStriping) AreaBlocks() int64 { return ps.area }
+// areaBlocks returns A, the size of each area in blocks.
+func (ps *ParityStriping) areaBlocks() int64 { return ps.area }
 
 // paritySlot returns which of the N+1 area slots on a disk holds parity.
 func (ps *ParityStriping) paritySlot() int64 {

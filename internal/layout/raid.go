@@ -37,9 +37,6 @@ func (r *RAID5) DataBlocks() int64 { return r.stripes * int64(r.n) * r.su }
 // StripeWidth implements ParityLayout.
 func (r *RAID5) StripeWidth() int { return r.n }
 
-// StripingUnit returns the striping unit in blocks.
-func (r *RAID5) StripingUnit() int { return int(r.su) }
-
 // decompose splits l into (stripe, data-unit index within stripe, offset
 // within unit).
 func (r *RAID5) decompose(l int64) (stripe, unit, off int64) {
@@ -113,9 +110,6 @@ func (r *RAID4) DataBlocks() int64 { return r.stripes * int64(r.n) * r.su }
 
 // StripeWidth implements ParityLayout.
 func (r *RAID4) StripeWidth() int { return r.n }
-
-// StripingUnit returns the striping unit in blocks.
-func (r *RAID4) StripingUnit() int { return int(r.su) }
 
 func (r *RAID4) decompose(l int64) (stripe, unit, off int64) {
 	u := l / r.su

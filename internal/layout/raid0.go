@@ -32,9 +32,6 @@ func (r *RAID0) Disks() int { return r.n }
 // DataBlocks implements DataLayout.
 func (r *RAID0) DataBlocks() int64 { return r.stripes * int64(r.n) * r.su }
 
-// StripingUnit returns the striping unit in blocks.
-func (r *RAID0) StripingUnit() int { return int(r.su) }
-
 // Map implements DataLayout.
 func (r *RAID0) Map(l int64) Loc {
 	checkRange(l, r.DataBlocks())

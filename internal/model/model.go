@@ -1,14 +1,13 @@
 // Package model provides the closed-form performance estimates the
 // paper's related work reasons with: zero-load (minimum) response times
-// per organization in the style of Gray et al., simple M/M/1 queueing
-// corrections, and the parity-placement rule of section 4.2.3. The
-// simulator is the ground truth; these models exist to sanity-check it
-// (and are compared against it by the ext-model experiment).
+// per organization in the style of Gray et al. and the parity-placement
+// rule of section 4.2.3. The simulator is the ground truth; these models
+// exist to sanity-check it (and are compared against it by the ext-model
+// experiment).
 package model
 
 import (
 	"fmt"
-	"math"
 
 	"raidsim/internal/array"
 	"raidsim/internal/geom"
@@ -108,37 +107,4 @@ func ZeroLoadMean(d Device, org array.Org, writeFrac float64) (float64, error) {
 		return 0, err
 	}
 	return (1-writeFrac)*r + writeFrac*w, nil
-}
-
-// MM1Response applies the M/M/1 waiting-time correction to a mean service
-// time S (ms) at utilization rho: R = S / (1 - rho). It returns +Inf at
-// or beyond saturation.
-func MM1Response(serviceMS, rho float64) float64 {
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	if rho < 0 {
-		rho = 0
-	}
-	return serviceMS / (1 - rho)
-}
-
-// DiskUtilization estimates per-disk utilization for an organization:
-// arrival rate per data disk lambda (req/s), write fraction w. Writes in
-// parity organizations occupy two disks for an RMW each; mirror writes
-// occupy both copies; mirror reads split across the pair.
-func DiskUtilization(d Device, org array.Org, lambda, writeFrac float64) float64 {
-	acc := d.accessMS(1) / 1000 // seconds
-	rmw := d.rmwMS(1) / 1000
-	switch org {
-	case array.OrgBase:
-		return lambda * acc
-	case array.OrgMirror:
-		// Reads split over two arms; writes hit both.
-		return lambda * ((1-writeFrac)*acc/2 + writeFrac*acc)
-	default:
-		// N data disks + 1 parity worth of capacity absorb the load;
-		// approximate per-arm utilization ignoring the extra arm.
-		return lambda * ((1-writeFrac)*acc + writeFrac*2*rmw)
-	}
 }

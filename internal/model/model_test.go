@@ -74,37 +74,6 @@ func TestZeroLoadMean(t *testing.T) {
 	}
 }
 
-func TestMM1(t *testing.T) {
-	if got := MM1Response(10, 0); got != 10 {
-		t.Fatalf("zero load response %f", got)
-	}
-	if got := MM1Response(10, 0.5); got != 20 {
-		t.Fatalf("rho=0.5 response %f", got)
-	}
-	if got := MM1Response(10, 1); !math.IsInf(got, 1) {
-		t.Fatalf("saturated response %f, want +Inf", got)
-	}
-	if got := MM1Response(10, -0.5); got != 10 {
-		t.Fatalf("negative rho should clamp: %f", got)
-	}
-}
-
-func TestDiskUtilizationShapes(t *testing.T) {
-	d := device(t)
-	lambda := 5.0 // requests per second per data disk
-	base := DiskUtilization(d, array.OrgBase, lambda, 0.1)
-	mirror := DiskUtilization(d, array.OrgMirror, lambda, 0.1)
-	raid5 := DiskUtilization(d, array.OrgRAID5, lambda, 0.1)
-	if !(mirror < base && base < raid5) {
-		t.Fatalf("utilization ordering wrong: mirror %f base %f raid5 %f", mirror, base, raid5)
-	}
-	// More writes widen RAID5's penalty.
-	heavy := DiskUtilization(d, array.OrgRAID5, lambda, 0.5)
-	if heavy <= raid5 {
-		t.Fatal("higher write fraction should raise RAID5 utilization")
-	}
-}
-
 // TestPlacementRuleMatchesPaper reproduces the section 4.2.3 arithmetic:
 // "In the workload of Trace 1, we have w = 0.1. Hence ... for N > 10 the
 // parity area should be placed in the middle of the disk while for
@@ -122,9 +91,6 @@ func TestPlacementRuleMatchesPaper(t *testing.T) {
 	// Trace 2: w = 0.28 -> cutover just above N=3.
 	if RecommendPlacement(10, 0.28) != layout.MiddlePlacement {
 		t.Error("N=10, w=0.28: rule should say middle")
-	}
-	if got := PlacementCutoverN(0.1); got != 11 {
-		t.Errorf("cutover N for w=0.1 is %d, want 11 (middle wins strictly above 1/w)", got)
 	}
 	if ParityHotterThanData(10, 0.1) {
 		t.Error("w == 1/N boundary should not count as hotter")

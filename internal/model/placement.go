@@ -38,12 +38,3 @@ func RecommendPlacement(n int, writeFrac float64) layout.Placement {
 	}
 	return layout.EndPlacement
 }
-
-// PlacementCutoverN returns the array size above which middle placement
-// is predicted to win for the given write fraction: N > 1/w.
-func PlacementCutoverN(writeFrac float64) int {
-	if writeFrac <= 0 {
-		return int(^uint(0) >> 1) // never
-	}
-	return int(1/writeFrac) + 1
-}

@@ -98,8 +98,8 @@ func freshRate(events uint64, elapsedSec float64) float64 {
 	return float64(events) / elapsedSec
 }
 
-// Done returns finished+failed+resumed: points that left the pending set.
-func (f FleetStatus) Done() int { return f.Finished + f.Failed + f.Resumed }
+// done returns finished+failed+resumed: points that left the pending set.
+func (f FleetStatus) done() int { return f.Finished + f.Failed + f.Resumed }
 
 // SetFleet arms the fleet section of the registry for a campaign of
 // total runs, resetting any previous campaign's state.

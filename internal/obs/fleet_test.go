@@ -30,8 +30,8 @@ func TestFleetLifecycle(t *testing.T) {
 	if f.Total != 4 || f.Finished != 2 || f.Failed != 1 || f.Resumed != 1 || f.Running != 0 {
 		t.Fatalf("fleet counters: %+v", f)
 	}
-	if f.Done() != 4 {
-		t.Errorf("Done() = %d, want 4", f.Done())
+	if f.done() != 4 {
+		t.Errorf("done() = %d, want 4", f.done())
 	}
 	if f.Events != 4500 {
 		t.Errorf("events %d, want 4500 (failed runs excluded)", f.Events)

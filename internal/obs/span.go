@@ -47,13 +47,6 @@ type Span struct {
 // spanOpen marks a span that has not been closed yet.
 const spanOpen = sim.Time(-1)
 
-// Parent returns the index of the parent span within the tree, -1 for the
-// root.
-func (s *Span) Parent() int { return int(s.parent) }
-
-// Index returns this span's index within its tree.
-func (s *Span) Index() int { return int(s.idx) }
-
 // Duration returns End-Start (0 while the span is open).
 func (s *Span) Duration() sim.Time {
 	if s.End == spanOpen {
@@ -150,12 +143,9 @@ func (t *SpanTree) newSpan() *Span {
 // Root returns the tree's root span.
 func (t *SpanTree) Root() *Span { return t.at(0) }
 
-// Len returns the number of spans in the tree.
-func (t *SpanTree) Len() int { return t.n }
-
-// Spans returns the spans as a flat slice; Spans()[i].Parent() indexes
-// into it. The slice is built on demand — intended for export, not the
-// simulation hot path.
+// Spans returns the spans as a flat slice in creation order, so a parent
+// precedes its children. The slice is built on demand — intended for
+// export, not the simulation hot path.
 func (t *SpanTree) Spans() []*Span {
 	out := make([]*Span, t.n)
 	for i := range out {

@@ -18,8 +18,8 @@ type Params struct {
 	MTTRHours     float64 // mean time to repair/replace one drive
 }
 
-// Validate reports parameter errors.
-func (p Params) Validate() error {
+// validate reports parameter errors.
+func (p Params) validate() error {
 	if p.DiskMTTFHours <= 0 {
 		return fmt.Errorf("reliability: MTTF must be positive")
 	}

@@ -91,13 +91,13 @@ func TestQuickProbabilityBounds(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if (Params{DiskMTTFHours: 0, MTTRHours: 1}).Validate() == nil {
+	if (Params{DiskMTTFHours: 0, MTTRHours: 1}).validate() == nil {
 		t.Fatal("zero MTTF accepted")
 	}
-	if (Params{DiskMTTFHours: 1, MTTRHours: -1}).Validate() == nil {
+	if (Params{DiskMTTFHours: 1, MTTRHours: -1}).validate() == nil {
 		t.Fatal("negative MTTR accepted")
 	}
-	if std.Validate() != nil {
+	if std.validate() != nil {
 		t.Fatal("standard params rejected")
 	}
 }

@@ -165,13 +165,13 @@ func TestPermIsPermutation(t *testing.T) {
 func TestZipfProbabilitiesMonotone(t *testing.T) {
 	z := NewZipf(100, 0.8)
 	for i := 1; i < 100; i++ {
-		if z.Prob(i) > z.Prob(i-1)+1e-12 {
+		if z.prob(i) > z.prob(i-1)+1e-12 {
 			t.Fatalf("Zipf prob not monotone at rank %d", i)
 		}
 	}
 	var total float64
 	for i := 0; i < 100; i++ {
-		total += z.Prob(i)
+		total += z.prob(i)
 	}
 	if math.Abs(total-1) > 1e-9 {
 		t.Fatalf("Zipf probs sum to %f", total)
@@ -205,7 +205,7 @@ func TestZipfSkew(t *testing.T) {
 	}
 	// Empirical frequencies should track the analytic probabilities.
 	for r := 0; r < 10; r++ {
-		want := z.Prob(r)
+		want := z.prob(r)
 		got := float64(counts[r]) / 100000
 		if math.Abs(got-want) > 0.01 {
 			t.Fatalf("rank %d: empirical %f, analytic %f", r, got, want)
@@ -246,7 +246,7 @@ func TestZipfProbBounds(t *testing.T) {
 		{-100, true},
 	}
 	for _, c := range cases {
-		got := z.Prob(c.rank)
+		got := z.prob(c.rank)
 		if c.zero && got != 0 {
 			t.Errorf("Prob(%d) = %f, want 0", c.rank, got)
 		}
@@ -256,8 +256,8 @@ func TestZipfProbBounds(t *testing.T) {
 	}
 	// In-range probabilities still sum to 1.
 	var total float64
-	for r := 0; r < z.N(); r++ {
-		total += z.Prob(r)
+	for r := 0; r < z.n(); r++ {
+		total += z.prob(r)
 	}
 	if math.Abs(total-1) > 1e-9 {
 		t.Errorf("probs sum to %f, want 1", total)

@@ -40,8 +40,8 @@ func NewZipf(n int, theta float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
+// n returns the number of ranks.
+func (z *Zipf) n() int { return len(z.cdf) }
 
 // Sample draws a rank in [0, n). Rank 0 is the most probable.
 func (z *Zipf) Sample(src *Source) int {
@@ -49,10 +49,10 @@ func (z *Zipf) Sample(src *Source) int {
 	return sort.SearchFloat64s(z.cdf, u)
 }
 
-// Prob returns the probability of the given rank. Out-of-range ranks
-// (negative or >= N) have probability 0 — callers probing "how hot
+// prob returns the probability of the given rank. Out-of-range ranks
+// (negative or >= n()) have probability 0 — callers probing "how hot
 // would rank r be" must not have to bounds-check first.
-func (z *Zipf) Prob(rank int) float64 {
+func (z *Zipf) prob(rank int) float64 {
 	if rank < 0 || rank >= len(z.cdf) {
 		return 0
 	}

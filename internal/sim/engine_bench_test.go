@@ -13,7 +13,8 @@ import (
 //
 // The depth sweep brackets real workloads: a lightly loaded single array
 // sits in the tens of pending events, a saturated multi-array sweep in
-// the thousands. Baselines live in BENCH_array.json (engine_hotpath).
+// the thousands. The benchmark's sim.ns_per_event (bench/) is the
+// end-to-end measure of this path.
 func BenchmarkEngine(b *testing.B) {
 	for _, depth := range []int{1, 16, 256, 4096} {
 		b.Run(fmt.Sprintf("closure/depth=%d", depth), func(b *testing.B) {

@@ -139,12 +139,12 @@ func (m *Meter) Stop() MeterStats {
 	return s
 }
 
-// HeapHighWater returns the deepest the pending-event heap has been over
+// heapHighWater returns the deepest the pending-event heap has been over
 // the engine's lifetime.
-func (e *Engine) HeapHighWater() int { return e.heapHW }
+func (e *Engine) heapHighWater() int { return e.heapHW }
 
-// CallFreeList returns the cumulative free-list hit and miss counts of
+// callFreeList returns the cumulative free-list hit and miss counts of
 // the AtCall/AfterCall payload allocator.
-func (e *Engine) CallFreeList() (hits, misses uint64) {
+func (e *Engine) callFreeList() (hits, misses uint64) {
 	return e.callHits, e.callMisses
 }

@@ -43,9 +43,9 @@ func TestResetReplaysBitIdentically(t *testing.T) {
 	if e.Now() != 0 || e.Pending() != 0 {
 		t.Fatalf("after Reset: now=%d pending=%d, want 0/0", e.Now(), e.Pending())
 	}
-	_, missesBefore := e.CallFreeList()
+	_, missesBefore := e.callFreeList()
 	got := script(e)
-	if _, misses := e.CallFreeList(); misses != missesBefore {
+	if _, misses := e.callFreeList(); misses != missesBefore {
 		t.Errorf("scheduling after Reset allocated %d fresh chunks; the free list should have served them", misses-missesBefore)
 	}
 	if len(got) != len(want) {
@@ -67,7 +67,7 @@ func TestResetKeepsCumulativeCounters(t *testing.T) {
 		e.At(Time(i), func() {})
 	}
 	e.Run()
-	steps, hw := e.Steps(), e.HeapHighWater()
+	steps, hw := e.Steps(), e.heapHighWater()
 	if steps != 8 || hw != 8 {
 		t.Fatalf("pre-reset steps=%d hw=%d, want 8/8", steps, hw)
 	}
@@ -75,8 +75,8 @@ func TestResetKeepsCumulativeCounters(t *testing.T) {
 	if e.Steps() != steps {
 		t.Errorf("Reset changed steps: %d -> %d", steps, e.Steps())
 	}
-	if e.HeapHighWater() != hw {
-		t.Errorf("Reset changed heap high-water: %d -> %d", hw, e.HeapHighWater())
+	if e.heapHighWater() != hw {
+		t.Errorf("Reset changed heap high-water: %d -> %d", hw, e.heapHighWater())
 	}
 	e.At(0, func() {})
 	e.Run()

@@ -139,7 +139,7 @@ func TestTicker(t *testing.T) {
 	if count != 5 {
 		t.Fatalf("ticker fired %d times by t=55, want 5", count)
 	}
-	tk.Stop()
+	tk.stop()
 	eng.RunUntil(200)
 	if count != 5 {
 		t.Fatalf("ticker fired after Stop: %d", count)
@@ -153,7 +153,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	tk = NewTicker(eng, 10, func() {
 		count++
 		if count == 3 {
-			tk.Stop()
+			tk.stop()
 		}
 	})
 	eng.RunUntil(1000)
@@ -169,46 +169,6 @@ func TestTickerBadPeriod(t *testing.T) {
 		}
 	}()
 	NewTicker(New(), 0, func() {})
-}
-
-func TestSemaphore(t *testing.T) {
-	eng := New()
-	s := NewSemaphore(eng, 2)
-	var order []int
-	acquire := func(id int) {
-		s.Acquire(func() { order = append(order, id) })
-	}
-	acquire(1)
-	acquire(2)
-	acquire(3) // queued
-	acquire(4) // queued
-	if s.Free() != 0 || s.Waiting() != 2 {
-		t.Fatalf("free=%d waiting=%d", s.Free(), s.Waiting())
-	}
-	s.Release() // hands to 3
-	s.Release() // hands to 4
-	if len(order) != 4 {
-		t.Fatalf("grants: %v", order)
-	}
-	for i, id := range []int{1, 2, 3, 4} {
-		if order[i] != id {
-			t.Fatalf("grant order %v, want FIFO", order)
-		}
-	}
-	if s.PeakWaiting() != 2 {
-		t.Fatalf("peak waiting = %d, want 2", s.PeakWaiting())
-	}
-	s.Release()
-	s.Release()
-	if s.Free() != 2 {
-		t.Fatalf("free = %d, want 2", s.Free())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-release should panic")
-		}
-	}()
-	s.Release()
 }
 
 func TestMillisConversions(t *testing.T) {

@@ -37,6 +37,6 @@ func tickerFire(_ *Engine, c *Call) {
 	}
 }
 
-// Stop cancels future firings. A firing already dispatched for the current
+// stop cancels future firings. A firing already dispatched for the current
 // instant is suppressed.
-func (t *Ticker) Stop() { t.stopped = true }
+func (t *Ticker) stop() { t.stopped = true }

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"raidsim/internal/logbin"
 )
@@ -217,37 +216,4 @@ func (h *histogram) quantile(q float64, min, max float64) float64 {
 		}
 	}
 	return max
-}
-
-// Counter is a simple named tally.
-type Counter struct {
-	counts map[string]int64
-}
-
-// Inc adds n to the named counter.
-func (c *Counter) Inc(name string, n int64) {
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
-	}
-	c.counts[name] += n
-}
-
-// Get returns the named count.
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	out := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Merge folds other into c.
-func (c *Counter) Merge(o *Counter) {
-	for k, v := range o.counts {
-		c.Inc(k, v)
-	}
 }

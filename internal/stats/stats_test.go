@@ -109,26 +109,6 @@ func TestQuantileApproximation(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc("a", 2)
-	c.Inc("b", 1)
-	c.Inc("a", 3)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("zzz") != 0 {
-		t.Fatalf("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-	var d Counter
-	d.Inc("b", 10)
-	c.Merge(&d)
-	if c.Get("b") != 11 {
-		t.Fatalf("merge failed: b = %d", c.Get("b"))
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	var u Utilization
 	u.SetBusy(0)

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"raidsim/internal/sim"
 )
@@ -67,13 +69,24 @@ func WriteText(w io.Writer, t *Trace) error {
 }
 
 // sanitizeName makes a name single-token for the whitespace-separated
-// text format.
+// text format: ReadText splits on every rune unicode.IsSpace reports.
+// Other bytes pass through unchanged, invalid UTF-8 included, so a name
+// ReadText accepted is written back as it was read.
 func sanitizeName(s string) string {
-	s = strings.ReplaceAll(s, " ", "_")
-	if s == "" {
+	var b strings.Builder
+	for len(s) > 0 {
+		r, n := utf8.DecodeRuneInString(s)
+		if unicode.IsSpace(r) {
+			b.WriteByte('_')
+		} else {
+			b.WriteString(s[:n])
+		}
+		s = s[n:]
+	}
+	if b.Len() == 0 {
 		return "unnamed"
 	}
-	return s
+	return b.String()
 }
 
 // ReadText decodes a text-format trace.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -57,6 +58,52 @@ func FuzzBinaryCodecRoundTrip(f *testing.F) {
 		}
 		var out2 bytes.Buffer
 		if err := WriteBinary(&out2, tr2); err != nil {
+			t.Fatalf("second encode failed: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
+			t.Fatal("encoding is not a fixed point")
+		}
+	})
+}
+
+// FuzzTextCodecRoundTrip feeds arbitrary text to ReadText. Garbage must
+// fail cleanly; anything accepted must pass Validate and survive a
+// WriteText/ReadText round trip unchanged, and one re-encode must reach
+// a fixed point (the reader accepts variants such as "r", "+5" and
+// comment lines that the writer normalizes away).
+func FuzzTextCodecRoundTrip(f *testing.F) {
+	for _, t := range []*Trace{sampleTrace(), classedTrace()} {
+		var buf bytes.Buffer
+		if err := WriteText(&buf, t); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	f.Add("raidsim-trace v1 o 1 8\n0 R 9223372036854775807 1\n") // LBA+Blocks overflows
+	f.Add("raidsim-trace v1 tab\tname 4 100\n1 R 5 1\n")         // a name holding a tab
+	f.Add("raidsim-trace v1 x 4 100\n# comment\n\n+1 r 5 1\n")
+
+	f.Fuzz(func(t *testing.T, data string) {
+		tr, err := ReadText(strings.NewReader(data))
+		if err != nil {
+			return // rejected input is fine; panics are the bug
+		}
+		if verr := tr.Validate(); verr != nil {
+			t.Fatalf("ReadText accepted an invalid trace: %v", verr)
+		}
+		var out bytes.Buffer
+		if err := WriteText(&out, tr); err != nil {
+			t.Fatalf("re-encode failed: %v", err)
+		}
+		tr2, err := ReadText(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decode failed: %v\n%q", err, out.String())
+		}
+		if !reflect.DeepEqual(tr, tr2) {
+			t.Fatalf("round trip changed the trace:\n in: %+v\nout: %+v", tr, tr2)
+		}
+		var out2 bytes.Buffer
+		if err := WriteText(&out2, tr2); err != nil {
 			t.Fatalf("second encode failed: %v", err)
 		}
 		if !bytes.Equal(out.Bytes(), out2.Bytes()) {

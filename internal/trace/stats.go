@@ -55,14 +55,6 @@ func (c Characteristics) WriteFraction() float64 {
 	return float64(c.SingleBlockWrites+c.MultiBlockWrites) / float64(c.Accesses)
 }
 
-// SingleBlockFraction returns the fraction of single-block requests.
-func (c Characteristics) SingleBlockFraction() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.SingleBlockReads+c.SingleBlockWrites) / float64(c.Accesses)
-}
-
 // Skew returns the peak-to-mean ratio of per-disk access counts, a simple
 // measure of the disk access skew the paper discusses.
 func (c Characteristics) Skew() float64 {

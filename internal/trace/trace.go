@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"raidsim/internal/sim"
@@ -120,8 +119,9 @@ func (t *Trace) Validate() error {
 		if r.Blocks <= 0 {
 			return fmt.Errorf("trace %q: record %d has %d blocks", t.Name, i, r.Blocks)
 		}
-		if r.LBA < 0 || r.LBA+int64(r.Blocks) > total {
-			return fmt.Errorf("trace %q: record %d spans [%d,%d) outside [0,%d)", t.Name, i, r.LBA, r.LBA+int64(r.Blocks), total)
+		// LBA+Blocks could overflow; compare against total-Blocks instead.
+		if r.LBA < 0 || r.LBA > total-int64(r.Blocks) {
+			return fmt.Errorf("trace %q: record %d (%d blocks at LBA %d) falls outside [0,%d)", t.Name, i, r.Blocks, r.LBA, total)
 		}
 		if nclasses > 0 && int(r.Class) >= nclasses {
 			return fmt.Errorf("trace %q: record %d has class %d outside the %d-entry class table", t.Name, i, r.Class, nclasses)
@@ -246,46 +246,4 @@ func (t *Trace) SplitByGroup(perGroup int) ([]*Trace, error) {
 		sub.Records = append(sub.Records, r)
 	}
 	return out, nil
-}
-
-// Merge interleaves several traces (which must share shape) by timestamp.
-func Merge(name string, parts ...*Trace) (*Trace, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("trace: nothing to merge")
-	}
-	out := &Trace{
-		Name: name, NumDisks: parts[0].NumDisks, BlocksPerDisk: parts[0].BlocksPerDisk,
-		Classes: copyClasses(parts[0].Classes),
-	}
-	n := 0
-	for _, p := range parts {
-		if p.NumDisks != out.NumDisks || p.BlocksPerDisk != out.BlocksPerDisk {
-			return nil, fmt.Errorf("trace: merging traces of different shapes")
-		}
-		if !sameClasses(p.Classes, out.Classes) {
-			return nil, fmt.Errorf("trace: merging traces with different class tables")
-		}
-		n += len(p.Records)
-	}
-	out.Records = make([]Record, 0, n)
-	for _, p := range parts {
-		out.Records = append(out.Records, p.Records...)
-	}
-	sort.SliceStable(out.Records, func(i, j int) bool {
-		return out.Records[i].At < out.Records[j].At
-	})
-	return out, nil
-}
-
-// sameClasses reports whether two class tables are identical.
-func sameClasses(a, b []ClassInfo) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

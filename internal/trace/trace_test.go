@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -54,6 +55,7 @@ func TestValidate(t *testing.T) {
 		func() *Trace { tr := sampleTrace(); tr.Records[0].Blocks = 0; return tr }(),
 		func() *Trace { tr := sampleTrace(); tr.Records[0].LBA = 4000; return tr }(), // out of space
 		func() *Trace { tr := sampleTrace(); tr.Records[1].Blocks = 5000; return tr }(),
+		func() *Trace { tr := sampleTrace(); tr.Records[3].LBA = math.MaxInt64; return tr }(), // LBA+Blocks overflows
 	}
 	for i, tr := range bad {
 		if tr.Validate() == nil {
@@ -251,27 +253,6 @@ func TestRecordSize(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	tr := randomTrace(1, 200)
-	subs, err := tr.SplitByGroup(tr.NumDisks) // single group: identity modulo name
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Merge("m", subs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Records) != len(tr.Records) {
-		t.Fatal("merge lost records")
-	}
-	if err := merged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge("x"); err == nil {
-		t.Fatal("empty merge should fail")
-	}
-}
-
 func TestTextRoundtrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
@@ -287,6 +268,19 @@ func TestTextRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Records, tr.Records) {
 		t.Fatalf("records mismatch:\n got %v\nwant %v", got.Records, tr.Records)
+	}
+
+	// Any whitespace rune in a name is written as '_', not only spaces.
+	tr.Name = "tab\tname"
+	buf.Reset()
+	if err := WriteText(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = ReadText(&buf); err != nil {
+		t.Fatalf("tab in the trace name: %v", err)
+	}
+	if got.Name != "tab_name" {
+		t.Fatalf("name %q, want %q", got.Name, "tab_name")
 	}
 }
 
@@ -332,6 +326,7 @@ func TestReadTextErrors(t *testing.T) {
 		"raidsim-trace v1 x 4 100\n-5 R 5 1\n",     // negative delta
 		"raidsim-trace v1 x 4 100\n1 R 5\n",        // missing field
 		"raidsim-trace v1 x 4 100\n1 R 999999 1\n", // out of range
+		"raidsim-trace v1 o 1 8\n0 R 9223372036854775807 1\n", // LBA+Blocks overflows
 	}
 	for i, c := range cases {
 		if _, err := ReadText(bytes.NewBufferString(c)); err == nil {
@@ -374,9 +369,6 @@ func TestCharacterize(t *testing.T) {
 	if got := c.WriteFraction(); got != 0.5 {
 		t.Fatalf("write fraction %f", got)
 	}
-	if got := c.SingleBlockFraction(); got != 0.75 {
-		t.Fatalf("single fraction %f", got)
-	}
 	// Per-disk: lba 10 -> disk 0, 1500 -> 1, 2100 -> 2, 3999 -> 3.
 	for d := 0; d < 4; d++ {
 		if c.PerDiskAccesses[d] != 1 {
@@ -406,6 +398,8 @@ func classedTrace() *Trace {
 
 func TestClassedTextRoundtrip(t *testing.T) {
 	tr := classedTrace()
+	tr.Name = "tab\tname"
+	tr.Classes[1].Name = "long\tscan"
 	var buf bytes.Buffer
 	if err := WriteText(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -417,8 +411,9 @@ func TestClassedTextRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Classes, tr.Classes) {
-		t.Fatalf("classes mismatch:\n got %v\nwant %v", got.Classes, tr.Classes)
+	tr.Classes[1].Name = "long_scan" // whitespace runes are written as '_'
+	if got.Name != "tab_name" || !reflect.DeepEqual(got.Classes, tr.Classes) {
+		t.Fatalf("names mismatch:\n got %q %v\nwant %q %v", got.Name, got.Classes, "tab_name", tr.Classes)
 	}
 	if !reflect.DeepEqual(got.Records, tr.Records) {
 		t.Fatalf("records mismatch:\n got %v\nwant %v", got.Records, tr.Records)
