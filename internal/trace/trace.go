@@ -7,6 +7,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"raidsim/internal/sim"
@@ -102,6 +103,9 @@ type Trace struct {
 func (t *Trace) Validate() error {
 	if t.NumDisks <= 0 || t.BlocksPerDisk <= 0 {
 		return fmt.Errorf("trace %q: bad shape %d disks x %d blocks", t.Name, t.NumDisks, t.BlocksPerDisk)
+	}
+	if t.BlocksPerDisk > math.MaxInt64/int64(t.NumDisks) {
+		return fmt.Errorf("trace %q: shape %d disks x %d blocks overflows int64", t.Name, t.NumDisks, t.BlocksPerDisk)
 	}
 	for i, c := range t.Classes {
 		if c.SLO > SLOAuto {

@@ -62,6 +62,15 @@ func TestValidate(t *testing.T) {
 			t.Errorf("bad trace %d validated", i)
 		}
 	}
+	// A capacity past int64 is the shape's fault, whether the product
+	// wraps to 0 or to a positive total the records happen to fit.
+	for _, bpd := range []int64{1 << 62, 1<<62 + 25} {
+		tr := &Trace{Name: "big", NumDisks: 4, BlocksPerDisk: bpd, Records: []Record{{LBA: 5, Blocks: 1}}}
+		err := tr.Validate()
+		if err == nil || !strings.Contains(err.Error(), "shape") {
+			t.Errorf("4 disks x %d blocks: got %v, want a shape error", bpd, err)
+		}
+	}
 }
 
 func TestScale(t *testing.T) {
@@ -331,6 +340,16 @@ func TestReadTextErrors(t *testing.T) {
 	for i, c := range cases {
 		if _, err := ReadText(bytes.NewBufferString(c)); err == nil {
 			t.Errorf("case %d parsed", i)
+		}
+	}
+	// Disks x blocks past int64: wrapping to 0 or to 100 blocks.
+	for _, c := range []string{
+		"raidsim-trace v1 big 4 4611686018427387904\n0 R 5 1\n",
+		"raidsim-trace v1 big 4 4611686018427387929\n0 R 5 1\n",
+	} {
+		_, err := ReadText(bytes.NewBufferString(c))
+		if err == nil || !strings.Contains(err.Error(), "shape") {
+			t.Errorf("%q: got %v, want a shape error", c, err)
 		}
 	}
 	// Comments and blank lines are fine.
