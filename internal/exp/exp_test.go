@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"raidsim/internal/array"
 	"raidsim/internal/report"
 )
 
@@ -219,5 +221,34 @@ func TestBaseConfigDefaultsMatchTable4(t *testing.T) {
 	}
 	if cfg.Spec.BlockBytes != 4096 {
 		t.Errorf("block size %d, want 4096", cfg.Spec.BlockBytes)
+	}
+}
+
+// TestSweepFailedCellIsBlankAndNamed runs a sweep with one point that
+// fails config validation (N = 1): its cell is NaN, the other is filled,
+// and the note names the series, the tick and the config.
+func TestSweepFailedCellIsBlankAndNamed(t *testing.T) {
+	var buf strings.Builder
+	ctx := testCtx(&buf)
+	s := sweep{figure: "Figure X", heading: "one bad point", xlabel: "N", ylabel: respMS,
+		series: orgs(array.OrgRAID5), ticks: arraySizes(10, 1)}
+	fig := s.figureFor(ctx, "trace2", point{})
+	if got := fig.Series[0].Values; math.IsNaN(got[0]) || !math.IsNaN(got[1]) {
+		t.Fatalf("cells %v, want a value at N=10 and NaN at N=1", got)
+	}
+	if err := fig.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "\n1   NaN") {
+		t.Errorf("failed cell not rendered blank:\n%s", out)
+	}
+	if len(fig.Notes) != 1 {
+		t.Fatalf("notes %q, want one", fig.Notes)
+	}
+	for _, want := range []string{"failed run: raid5 @1: ", "n=1"} {
+		if !strings.Contains(fig.Notes[0], want) {
+			t.Errorf("note %q does not name %q", fig.Notes[0], want)
+		}
 	}
 }

@@ -16,7 +16,7 @@ func init() {
 	register(Experiment{ID: "ablate-pstripe", Title: "Ablation: fine-grained parity striping (section 4.2.1 future work)", Figure: "ablation (section 4.2.1)",
 		Knobs: "parity stripe unit: classic vs fine-grained", Run: ablatePStripe})
 	register(Experiment{ID: "ablate-sync-destage", Title: "Ablation: destage period", Figure: "ablation (section 3.4)",
-		Knobs: "destage period: 0.25..8 s", Run: ablateDestagePeriod})
+		Knobs: "destage period: 0.25, 1, 4, 16 s", Run: ablateDestagePeriod})
 	register(Experiment{ID: "ext-rebuild", Title: "Extension: degraded-mode and rebuild performance", Figure: "extension",
 		Knobs: "mode: normal/degraded/rebuilding; rebuild pause", Run: extRebuild})
 	register(Experiment{ID: "ext-mttdl", Title: "Extension: MTTDL of the organizations (intro footnote)", Figure: "extension (intro footnote)",

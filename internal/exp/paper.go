@@ -6,7 +6,6 @@ import (
 	"raidsim/internal/array"
 	"raidsim/internal/core"
 	"raidsim/internal/geom"
-	"raidsim/internal/layout"
 	"raidsim/internal/report"
 	"raidsim/internal/trace"
 )
@@ -16,20 +15,10 @@ func init() {
 		Knobs: "none (static model parameters)", Run: table1})
 	register(Experiment{ID: "table2", Title: "Table 2: trace characteristics", Figure: "Table 2",
 		Knobs: "trace: trace1, trace2", Run: table2})
-	register(Experiment{ID: "fig4", Title: "Figure 4: synchronization policies vs array size", Figure: "Figure 4",
-		Knobs: "sync: SI/RF/RF-PR/DF/DF-PR; N: 4..32", Run: fig4})
-	register(Experiment{ID: "fig5", Title: "Figure 5: response time vs array size (non-cached)", Figure: "Figure 5",
-		Knobs: "org: base/mirror/raid5/pstripe; N: 4..32", Run: fig5})
 	register(Experiment{ID: "fig6", Title: "Figure 6: per-disk accesses, Base (Trace 1)", Figure: "Figure 6",
 		Knobs: "per-disk histogram, Base", Run: fig6})
 	register(Experiment{ID: "fig7", Title: "Figure 7: per-disk accesses, RAID5 (Trace 1)", Figure: "Figure 7",
 		Knobs: "per-disk histogram, RAID5", Run: fig7})
-	register(Experiment{ID: "fig8", Title: "Figure 8: striping unit (non-cached RAID5)", Figure: "Figure 8",
-		Knobs: "striping unit: 1..24 blocks", Run: fig8})
-	register(Experiment{ID: "fig9", Title: "Figure 9: parity placement (Parity Striping)", Figure: "Figure 9",
-		Knobs: "placement: middle/end; N: 4..32", Run: fig9})
-	register(Experiment{ID: "fig10", Title: "Figure 10: trace speed (non-cached)", Figure: "Figure 10",
-		Knobs: "trace speed: 0.5x..2x", Run: fig10})
 }
 
 func table1(ctx *Context) error {
@@ -80,84 +69,6 @@ func table2(ctx *Context) error {
 	return ctx.Render(t)
 }
 
-var arraySizes = []int{5, 10, 15, 20}
-
-// fig4: five synchronization policies for RAID5 and Parity Striping,
-// non-cached, response time vs array size.
-func fig4(ctx *Context) error {
-	policies := []array.SyncPolicy{array.SI, array.RF, array.RFPR, array.DF, array.DFPR}
-	for _, name := range ctx.TraceNames() {
-		for _, org := range []array.Org{array.OrgRAID5, array.OrgParityStriping} {
-			fig := &report.Figure{
-				Title:  fmt.Sprintf("Figure 4 (%s, %s): synchronization policies", name, org),
-				XLabel: "N",
-				YLabel: "response time (ms)",
-			}
-			for _, n := range arraySizes {
-				fig.XTicks = append(fig.XTicks, fmt.Sprintf("%d", n))
-			}
-			tr := ctx.Trace(name, 1)
-			for _, pol := range policies {
-				var jobs []job
-				for _, n := range arraySizes {
-					cfg := ctx.BaseConfig(name)
-					cfg.Org = org
-					cfg.N = n
-					cfg.Sync = pol
-					jobs = append(jobs, job{cfg: cfg, tr: tr})
-				}
-				res, errs := runAll(jobs)
-				noteErrors(fig, errs)
-				vals := make([]float64, len(res))
-				for i, r := range res {
-					vals[i] = meanOrNaN(r)
-				}
-				fig.Add(pol.String(), vals...)
-			}
-			if err := ctx.Render(fig); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// fig5: the four organizations, non-cached, response time vs array size.
-func fig5(ctx *Context) error {
-	orgs := []array.Org{array.OrgBase, array.OrgMirror, array.OrgRAID5, array.OrgParityStriping}
-	for _, name := range ctx.TraceNames() {
-		fig := &report.Figure{
-			Title:  fmt.Sprintf("Figure 5 (%s): response time vs array size, non-cached", name),
-			XLabel: "N",
-			YLabel: "response time (ms)",
-		}
-		for _, n := range arraySizes {
-			fig.XTicks = append(fig.XTicks, fmt.Sprintf("%d", n))
-		}
-		tr := ctx.Trace(name, 1)
-		for _, org := range orgs {
-			var jobs []job
-			for _, n := range arraySizes {
-				cfg := ctx.BaseConfig(name)
-				cfg.Org = org
-				cfg.N = n
-				jobs = append(jobs, job{cfg: cfg, tr: tr})
-			}
-			res, errs := runAll(jobs)
-			noteErrors(fig, errs)
-			vals := make([]float64, len(res))
-			for i, r := range res {
-				vals[i] = meanOrNaN(r)
-			}
-			fig.Add(org.String(), vals...)
-		}
-		if err := ctx.Render(fig); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // perDiskAccesses runs one config on Trace 1 and renders the access count
 // of every physical disk.
 func perDiskAccesses(ctx *Context, title string, mutate func(*core.Config)) error {
@@ -195,114 +106,4 @@ func fig6(ctx *Context) error {
 func fig7(ctx *Context) error {
 	return perDiskAccesses(ctx, "Figure 7: accesses per disk, RAID5 1-block striping unit (Trace 1)",
 		func(cfg *core.Config) { cfg.Org = array.OrgRAID5; cfg.StripingUnit = 1 })
-}
-
-var stripingUnits = []int{1, 2, 4, 8, 16, 32, 64}
-
-// fig8: non-cached RAID5 response time vs striping unit.
-func fig8(ctx *Context) error {
-	for _, name := range ctx.TraceNames() {
-		fig := &report.Figure{
-			Title:  fmt.Sprintf("Figure 8 (%s): striping unit, non-cached RAID5 (N=10)", name),
-			XLabel: "striping unit (blocks)",
-			YLabel: "response time (ms)",
-		}
-		for _, su := range stripingUnits {
-			fig.XTicks = append(fig.XTicks, fmt.Sprintf("%d", su))
-		}
-		tr := ctx.Trace(name, 1)
-		var jobs []job
-		for _, su := range stripingUnits {
-			cfg := ctx.BaseConfig(name)
-			cfg.Org = array.OrgRAID5
-			cfg.StripingUnit = su
-			jobs = append(jobs, job{cfg: cfg, tr: tr})
-		}
-		res, errs := runAll(jobs)
-		noteErrors(fig, errs)
-		vals := make([]float64, len(res))
-		for i, r := range res {
-			vals[i] = meanOrNaN(r)
-		}
-		fig.Add("raid5", vals...)
-		if err := ctx.Render(fig); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fig9: parity placement (middle vs end cylinders) for Parity Striping.
-func fig9(ctx *Context) error {
-	for _, name := range ctx.TraceNames() {
-		fig := &report.Figure{
-			Title:  fmt.Sprintf("Figure 9 (%s): parity placement, Parity Striping", name),
-			XLabel: "N",
-			YLabel: "response time (ms)",
-		}
-		for _, n := range arraySizes {
-			fig.XTicks = append(fig.XTicks, fmt.Sprintf("%d", n))
-		}
-		tr := ctx.Trace(name, 1)
-		for _, pl := range []layout.Placement{layout.MiddlePlacement, layout.EndPlacement} {
-			var jobs []job
-			for _, n := range arraySizes {
-				cfg := ctx.BaseConfig(name)
-				cfg.Org = array.OrgParityStriping
-				cfg.N = n
-				cfg.Placement = pl
-				jobs = append(jobs, job{cfg: cfg, tr: tr})
-			}
-			res, errs := runAll(jobs)
-			noteErrors(fig, errs)
-			vals := make([]float64, len(res))
-			for i, r := range res {
-				vals[i] = meanOrNaN(r)
-			}
-			fig.Add(pl.String(), vals...)
-		}
-		if err := ctx.Render(fig); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-var traceSpeeds = []float64{0.5, 1, 2}
-
-// fig10: response time vs trace speed for the four organizations,
-// non-cached.
-func fig10(ctx *Context) error {
-	orgs := []array.Org{array.OrgBase, array.OrgMirror, array.OrgRAID5, array.OrgParityStriping}
-	for _, name := range ctx.TraceNames() {
-		fig := &report.Figure{
-			Title:  fmt.Sprintf("Figure 10 (%s): trace speed, non-cached (N=10)", name),
-			XLabel: "speed",
-			YLabel: "response time (ms)",
-		}
-		for _, s := range traceSpeeds {
-			fig.XTicks = append(fig.XTicks, fmt.Sprintf("%g", s))
-		}
-		for _, org := range orgs {
-			var jobs []job
-			for _, s := range traceSpeeds {
-				cfg := ctx.BaseConfig(name)
-				cfg.Org = org
-				jobs = append(jobs, job{cfg: cfg, tr: ctx.Trace(name, s)})
-			}
-			res, errs := runAll(jobs)
-			vals := make([]float64, len(res))
-			for i, r := range res {
-				vals[i] = meanOrNaN(r)
-				if errs[i] != "" {
-					fig.AddNote("%s @%g: %s", org, traceSpeeds[i], errs[i])
-				}
-			}
-			fig.Add(org.String(), vals...)
-		}
-		if err := ctx.Render(fig); err != nil {
-			return err
-		}
-	}
-	return nil
 }
