@@ -655,9 +655,17 @@ func extTimeseries(ctx *Context) error {
 			}
 			byClass[k] = append(byClass[k], s)
 		}
+		// Visit the classes in name order and sort stably, so requests of
+		// equal duration keep one order from run to run.
+		classes := make([]string, 0, len(byClass))
+		for k := range byClass {
+			classes = append(classes, k)
+		}
+		sort.Strings(classes)
 		var tail []obs.SpanSample
-		for _, g := range byClass {
-			sort.Slice(g, func(i, j int) bool {
+		for _, k := range classes {
+			g := byClass[k]
+			sort.SliceStable(g, func(i, j int) bool {
 				return g[i].Tree.Duration() > g[j].Tree.Duration()
 			})
 			if len(g) > 4 {
@@ -665,7 +673,7 @@ func extTimeseries(ctx *Context) error {
 			}
 			tail = append(tail, g...)
 		}
-		sort.Slice(tail, func(i, j int) bool {
+		sort.SliceStable(tail, func(i, j int) bool {
 			return tail[i].Tree.Duration() > tail[j].Tree.Duration()
 		})
 		tt := report.TailTable("tail anatomy: slowest requests per class", tail)
