@@ -97,7 +97,7 @@ func (cc *cachedCtrl) Results() *Results {
 const destageChunk = 16
 
 // destageTick writes back all currently dirty blocks in chunks staggered
-// across 80% of the destage period, so the asynchronous writes interfere
+// across a fifth of the destage period, so the asynchronous writes interfere
 // minimally with foreground reads. Chunks keep stripe-adjacent blocks
 // together (the candidate list is LBA-sorted), preserving most
 // full-stripe write-back opportunities.

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"raidsim/internal/array"
@@ -57,20 +58,20 @@ func orgs(os ...array.Org) axis {
 }
 
 func arraySizes(ns ...int) axis {
-	return axisOf("N", itoa, func(c *core.Config, n int) { c.N = n }, ns...)
+	return axisOf("N", strconv.Itoa, func(c *core.Config, n int) { c.N = n }, ns...)
 }
 
 // arraySizesFixedCache sweeps N holding the total cache constant: each
 // array's cache grows with its mbPerDisk share of N data disks.
 func arraySizesFixedCache(mbPerDisk float64, ns ...int) axis {
-	return axisOf(fmt.Sprintf("N at %g MB cache per data disk", mbPerDisk), itoa, func(c *core.Config, n int) {
+	return axisOf(fmt.Sprintf("N at %g MB cache per data disk", mbPerDisk), strconv.Itoa, func(c *core.Config, n int) {
 		c.N = n
 		c.CacheMB = int(mbPerDisk * float64(n))
 	}, ns...)
 }
 
 func stripingUnits() axis {
-	return axisOf("striping unit (blocks)", itoa, func(c *core.Config, su int) { c.StripingUnit = su },
+	return axisOf("striping unit (blocks)", strconv.Itoa, func(c *core.Config, su int) { c.StripingUnit = su },
 		1, 2, 4, 8, 16, 32, 64)
 }
 
@@ -86,8 +87,6 @@ func traceSpeeds() axis {
 	}
 	return a
 }
-
-func itoa(n int) string { return fmt.Sprintf("%d", n) }
 
 func cached(c *core.Config) { c.Cached = true }
 
@@ -218,11 +217,11 @@ func (s *sweep) figureFor(ctx *Context, name string, pn point) *report.Figure {
 			jobs = append(jobs, job{cfg: cfg, tr: ctx.Trace(name, speed)})
 		}
 	}
-	res, errs := runAll(jobs)
-	nt := len(s.ticks.points)
 	for _, tk := range s.ticks.points {
 		fig.XTicks = append(fig.XTicks, tk.label)
 	}
+	res, errs := runAll(jobs)
+	nt := len(s.ticks.points)
 	for i, se := range s.series.points {
 		cells := res[i*nt : (i+1)*nt]
 		for k, e := range errs[i*nt : (i+1)*nt] {

@@ -79,10 +79,10 @@ func FuzzTextCodecRoundTrip(f *testing.F) {
 		}
 		f.Add(buf.String())
 	}
-	f.Add("raidsim-trace v1 o 1 8\n0 R 9223372036854775807 1\n")   // LBA+Blocks overflows
-	f.Add("raidsim-trace v1 big 4 4611686018427387904\n0 R 5 1\n") // disks x blocks overflows
-	f.Add("raidsim-trace v1 tab\tname 4 100\n1 R 5 1\n")           // a name holding a tab
+	f.Add("raidsim-trace v1 o 1 8\n0 R 9223372036854775807 1\n") // LBA+Blocks overflows
+	f.Add("raidsim-trace v1 tab\tname 4 100\n1 R 5 1\n")         // a name holding a tab
 	f.Add("raidsim-trace v1 x 4 100\n# comment\n\n+1 r 5 1\n")
+	f.Add("raidsim-trace v1 big 4 4611686018427387904\n0 R 5 1\n") // disks x blocks overflows
 
 	f.Fuzz(func(t *testing.T, data string) {
 		tr, err := ReadText(strings.NewReader(data))
