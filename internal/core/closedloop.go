@@ -70,7 +70,7 @@ type closedFeeder struct {
 
 // submitNext admits the next record, if any remain.
 func (f *closedFeeder) submitNext() {
-	if f.next >= len(f.sub.Records) {
+	if f.next >= f.sub.Len() {
 		return
 	}
 	f.next++
@@ -92,17 +92,17 @@ func thinkDone(_ *sim.Engine, c *sim.Call) { c.A.(*closedFeeder).submitNext() }
 
 // drive is the closed-loop driveFunc. It returns the time the array
 // finished its last request, which feeds Makespan.
-func (cl ClosedLoopConfig) drive(eng *sim.Engine, ctrl array.Controller, sub *trace.Trace) (sim.Time, error) {
+func (cl ClosedLoopConfig) drive(eng *sim.Engine, ctrl array.Controller, sub *trace.Group) (sim.Time, error) {
 	f := &closedFeeder{
-		feeder: feeder{ctrl: ctrl, sub: sub, cap64: ctrl.DataBlocks()},
+		feeder: newFeeder(ctrl, sub),
 		eng:    eng,
 		think:  cl.ThinkTime,
 	}
 	f.complete = f.onComplete
-	for i := 0; i < cl.MPL && i < len(sub.Records); i++ {
+	for i := 0; i < cl.MPL && i < sub.Len(); i++ {
 		f.submitNext()
 	}
-	done := func() bool { return f.next >= len(sub.Records) && ctrl.Drained() }
+	done := func() bool { return f.next >= sub.Len() && ctrl.Drained() }
 	// Closed loops always make progress (every completion funds the next
 	// submission); run until the stream is exhausted and drained, with a
 	// generous step bound as a wedge detector.
@@ -112,7 +112,7 @@ func (cl ClosedLoopConfig) drive(eng *sim.Engine, ctrl array.Controller, sub *tr
 		}
 	}
 	if !done() {
-		return 0, fmt.Errorf("core: closed-loop replay of %q wedged at record %d", sub.Name, f.next)
+		return 0, fmt.Errorf("core: closed-loop replay of %q wedged at record %d", sub.Name(), f.next)
 	}
 	return eng.Now(), nil
 }

@@ -368,9 +368,9 @@ func Run(cfg Config, tr *trace.Trace) (*Results, error) {
 
 // RunContext is Run with the run-lifecycle seam the campaign layer
 // drives: ctx aborts the system between array simulations (an engine
-// that has started finishes its sub-trace — the discrete-event loop has
-// no safe preemption point — so cancellation latency is one array's
-// runtime), and the per-run seed is injected through cfg.Seed, which
+// that has started finishes its share of the trace — the discrete-event
+// loop has no safe preemption point — so cancellation latency is one
+// array's runtime), and the per-run seed is injected through cfg.Seed, which
 // every derived stream (per-array engines, fault streams, robustness
 // jitter) fans out from deterministically.
 func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Results, error) {

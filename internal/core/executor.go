@@ -11,25 +11,26 @@ import (
 	"raidsim/internal/trace"
 )
 
-// driveFunc replays one array's sub-trace against its controller on eng
-// until the array has finished, and returns the simulated time it ended
-// at. Open-loop replay (replayOpen) and closed-loop replay
-// (ClosedLoopConfig.drive) are the two kinds.
-type driveFunc func(eng *sim.Engine, ctrl array.Controller, sub *trace.Trace) (sim.Time, error)
+// driveFunc replays one array's group of the trace against its
+// controller on eng until the array has finished, and returns the
+// simulated time it ended at. Open-loop replay (replayOpen) and
+// closed-loop replay (ClosedLoopConfig.drive) are the two kinds.
+type driveFunc func(eng *sim.Engine, ctrl array.Controller, sub *trace.Group) (sim.Time, error)
 
 // execute is the one way core simulates a system. It validates cfg
-// against tr, splits the trace into per-array sub-traces, and runs the
-// arrays on shard.MapStats with min(Workers, arrays) workers. Each worker
-// creates one engine the first time it claims an array and keeps it for
-// the whole run: it builds array g's controller on that engine, lets
-// drive replay the sub-trace, and Resets the engine before its next
-// array.
+// against tr, partitions the trace into per-array group views
+// (trace.Groups: an index of record positions, no copy of the records),
+// and runs the arrays on shard.MapStats with min(Workers, arrays)
+// workers. Each worker creates one engine the first time it claims an
+// array and keeps it for the whole run: it builds array g's controller
+// on that engine, lets drive replay the group, and Resets the engine
+// before its next array.
 // Every output lands in a slot addressed by g and is folded in index
 // order afterwards, so results are bit-identical at any worker count:
-// arrays share nothing but the workload, every per-array seed is a pure
-// function of (cfg.Seed, g), and a reset engine replays any event
-// sequence exactly like a fresh one. The second result holds each
-// array's end time.
+// arrays share nothing but the workload, which they only read, every
+// per-array seed is a pure function of (cfg.Seed, g), and a reset engine
+// replays any event sequence exactly like a fresh one. The second result
+// holds each array's end time.
 func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) (*Results, []sim.Time, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("core: run canceled before start: %w", err)
@@ -43,17 +44,17 @@ func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) 
 	if tr.BlocksPerDisk != cfg.Spec.BlocksPerDisk() {
 		return nil, nil, fmt.Errorf("core: trace has %d blocks/disk, disk model has %d", tr.BlocksPerDisk, cfg.Spec.BlocksPerDisk())
 	}
-	subs, err := tr.SplitByGroup(cfg.N)
+	groups, err := tr.Groups(cfg.N)
 	if err != nil {
 		return nil, nil, err
 	}
-	widths := cfg.groupDisks(len(subs))
+	widths := cfg.groupDisks(len(groups))
 	faults, err := cfg.groupFaults(widths)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	n := len(subs)
+	n := len(groups)
 	parts := make([]*array.Results, n)
 	events := make([]uint64, n)
 	ends := make([]sim.Time, n)
@@ -65,7 +66,7 @@ func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) 
 			errs[g] = fmt.Errorf("core: array %d canceled: %w", g, err)
 			return
 		}
-		ac := cfg.arrayConfig(g, widths[g], faults[g], subs[g].Classes)
+		ac := cfg.arrayConfig(g, widths[g], faults[g], tr.Classes)
 		recs[g] = ac.Rec
 		var m *sim.Meter
 		if cfg.SelfMetrics {
@@ -74,7 +75,7 @@ func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) 
 		steps0 := eng.Steps()
 		ctrl, err := array.New(eng, ac)
 		if err == nil {
-			ends[g], err = drive(eng, ctrl, subs[g])
+			ends[g], err = drive(eng, ctrl, &groups[g])
 		}
 		if err != nil {
 			errs[g] = err
@@ -112,18 +113,41 @@ func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) 
 // severely overloaded trace-speed-2 run needs time to empty its queues.
 const drainGrace = 3600 * sim.Second
 
+// feedWindow is how many records a feeder copies out of the parent
+// trace at a time. Reading one record at a time through the group's
+// index puts a dependent cache miss inside the event loop; a batched
+// Group.Fill lets those misses overlap. 256 records are 8 KB per array.
+const feedWindow = 256
+
 // feeder submits one array's trace records to its controller. The open
 // loop chains its records through feedStep; the closed loop's
-// closedFeeder embeds it.
+// closedFeeder embeds it. Both read the group's records in order, so
+// the window only ever moves forward: it holds records [lo, hi) and
+// refills from the cursor once the cursor passes hi.
 type feeder struct {
-	ctrl  array.Controller
-	sub   *trace.Trace
-	cap64 int64
+	ctrl   array.Controller
+	sub    *trace.Group
+	cap64  int64
+	lo, hi int
+	win    [feedWindow]trace.Record
+}
+
+func newFeeder(ctrl array.Controller, sub *trace.Group) feeder {
+	return feeder{ctrl: ctrl, sub: sub, cap64: ctrl.DataBlocks()}
+}
+
+// record returns the group's record idx; idx never falls below lo.
+func (f *feeder) record(idx int) *trace.Record {
+	if idx >= f.hi {
+		f.lo = idx
+		f.hi = idx + f.sub.Fill(f.win[:], idx)
+	}
+	return &f.win[idx-f.lo]
 }
 
 // submit admits record idx, clipped to the array's data capacity.
 func (f *feeder) submit(idx int, onComplete func()) {
-	r := f.sub.Records[idx]
+	r := f.record(idx)
 	lba := r.LBA
 	blocks := r.Blocks
 	if lba >= f.cap64 {
@@ -136,7 +160,7 @@ func (f *feeder) submit(idx int, onComplete func()) {
 	}
 	f.ctrl.Submit(array.Request{
 		Op: r.Op, LBA: lba, Blocks: blocks,
-		Class:      reqSLO(f.sub.Classes, r.Class, blocks),
+		Class:      reqSLO(f.sub.Classes(), r.Class, blocks),
 		CClass:     r.Class,
 		OnComplete: onComplete,
 	})
@@ -155,8 +179,8 @@ func feedStep(e *sim.Engine, c *sim.Call) {
 	f := c.A.(*feeder)
 	idx := int(c.N0)
 	f.submit(idx, nil)
-	if next := idx + 1; next < len(f.sub.Records) {
-		nc := e.AtCall(f.sub.Records[next].At, feedStep)
+	if next := idx + 1; next < f.sub.Len() {
+		nc := e.AtCall(f.record(next).At, feedStep)
 		nc.A = f
 		nc.N0 = int64(next)
 	}
@@ -165,10 +189,11 @@ func feedStep(e *sim.Engine, c *sim.Call) {
 // replayOpen is the open-loop driveFunc: records arrive at their trace
 // timestamps, then the array gets drainGrace to finish in-flight work
 // and any hot-spare rebuild.
-func replayOpen(eng *sim.Engine, ctrl array.Controller, sub *trace.Trace) (sim.Time, error) {
-	if len(sub.Records) > 0 {
-		c := eng.AtCall(sub.Records[0].At, feedStep)
-		c.A = &feeder{ctrl: ctrl, sub: sub, cap64: ctrl.DataBlocks()}
+func replayOpen(eng *sim.Engine, ctrl array.Controller, sub *trace.Group) (sim.Time, error) {
+	if sub.Len() > 0 {
+		f := newFeeder(ctrl, sub)
+		c := eng.AtCall(f.record(0).At, feedStep)
+		c.A = &f
 		c.N0 = 0
 	}
 	eng.RunUntil(sub.Duration())
@@ -178,7 +203,7 @@ func replayOpen(eng *sim.Engine, ctrl array.Controller, sub *trace.Trace) (sim.T
 	}
 	if !ctrl.Drained() {
 		return 0, fmt.Errorf("core: array %q did not drain within %ds grace — controller wedged or hopelessly overloaded",
-			sub.Name, drainGrace/sim.Second)
+			sub.Name(), drainGrace/sim.Second)
 	}
 	// Let an in-flight hot-spare rebuild finish so the results report its
 	// duration (the foreground workload is already drained).

@@ -17,7 +17,7 @@ func init() {
 	register(Experiment{ID: "ablate-sync-destage", Title: "Ablation: destage period", Figure: "ablation (section 3.4)",
 		Knobs: "destage period: 0.25, 1, 4, 16 s", Run: ablateDestagePeriod})
 	register(Experiment{ID: "ablate-sched", Title: "Ablation: drive queue discipline (FIFO/SSTF/LOOK)", Figure: "ablation",
-		Knobs: "sched: fifo/sstf/look; trace speed", Run: ablateSched})
+		Knobs: "sched: fifo/sstf/look; org: base/raid5", Run: ablateSched})
 	register(Experiment{ID: "ablate-spindles", Title: "Ablation: spindle synchronization", Figure: "ablation",
 		Knobs: "spindles: independent vs synchronized", Run: ablateSpindles})
 }

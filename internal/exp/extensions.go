@@ -20,7 +20,7 @@ import (
 
 func init() {
 	register(Experiment{ID: "ext-rebuild", Title: "Extension: degraded-mode and rebuild performance", Figure: "extension",
-		Knobs: "mode: normal/degraded/rebuilding; rebuild pause", Run: extRebuild})
+		Knobs: "mode: healthy/degraded/rebuilding; rebuild pause fixed at 20 ms", Run: extRebuild})
 	register(Experiment{ID: "ext-mttdl", Title: "Extension: MTTDL of the organizations (intro footnote)", Figure: "extension (intro footnote)",
 		Knobs: "org: mirror/parity; Monte-Carlo lifetimes", Run: extMTTDL})
 	register(Experiment{ID: "ext-model", Title: "Extension: analytic models vs simulation", Figure: "extension (section 4.2.3)",
@@ -30,9 +30,9 @@ func init() {
 	register(Experiment{ID: "ext-taxonomy", Title: "Extension: RAID taxonomy under OLTP vs DSS load (Chen et al.)", Figure: "extension (related work)",
 		Knobs: "org: raid0/raid3/raid5/...; workload: OLTP vs DSS", Run: extTaxonomy})
 	register(Experiment{ID: "ext-paritylog", Title: "Extension: parity logging vs RAID5 (Stodolsky et al.)", Figure: "extension (related work)",
-		Knobs: "org: plog vs raid5/mirror; log region size", Run: extParityLog})
+		Knobs: "org: plog vs base/mirror/raid5", Run: extParityLog})
 	register(Experiment{ID: "ext-raid10", Title: "Extension: RAID1/0 striped mirror pairs vs Mirror and RAID5", Figure: "extension",
-		Knobs: "org: raid10 vs mirror/raid5; striping unit", Run: extRAID10})
+		Knobs: "org: raid10 vs mirror/raid5, healthy and degraded; striping unit fixed at 4", Run: extRAID10})
 	register(Experiment{ID: "ext-latency", Title: "Extension: per-stage latency attribution across organizations", Figure: "extension",
 		Knobs: "org: all; stage breakdown columns", Run: extLatency})
 	register(Experiment{ID: "ext-slo", Title: "Extension: deadline misses under a sick disk, with and without the robustness layer", Figure: "extension",

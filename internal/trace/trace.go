@@ -187,67 +187,167 @@ func (t *Trace) Truncate(n int) *Trace {
 	return &out
 }
 
-// SplitByGroup partitions records into ngroups sub-traces by logical-disk
-// group: group g holds logical disks [g*perGroup, (g+1)*perGroup), the
-// last group taking any remainder. Each sub-trace keeps global timestamps
-// and is re-addressed to its own compact logical space, which is what an
-// independent array simulation consumes. One counting pass sizes every
-// group and rejects a record that starts outside the logical space; the
-// records then fill one exact-size slab, carved into per-group windows.
-// A single group that needs no clamping shares the parent's records, as
-// Truncate does: consumers only read them.
-func (t *Trace) SplitByGroup(perGroup int) ([]*Trace, error) {
+// Group is one share of a trace split by logical-disk group (Groups): a
+// read-only view of the parent's records that start on the group's
+// logical disks, in time order, re-addressed to the group's own compact
+// logical space as Fill copies them out. The parent must not change while
+// a view of it is in use.
+type Group struct {
+	parent *Trace
+	index  int
+	disks  int     // logical disks in the group
+	base   int64   // the group's first block in the parent's logical space
+	end    int64   // the group's capacity in blocks
+	n      int     // records in the group
+	pos    []int32 // parent positions of the group's records; nil = all, in order
+}
+
+// Name names the group after its parent: "<parent>/g<index>".
+func (g *Group) Name() string {
+	// Concatenated rather than formatted: fmt's buffer pool drops
+	// entries at random under the race detector, and the split's
+	// allocation count is pinned.
+	return g.parent.Name + "/g" + strconv.Itoa(g.index)
+}
+
+// Len returns the number of records in the group.
+func (g *Group) Len() int { return g.n }
+
+// Classes returns the parent's class table, shared: callers only read it.
+func (g *Group) Classes() []ClassInfo { return g.parent.Classes }
+
+// Duration returns the arrival time of the group's last record.
+func (g *Group) Duration() sim.Time {
+	if g.n == 0 {
+		return 0
+	}
+	last := g.n - 1
+	if g.pos != nil {
+		last = int(g.pos[last])
+	}
+	return g.parent.Records[last].At
+}
+
+// Fill copies the group's records from position from onwards into dst,
+// as many as fit, and returns how many it copied. Each copy is
+// re-addressed by the group's base and clamped to the group's end: a
+// multiblock request never spans logical disks in the traces we
+// generate, but a hand-written trace may run one past the group.
+func (g *Group) Fill(dst []Record, from int) int {
+	n := min(len(dst), g.n-from)
+	if n <= 0 {
+		return 0
+	}
+	// Gather first, then re-address: a loop that only copies keeps more
+	// of the scattered reads in flight at once.
+	recs := g.parent.Records
+	if g.pos == nil {
+		copy(dst, recs[from:from+n])
+	} else {
+		for k, i := range g.pos[from : from+n] {
+			dst[k] = recs[i]
+		}
+	}
+	for k := range dst[:n] {
+		r := &dst[k]
+		r.LBA -= g.base
+		if max := g.end - r.LBA; int64(r.Blocks) > max {
+			r.Blocks = int(max)
+		}
+	}
+	return n
+}
+
+// Groups partitions the records into ngroups views by logical-disk group:
+// group g holds logical disks [g*perGroup, (g+1)*perGroup), the last group
+// taking any remainder. Each view keeps global timestamps, and Fill
+// re-addresses its records to the group's own logical space, which is
+// what an independent array simulation consumes. One counting pass
+// sizes every group and rejects a record that starts outside the logical
+// space; a second pass writes every record's position into one exact-size
+// []int32 slab, carved into per-group windows. A single group needs no
+// slab: it reads the parent in order.
+func (t *Trace) Groups(perGroup int) ([]Group, error) {
+	gs, _, err := t.partition(perGroup)
+	return gs, err
+}
+
+// partition is Groups; it also reports whether a record runs past the
+// end of the logical space, which a one-group split must clamp.
+func (t *Trace) partition(perGroup int) (gs []Group, pastEnd bool, err error) {
 	if perGroup <= 0 {
-		return nil, fmt.Errorf("trace: group size must be positive, got %d", perGroup)
+		return nil, false, fmt.Errorf("trace: group size must be positive, got %d", perGroup)
 	}
 	ngroups := (t.NumDisks + perGroup - 1) / perGroup
-	out := make([]*Trace, ngroups)
-	for g := range out {
-		disks := perGroup
-		if g == ngroups-1 {
-			disks = t.NumDisks - g*perGroup
-		}
-		// Concatenated rather than formatted: fmt's buffer pool drops
-		// entries at random under the race detector, and the split's
-		// allocation count is pinned.
-		out[g] = &Trace{
-			Name:          t.Name + "/g" + strconv.Itoa(g),
-			NumDisks:      disks,
-			BlocksPerDisk: t.BlocksPerDisk,
-			Classes:       copyClasses(t.Classes),
-		}
+	if ngroups > 1 && len(t.Records) > math.MaxInt32 {
+		return nil, false, fmt.Errorf("trace %q: %d records are more than a split can index (%d)", t.Name, len(t.Records), math.MaxInt32)
 	}
 	total := int64(t.NumDisks) * t.BlocksPerDisk
 	span := int64(perGroup) * t.BlocksPerDisk
 	counts := make([]int, ngroups)
-	pastEnd := false
 	for i, r := range t.Records {
 		if r.LBA < 0 || r.LBA >= total {
-			return nil, fmt.Errorf("trace %q: record %d starts at block %d outside [0,%d)", t.Name, i, r.LBA, total)
+			return nil, false, fmt.Errorf("trace %q: record %d starts at block %d outside [0,%d)", t.Name, i, r.LBA, total)
 		}
 		counts[r.LBA/span]++
 		pastEnd = pastEnd || r.LBA+int64(r.Blocks) > total
 	}
-	if ngroups == 1 && !pastEnd {
+	gs = make([]Group, ngroups)
+	for g := range gs {
+		disks := perGroup
+		if g == ngroups-1 {
+			disks = t.NumDisks - g*perGroup
+		}
+		gs[g] = Group{
+			parent: t, index: g, disks: disks,
+			base: int64(g) * span, end: int64(disks) * t.BlocksPerDisk,
+			n: counts[g],
+		}
+	}
+	if ngroups == 1 {
+		return gs, pastEnd, nil
+	}
+	slab := make([]int32, len(t.Records))
+	off := 0
+	for g, n := range counts {
+		gs[g].pos = slab[off : off : off+n]
+		off += n
+	}
+	for i, r := range t.Records {
+		g := &gs[r.LBA/span]
+		g.pos = append(g.pos, int32(i))
+	}
+	return gs, pastEnd, nil
+}
+
+// SplitByGroup copies each of Groups' views into a sub-trace re-addressed
+// to its own compact logical space, the records of all groups sharing one
+// exact-size slab. A single group that needs no clamping shares the
+// parent's records, as Truncate does: consumers only read them.
+func (t *Trace) SplitByGroup(perGroup int) ([]*Trace, error) {
+	gs, pastEnd, err := t.partition(perGroup)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Trace, len(gs))
+	for g := range gs {
+		out[g] = &Trace{
+			Name:          gs[g].Name(),
+			NumDisks:      gs[g].disks,
+			BlocksPerDisk: t.BlocksPerDisk,
+			Classes:       copyClasses(t.Classes),
+		}
+	}
+	if len(gs) == 1 && !pastEnd {
 		out[0].Records = t.Records
 		return out, nil
 	}
 	slab := make([]Record, len(t.Records))
 	off := 0
-	for g, n := range counts {
-		out[g].Records = slab[off : off : off+n]
+	for g := range gs {
+		n := gs[g].Fill(slab[off:], 0)
+		out[g].Records = slab[off : off+n : off+n]
 		off += n
-	}
-	for _, r := range t.Records {
-		g := r.LBA / span
-		r.LBA -= g * span
-		// A multiblock request never spans logical disks in the traces we
-		// generate; clamp defensively in case a hand-written trace does.
-		sub := out[g]
-		if max := int64(sub.NumDisks)*sub.BlocksPerDisk - r.LBA; int64(r.Blocks) > max {
-			r.Blocks = int(max)
-		}
-		sub.Records = append(sub.Records, r)
 	}
 	return out, nil
 }

@@ -255,6 +255,129 @@ func TestSplitByGroupAllocBudget(t *testing.T) {
 	}
 }
 
+// readGroup reads a group view through Fill in windows of w records, as
+// a feeder does, so every window after the first starts where the last
+// one ended.
+func readGroup(g *Group, w int) []Record {
+	var out []Record
+	win := make([]Record, w)
+	for from := 0; ; {
+		n := g.Fill(win, from)
+		if n == 0 {
+			return out
+		}
+		out = append(out, win[:n]...)
+		from += n
+	}
+}
+
+// wantGroups is the split written out record by record: each record goes
+// to the group of the disk it starts on, re-addressed by the group's base
+// and clamped to the group's end.
+func wantGroups(tr *Trace, per int) [][]Record {
+	ngroups := (tr.NumDisks + per - 1) / per
+	span := int64(per) * tr.BlocksPerDisk
+	out := make([][]Record, ngroups)
+	for _, r := range tr.Records {
+		g := r.LBA / span
+		end := span
+		if int(g) == ngroups-1 {
+			end = int64(tr.NumDisks)*tr.BlocksPerDisk - g*span
+		}
+		r.LBA -= g * span
+		if r.LBA+int64(r.Blocks) > end {
+			r.Blocks = int(end - r.LBA)
+		}
+		out[g] = append(out[g], r)
+	}
+	return out
+}
+
+// checkGroupsMatchSplit: every group view of tr yields, through Fill in
+// windows of any size, exactly SplitByGroup's records, name, length and
+// duration, shares the parent's class table, and leaves the parent
+// unchanged; and SplitByGroup's records are wantGroups'.
+func checkGroupsMatchSplit(t *testing.T, tr *Trace, per int) {
+	t.Helper()
+	want := wantGroups(tr, per)
+	records := append([]Record(nil), tr.Records...)
+	classes := append([]ClassInfo(nil), tr.Classes...)
+	gs, err := tr.Groups(per)
+	if err != nil {
+		t.Fatalf("per %d: %v", per, err)
+	}
+	subs, err := tr.SplitByGroup(per)
+	if err != nil {
+		t.Fatalf("per %d: %v", per, err)
+	}
+	if len(gs) != len(subs) {
+		t.Fatalf("per %d: %d views, %d sub-traces", per, len(gs), len(subs))
+	}
+	for g := range gs {
+		view, sub := &gs[g], subs[g]
+		if len(sub.Records) != len(want[g]) || (len(want[g]) > 0 && !reflect.DeepEqual(sub.Records, want[g])) {
+			t.Fatalf("per %d group %d: split %v, want %v", per, g, sub.Records, want[g])
+		}
+		if view.Name() != sub.Name || view.Len() != len(sub.Records) || view.Duration() != sub.Duration() {
+			t.Fatalf("per %d group %d: view %s len %d duration %d, sub-trace %s len %d duration %d",
+				per, g, view.Name(), view.Len(), view.Duration(), sub.Name, len(sub.Records), sub.Duration())
+		}
+		for _, w := range []int{1, 3, 7, 256} {
+			if got := readGroup(view, w); len(got) != len(sub.Records) || (len(got) > 0 && !reflect.DeepEqual(got, sub.Records)) {
+				t.Fatalf("per %d group %d window %d: read %v, want %v", per, g, w, got, sub.Records)
+			}
+		}
+		if n := view.Fill(make([]Record, 4), view.Len()); n != 0 {
+			t.Fatalf("per %d group %d: Fill past the last record copied %d", per, g, n)
+		}
+		if cs := view.Classes(); len(cs) != len(tr.Classes) || (len(cs) > 0 && &cs[0] != &tr.Classes[0]) {
+			t.Fatalf("per %d group %d: view does not share the parent's class table", per, g)
+		}
+	}
+	if !reflect.DeepEqual(tr.Records, records) || !reflect.DeepEqual(tr.Classes, classes) {
+		t.Fatalf("per %d: reading the views changed the parent", per)
+	}
+}
+
+// TestGroupsMatchSplitByGroup: group views read through Fill equal
+// SplitByGroup's sub-traces, on random traces and on the edge cases of
+// the split.
+func TestGroupsMatchSplitByGroup(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		tr := randomTrace(seed, 1+int(seed)*37)
+		for _, per := range []int{1, 2, 3, 5, 8, 11} {
+			checkGroupsMatchSplit(t, tr, per)
+		}
+	}
+	edges := []struct {
+		name string
+		per  []int
+		edit func(*Trace)
+	}{
+		{"past the end of one group", []int{2, 4, 5}, func(tr *Trace) { tr.Records[3].Blocks = 3 }},
+		{"past the end of several groups", []int{2}, func(tr *Trace) {
+			tr.Records[1].LBA, tr.Records[1].Blocks = 1999, 4
+			tr.Records[3].Blocks = 3
+		}},
+		{"an empty group", []int{1}, func(tr *Trace) { tr.Records[2].LBA = 1200 }},
+		{"a narrow last group", []int{3}, func(tr *Trace) { tr.Records[3].Blocks = 2 }},
+		{"a classed trace", []int{1, 2, 4}, func(tr *Trace) {
+			tr.Classes = []ClassInfo{{Name: "oltp", SLO: SLOGold}, {Name: "scan", SLO: SLOBatch}}
+			tr.Records[1].Class, tr.Records[3].Class = 1, 1
+		}},
+		{"no records", []int{1, 3}, func(tr *Trace) { tr.Records = nil }},
+	}
+	for _, e := range edges {
+		t.Run(e.name, func(t *testing.T) {
+			tr := sampleTrace()
+			e.edit(tr)
+			for _, per := range e.per {
+				checkGroupsMatchSplit(t, tr, per)
+			}
+		})
+	}
+}
+
 // TestRecordSize: a Record packs into 32 bytes.
 func TestRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(Record{}); got != 32 {
