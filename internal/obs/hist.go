@@ -12,8 +12,15 @@ import (
 // of any quantile is bounded by half a bin: |est/true - 1| <= sqrt(g) - 1
 // (about 3.9% at the 1.08 growth used here). The exact max and sum are
 // tracked separately, so Max() and Mean() carry no binning error.
+//
+// counts covers only the occupied range of bins, plus a margin:
+// counts[i] is bin lo+i. It starts empty and grows when a sample or a
+// Merge lands outside it, so a window of a few dozen samples keeps a few
+// dozen bins, not 256. A copied Histogram shares its counts with the
+// original; merge into an empty one for an independent copy.
 type Histogram struct {
-	counts [histBins]int64
+	counts []int64
+	lo     int
 	n      int64
 	sum    float64
 	max    float64
@@ -23,6 +30,11 @@ const (
 	histBins   = 256
 	histLo     = 1e-3 // smallest resolved latency, ms
 	histGrowth = 1.08 // bin growth ratio; 256 bins reach ~3e5 ms
+
+	// histPad is the margin, in bins, a Histogram grows past a sample
+	// that lands outside its range (a factor of 3.4 in latency), so the
+	// next few such samples do not each reallocate the counts.
+	histPad = 16
 )
 
 // histBinLog is the histogram's defining bin formula. Add does not call
@@ -81,13 +93,43 @@ func (h *Histogram) Add(ms float64) { h.add(ms) }
 // add is Add, returning the sample's bin.
 func (h *Histogram) add(ms float64) int {
 	b := histBin(ms)
-	h.counts[b]++
+	if i := uint(b - h.lo); i < uint(len(h.counts)) {
+		h.counts[i]++
+	} else {
+		h.cover(b, b+1)
+		h.counts[b-h.lo]++
+	}
 	h.n++
 	h.sum += ms
 	if ms > h.max {
 		h.max = ms
 	}
 	return b
+}
+
+// cover widens counts, unless they already span bins [lo, hi), to span
+// them and the current range, with a margin of histPad bins each way.
+func (h *Histogram) cover(lo, hi int) {
+	if len(h.counts) > 0 && lo >= h.lo && hi <= h.lo+len(h.counts) {
+		return
+	}
+	lo, hi = max(lo-histPad, 0), min(hi+histPad, histBins)
+	if len(h.counts) == 0 {
+		h.counts, h.lo = make([]int64, hi-lo), lo
+		return
+	}
+	lo, hi = min(lo, h.lo), max(hi, h.lo+len(h.counts))
+	c := make([]int64, hi-lo)
+	copy(c[h.lo-lo:], h.counts)
+	h.counts, h.lo = c, lo
+}
+
+// count returns the samples in bin b (0 outside the occupied range).
+func (h *Histogram) count(b int) int64 {
+	if i := uint(b - h.lo); i < uint(len(h.counts)) {
+		return h.counts[i]
+	}
+	return 0
 }
 
 // N returns the sample count.
@@ -118,10 +160,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return h.max
 	}
 	var cum int64
-	for b, c := range h.counts {
+	for i, c := range h.counts {
 		cum += c
 		if cum >= target {
-			return min(binMids[b], h.max)
+			return min(binMids[h.lo+i], h.max)
 		}
 	}
 	return h.max
@@ -129,8 +171,12 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Merge folds o into h.
 func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
+	if len(o.counts) > 0 {
+		h.cover(o.lo, o.lo+len(o.counts))
+		off := o.lo - h.lo
+		for i, c := range o.counts {
+			h.counts[off+i] += c
+		}
 	}
 	h.n += o.n
 	h.sum += o.sum
@@ -165,14 +211,14 @@ func (t *TrackedQuantile) Add(ms float64) {
 		t.below++
 	}
 	t.rank = max(int64(math.Ceil(t.q*float64(t.h.n))), 1)
-	// Invariant: below < rank <= below + counts[cur].
-	for t.below+t.h.counts[t.cur] < t.rank {
-		t.below += t.h.counts[t.cur]
+	// Invariant: below < rank <= below + count(cur).
+	for t.below+t.h.count(t.cur) < t.rank {
+		t.below += t.h.count(t.cur)
 		t.cur++
 	}
 	for t.below >= t.rank {
 		t.cur--
-		t.below -= t.h.counts[t.cur]
+		t.below -= t.h.count(t.cur)
 	}
 }
 

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -118,6 +120,220 @@ func TestTrackedQuantileMatchesHistogram(t *testing.T) {
 			}
 		}
 	}
+}
+
+// denseHist is the reference the differential tests hold Histogram to:
+// every one of the 256 bins in a fixed array, binned with the defining
+// formula rather than the lookup tables.
+type denseHist struct {
+	counts   [histBins]int64
+	n        int64
+	sum, max float64
+}
+
+func (d *denseHist) add(ms float64) {
+	d.counts[histBinLog(ms)]++
+	d.n++
+	d.sum += ms
+	if ms > d.max {
+		d.max = ms
+	}
+}
+
+func (d *denseHist) merge(o *denseHist) {
+	for i, c := range o.counts {
+		d.counts[i] += c
+	}
+	d.n += o.n
+	d.sum += o.sum
+	if o.max > d.max {
+		d.max = o.max
+	}
+}
+
+func (d *denseHist) mean() float64 {
+	if d.n == 0 {
+		return 0
+	}
+	return d.sum / float64(d.n)
+}
+
+func (d *denseHist) quantile(q float64) float64 {
+	if d.n == 0 {
+		return 0
+	}
+	target := max(int64(math.Ceil(q*float64(d.n))), 1)
+	if target >= d.n {
+		return d.max
+	}
+	var cum int64
+	for b, c := range d.counts {
+		cum += c
+		if cum >= target {
+			return min(binMids[b], d.max)
+		}
+	}
+	return d.max
+}
+
+// pairHist is a Histogram and its dense reference, fed the same samples.
+type pairHist struct {
+	h Histogram
+	d denseHist
+}
+
+func (p *pairHist) add(ms float64) {
+	p.h.Add(ms)
+	p.d.add(ms)
+}
+
+func (p *pairHist) merge(o *pairHist) {
+	p.h.Merge(&o.h)
+	p.d.merge(&o.d)
+}
+
+// check compares the histogram with its reference bit for bit: N, Mean,
+// Max, four quantiles, and the count of every bin.
+func (p *pairHist) check(t testing.TB, what string) {
+	t.Helper()
+	h, d := &p.h, &p.d
+	if h.N() != d.n {
+		t.Fatalf("%s: N %d, dense %d", what, h.N(), d.n)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(h.Mean(), d.mean()) || !same(h.Max(), d.max) {
+		t.Fatalf("%s: mean/max %v/%v, dense %v/%v", what, h.Mean(), h.Max(), d.mean(), d.max)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99, 1} {
+		if got, want := h.Quantile(q), d.quantile(q); !same(got, want) {
+			t.Fatalf("%s: Quantile(%g) %v, dense %v", what, q, got, want)
+		}
+	}
+	if h.lo < 0 || h.lo+len(h.counts) > histBins {
+		t.Fatalf("%s: bins [%d, %d) outside [0, %d)", what, h.lo, h.lo+len(h.counts), histBins)
+	}
+	for b, c := range d.counts {
+		if got := h.count(b); got != c {
+			t.Fatalf("%s: bin %d holds %d, dense %d", what, b, got, c)
+		}
+	}
+}
+
+// TestHistogramMatchesDense holds the offset-slice Histogram to the
+// dense reference after every sample of seeded streams that reach below
+// histLo and past the last threshold, and after merges of disjoint,
+// overlapping, nested and empty histograms and of a histogram into
+// itself.
+func TestHistogramMatchesDense(t *testing.T) {
+	top := histThresh[histBins-1]
+	src := rng.New(29)
+	// logUniform draws from [lo, hi) ms, uniform in log space.
+	logUniform := func(lo, hi float64) float64 {
+		return lo * math.Exp(math.Log(hi/lo)*src.Float64())
+	}
+	streams := []struct {
+		name string
+		gen  func() float64
+	}{
+		{"exp", func() float64 { return src.Exp(12) }},
+		{"wide", func() float64 { return logUniform(histLo/10, top*10) }},
+		{"edges", func() float64 {
+			switch src.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return -src.Float64()
+			case 2:
+				return histLo
+			case 3:
+				return top
+			case 4:
+				return top * (1 + 9*src.Float64())
+			case 5:
+				return histThresh[1+src.Intn(histBins-1)]
+			}
+			return src.Exp(3)
+		}},
+	}
+	for _, s := range streams {
+		var p pairHist
+		p.check(t, s.name+" empty")
+		for i := 0; i < 3000; i++ {
+			p.add(s.gen())
+			p.check(t, fmt.Sprintf("%s after %d samples", s.name, i+1))
+		}
+	}
+
+	fill := func(n int, lo, hi float64) *pairHist {
+		p := &pairHist{}
+		for i := 0; i < n; i++ {
+			p.add(logUniform(lo, hi))
+		}
+		return p
+	}
+	merges := []struct {
+		name string
+		a, b func() *pairHist
+	}{
+		{"disjoint low+high", func() *pairHist { return fill(300, 0.01, 0.05) }, func() *pairHist { return fill(300, 500, 2000) }},
+		{"disjoint high+low", func() *pairHist { return fill(300, 500, 2000) }, func() *pairHist { return fill(300, 0.01, 0.05) }},
+		{"overlapping", func() *pairHist { return fill(300, 1, 50) }, func() *pairHist { return fill(300, 20, 500) }},
+		{"nested inner", func() *pairHist { return fill(300, 1, 1000) }, func() *pairHist { return fill(300, 10, 20) }},
+		{"nested outer", func() *pairHist { return fill(300, 10, 20) }, func() *pairHist { return fill(300, 1, 1000) }},
+		{"edge bins", func() *pairHist { return fill(50, histLo/10, histLo) }, func() *pairHist { return fill(50, top, top*10) }},
+		{"empty into full", func() *pairHist { return fill(300, 1, 50) }, func() *pairHist { return fill(0, 1, 1) }},
+		{"full into empty", func() *pairHist { return fill(0, 1, 1) }, func() *pairHist { return fill(300, 1, 50) }},
+		{"empty into empty", func() *pairHist { return fill(0, 1, 1) }, func() *pairHist { return fill(0, 1, 1) }},
+	}
+	for _, m := range merges {
+		a, b := m.a(), m.b()
+		a.merge(b)
+		a.check(t, m.name)
+		b.check(t, m.name+" (merged operand)")
+		a.merge(a)
+		a.check(t, m.name+" then into itself")
+	}
+
+	// A chain, as Series.Merge folds one array's windows after another.
+	var sum pairHist
+	for i := 0; i < 40; i++ {
+		lo := math.Exp(src.Float64()*12) * histLo
+		sum.merge(fill(src.Intn(60), lo, lo*math.Exp(3*src.Float64())+histLo))
+		sum.check(t, fmt.Sprintf("chain after %d merges", i+1))
+	}
+}
+
+// FuzzHistogramMatchesDense splits arbitrary samples between two
+// histograms, checks each against the dense reference, then merges one
+// into the other and the result into itself. Each pair of input bytes is
+// one sample, log-uniform from a tenth of histLo to ten times the last
+// threshold; a zero pair is the sample 0.
+func FuzzHistogramMatchesDense(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 0, 0xff, 0xff, 0x80, 0x00, 0x12, 0x34}, uint8(2))
+	f.Add([]byte{0x40, 0x00, 0x40, 0x10, 0xc0, 0x00, 0xc0, 0x20, 0x00, 0x01}, uint8(3))
+	lo, hi := math.Log(histLo/10), math.Log(histThresh[histBins-1]*10)
+	f.Fuzz(func(t *testing.T, data []byte, cut uint8) {
+		var a, b pairHist
+		for i := 0; i+1 < len(data); i += 2 {
+			v := binary.BigEndian.Uint16(data[i:])
+			x := 0.0
+			if v != 0 {
+				x = math.Exp(lo + (hi-lo)*float64(v)/math.MaxUint16)
+			}
+			if i/2 < int(cut) {
+				a.add(x)
+			} else {
+				b.add(x)
+			}
+		}
+		a.check(t, "a")
+		b.check(t, "b")
+		a.merge(&b)
+		a.check(t, "a after merging b")
+		a.merge(&a)
+		a.check(t, "a after merging itself")
+	})
 }
 
 var histBinSink int

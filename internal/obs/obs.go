@@ -55,8 +55,9 @@ func (c Config) Enabled() bool {
 }
 
 // maxWindows caps the window slice so a runaway clock cannot exhaust
-// memory (each window embeds a ~2 KB histogram); past the cap, samples
-// fold into the last window. 64 Ki windows is 18 hours at a 1 s window.
+// memory (each window holds a per-disk busy slice and histograms sized to
+// their occupied bins, up to 2 KB each); past the cap, samples fold into
+// the last window. 64 Ki windows is 18 hours at a 1 s window.
 const maxWindows = 1 << 16
 
 // window accumulates one fixed-width interval of activity.
@@ -84,12 +85,17 @@ type window struct {
 	hedgeWins int64
 	shed      int64
 
-	// Per-client-class completions, summed response ms, and response
-	// histograms (for per-class quantiles); nil on classless recorders
-	// (and on growth windows until first touched).
-	clsN    []int64
-	clsMS   []float64
-	clsHist []Histogram
+	// Per-client-class tallies, indexed like Config.Classes; nil on
+	// classless recorders (and on growth windows until first touched).
+	cls []classWindow
+}
+
+// classWindow is one client class's share of a window: completions,
+// summed response ms, and a response histogram for per-class quantiles.
+type classWindow struct {
+	n    int64
+	ms   float64
+	hist Histogram
 }
 
 // Recorder folds probe emissions into time windows. It is single-
@@ -197,14 +203,13 @@ func (r *Recorder) ClassRequest(at sim.Time, class int, ms float64) {
 	}
 	r.observe(at)
 	w := r.at(at)
-	if len(w.clsN) < len(r.cfg.Classes) {
-		w.clsN = make([]int64, len(r.cfg.Classes))
-		w.clsMS = make([]float64, len(r.cfg.Classes))
-		w.clsHist = make([]Histogram, len(r.cfg.Classes))
+	if len(w.cls) < len(r.cfg.Classes) {
+		w.cls = make([]classWindow, len(r.cfg.Classes))
 	}
-	w.clsN[class]++
-	w.clsMS[class] += ms
-	w.clsHist[class].Add(ms)
+	c := &w.cls[class]
+	c.n++
+	c.ms += ms
+	c.hist.Add(ms)
 }
 
 // Timeout records a request that completed past its deadline: class,
@@ -432,9 +437,10 @@ func (r *Recorder) EventsDropped() int64 {
 	return r.ring.dropped
 }
 
-// Series snapshots the recorder into a mergeable, renderable time series.
-// The open degraded interval (a rebuild still running at snapshot time)
-// is closed at the latest observed timestamp.
+// Series hands the recorder's windows over as a mergeable, renderable
+// time series, without copying them, and leaves the recorder with none:
+// it is the recorder's last read. The open degraded interval (a rebuild
+// still running at the end) is closed at the latest observed timestamp.
 func (r *Recorder) Series() *Series {
 	if r == nil {
 		return nil
@@ -448,16 +454,9 @@ func (r *Recorder) Series() *Series {
 		Disks:   r.cfg.Disks,
 		End:     r.end,
 		Classes: append([]string(nil), r.cfg.Classes...),
+		wins:    r.wins,
 	}
-	s.wins = make([]*window, len(r.wins))
-	for i, w := range r.wins {
-		cp := *w
-		cp.busy = append([]sim.Time(nil), w.busy...)
-		cp.clsN = append([]int64(nil), w.clsN...)
-		cp.clsMS = append([]float64(nil), w.clsMS...)
-		cp.clsHist = append([]Histogram(nil), w.clsHist...)
-		s.wins[i] = &cp
-	}
+	r.wins = nil
 	return s
 }
 

@@ -119,8 +119,8 @@ func TestDegradedAttribution(t *testing.T) {
 			t.Errorf("w%d degraded frac %.3f, want %.3f", i, p.DegradedFrac, want[i])
 		}
 	}
-	// A snapshot with the window still open closes it at the last
-	// observed time without losing the tail on a later snapshot.
+	// Handing the series over with the degraded interval still open
+	// closes it at the last observed time.
 	r2 := NewRecorder(Config{Window: sim.Second, Disks: 1})
 	r2.Degraded(0, true)
 	r2.Request(2*sim.Second, false, 1) // advances the observed end

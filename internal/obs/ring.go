@@ -34,7 +34,7 @@ const (
 	EvTimeout     = "timeout"      // a request finished past its deadline (MS = response)
 	EvRetry       = "retry"        // a transient read error triggered a retry on slot Disk
 	EvHedge       = "hedge-issued" // a hedged read leg was dispatched to slot Disk
-	EvHedgeWin    = "hedge-won"    // the hedge leg finished first (MS = saved estimate)
+	EvHedgeWin    = "hedge-won"    // the hedge leg on slot Disk finished before the primary
 	EvShed        = "shed"         // admission control rejected a request (Class)
 	EvSickOnset   = "sick-onset"   // slot Disk turned sick (slow/flaky/hanging)
 	EvSickClear   = "sick-clear"   // slot Disk recovered from sickness

@@ -8,10 +8,11 @@ import (
 	"raidsim/internal/sim"
 )
 
-// Series is a snapshot of windowed time-series data: one entry per
-// fixed-width window from t = 0. Merging per-array Series keeps the raw
-// histograms, so system-level quantiles stay exact with respect to the
-// binning (a p95 of merged histograms, not a mean of per-array p95s).
+// Series is windowed time-series data, handed over by a Recorder: one
+// entry per fixed-width window from t = 0. Merging per-array Series keeps
+// the raw histograms, so system-level quantiles stay exact with respect
+// to the binning (a p95 of merged histograms, not a mean of per-array
+// p95s).
 type Series struct {
 	Window sim.Time
 	Disks  int
@@ -110,19 +111,14 @@ func (s *Series) Merge(o *Series) {
 		w.hedges += ow.hedges
 		w.hedgeWins += ow.hedgeWins
 		w.shed += ow.shed
-		if len(ow.clsN) > 0 {
-			if len(w.clsN) < len(ow.clsN) {
-				w.clsN = append(w.clsN, make([]int64, len(ow.clsN)-len(w.clsN))...)
-				w.clsMS = append(w.clsMS, make([]float64, len(ow.clsMS)-len(w.clsMS))...)
-				w.clsHist = append(w.clsHist, make([]Histogram, len(ow.clsHist)-len(w.clsHist))...)
-			}
-			for j := range ow.clsN {
-				w.clsN[j] += ow.clsN[j]
-				w.clsMS[j] += ow.clsMS[j]
-			}
-			for j := range ow.clsHist {
-				w.clsHist[j].Merge(&ow.clsHist[j])
-			}
+		if len(w.cls) < len(ow.cls) {
+			w.cls = append(w.cls, make([]classWindow, len(ow.cls)-len(w.cls))...)
+		}
+		for j := range ow.cls {
+			c, oc := &w.cls[j], &ow.cls[j]
+			c.n += oc.n
+			c.ms += oc.ms
+			c.hist.Merge(&oc.hist)
 		}
 	}
 }
@@ -162,14 +158,13 @@ func (s *Series) Points() []Point {
 			p.ClassRequests = make([]int64, n)
 			p.ClassMeanMS = make([]float64, n)
 			p.ClassP95MS = make([]float64, n)
-			for j := 0; j < n && j < len(w.clsN); j++ {
-				p.ClassRequests[j] = w.clsN[j]
-				if w.clsN[j] > 0 {
-					p.ClassMeanMS[j] = w.clsMS[j] / float64(w.clsN[j])
+			for j := 0; j < n && j < len(w.cls); j++ {
+				c := &w.cls[j]
+				p.ClassRequests[j] = c.n
+				if c.n > 0 {
+					p.ClassMeanMS[j] = c.ms / float64(c.n)
 				}
-			}
-			for j := 0; j < n && j < len(w.clsHist); j++ {
-				p.ClassP95MS[j] = w.clsHist[j].Quantile(0.95)
+				p.ClassP95MS[j] = c.hist.Quantile(0.95)
 			}
 		}
 		if span > 0 {

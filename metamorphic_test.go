@@ -1,0 +1,86 @@
+package raidsim_test
+
+import (
+	"testing"
+
+	"raidsim/internal/array"
+	"raidsim/internal/core"
+	"raidsim/internal/sim"
+	"raidsim/internal/workload"
+)
+
+// TestMetamorphicRelations pins relations between runs that must hold
+// without an oracle: each row is a set of configurations that, on the
+// same read-only trace, must give the same results, or results that
+// differ only as the row states. The trace is examples/workloads/
+// oltp-single.json with its write fraction set to 0, at a fifth of its
+// length, on one RAID5 array of 10 data disks.
+func TestMetamorphicRelations(t *testing.T) {
+	spec, err := workload.LoadSpec("examples/workloads/oltp-single.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Clients[0].WriteFraction = 0
+	tr, err := spec.Scaled(0.2).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.DefaultConfig(array.OrgRAID5)
+	withSync := func(p array.SyncPolicy) core.Config {
+		c := base
+		c.Sync = p
+		return c
+	}
+	withDestage := func(period sim.Time) core.Config {
+		c := base
+		c.Cached, c.DestagePeriod = true, period
+		return c
+	}
+	rows := []struct {
+		name string
+		cfgs []core.Config
+		// eventsOnly: the runs must differ in Events (the engine events
+		// executed) and agree in everything else.
+		eventsOnly bool
+	}{
+		{
+			// The policies order a write's parity update; reads have none.
+			name: "sync policies agree without writes",
+			cfgs: []core.Config{withSync(array.SI), withSync(array.RF), withSync(array.RFPR), withSync(array.DF), withSync(array.DFPR)},
+		},
+		{
+			// Without writes nothing is dirty: a shorter destage period
+			// adds idle destage ticks and changes no response.
+			name:       "destage period changes only events without writes",
+			cfgs:       []core.Config{withDestage(250 * sim.Millisecond), withDestage(4 * sim.Second)},
+			eventsOnly: true,
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var first *core.Results
+			for i, cfg := range row.cfgs {
+				res, err := core.Run(cfg, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Requests == 0 {
+					t.Fatalf("config %d completed no requests", i)
+				}
+				if i == 0 {
+					first = res
+					continue
+				}
+				if row.eventsOnly {
+					if res.Events == first.Events {
+						t.Errorf("config %d: events %d, want a different count from config 0", i, res.Events)
+					}
+					res.Events = first.Events
+				}
+				if got, want := fingerprint(res), fingerprint(first); got != want {
+					t.Errorf("config %d differs from config 0\n got: %s\nwant: %s", i, got, want)
+				}
+			}
+		})
+	}
+}
