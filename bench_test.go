@@ -250,7 +250,10 @@ func BenchmarkExtMTTDL(b *testing.B) {
 func BenchmarkExperimentTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		ctx := exp.NewContext(exp.Options{Scale: 0.01, Out: &buf})
+		ctx, err := exp.NewContext(exp.Options{Scale: 0.01, Out: &buf})
+		if err != nil {
+			b.Fatal(err)
+		}
 		e, err := exp.Get("table2")
 		if err != nil {
 			b.Fatal(err)

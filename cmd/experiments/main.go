@@ -21,24 +21,21 @@ import (
 	"raidsim/internal/cliflag"
 	"raidsim/internal/exp"
 	"raidsim/internal/obs"
-	"raidsim/internal/sim"
 )
 
 func main() {
 	var (
-		list      = flag.Bool("list", false, "list available experiments")
-		ids       = flag.String("exp", "", "comma-separated experiment ids to run")
-		all       = flag.Bool("all", false, "run every experiment")
-		scale     = flag.Float64("scale", 0.1, "trace scale (1.0 = the paper's full request counts)")
-		traces    = flag.String("traces", "trace1,trace2", "workloads to evaluate")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		plot      = flag.Bool("plot", false, "draw figures as ASCII charts above their tables")
-		outDir    = flag.String("out", "", "write each experiment's output to <dir>/<id>.txt instead of stdout")
-		quiet     = flag.Bool("quiet", false, "suppress progress messages on stderr")
-		obsWindow = flag.Duration("obs-window", 0, "record windowed time series at this granularity in every run (0 = off)")
-		traceTopK = flag.Int("trace-topk", 0, "trace per-request span trees in every run, keeping the slowest K per class (0 = off)")
-		httpAddr  = flag.String("http", "", "serve live /metrics (Prometheus text) and /debug/pprof on this address while experiments run")
+		list     = flag.Bool("list", false, "list available experiments")
+		ids      = flag.String("exp", "", "comma-separated experiment ids to run")
+		all      = flag.Bool("all", false, "run every experiment")
+		scale    = flag.Float64("scale", 0.1, "trace scale (1.0 = the paper's full request counts)")
+		traces   = flag.String("traces", "trace1,trace2", "workloads to evaluate")
+		seed     = flag.Uint64("seed", 1, "simulation seed")
+		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		plot     = flag.Bool("plot", false, "draw figures as ASCII charts above their tables")
+		outDir   = flag.String("out", "", "write each experiment's output to <dir>/<id>.txt instead of stdout")
+		quiet    = flag.Bool("quiet", false, "suppress progress messages on stderr")
+		httpAddr = flag.String("http", "", "serve live /metrics (Prometheus text) and /debug/pprof on this address while experiments run")
 	)
 	prof := cliflag.BindProfile(flag.CommandLine)
 	flag.Parse()
@@ -53,15 +50,6 @@ func main() {
 		}
 		return
 	}
-
-	if err := prof.Start(); err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			fatal(err)
-		}
-	}()
 
 	var todo []exp.Experiment
 	switch {
@@ -82,6 +70,31 @@ func main() {
 	var live *obs.Live
 	if *httpAddr != "" {
 		live = obs.NewLive()
+	}
+	// One context for the whole invocation, so a simulation that several
+	// experiments show runs once; -out only switches the writer.
+	ctx, err := exp.NewContext(exp.Options{
+		Scale:  *scale,
+		Traces: strings.Split(*traces, ","),
+		Seed:   *seed,
+		Out:    os.Stdout,
+		CSV:    *csv,
+		Plot:   *plot,
+		Live:   live,
+	})
+	if err != nil {
+		fatal(err)
+	}
+
+	if err := prof.Start(); err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := prof.Stop(); err != nil {
+			fatal(err)
+		}
+	}()
+	if live != nil {
 		srv, err := obs.Serve(*httpAddr, live)
 		if err != nil {
 			fatal(err)
@@ -94,29 +107,16 @@ func main() {
 		}()
 	}
 
-	mkCtx := func(out *os.File) *exp.Context {
-		return exp.NewContext(exp.Options{
-			Scale:  *scale,
-			Traces: strings.Split(*traces, ","),
-			Seed:   *seed,
-			Out:    out,
-			CSV:    *csv,
-			Plot:   *plot,
-			Obs:    obs.Config{Window: sim.Time(*obsWindow), SpanTopK: *traceTopK, Live: live},
-		})
-	}
-	var ctx *exp.Context
-	if *outDir == "" {
-		ctx = mkCtx(os.Stdout)
-	} else if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fatal(err)
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			fatal(err)
+		}
 	}
 	for _, e := range todo {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "== %s: %s\n", e.ID, e.Title)
 		}
 		t0 := time.Now()
-		run := ctx
 		var f *os.File
 		if *outDir != "" {
 			ext := ".txt"
@@ -128,9 +128,9 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			run = mkCtx(f)
+			ctx.SetOut(f)
 		}
-		if err := e.Run(run); err != nil {
+		if err := e.Run(ctx); err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
 		if f != nil {

@@ -423,7 +423,7 @@ func (c *common) fallbackRead(rn run, pri disk.Priority, op *obs.Span, onDone fu
 		return
 	}
 	c.fs.lostReadBlocks += int64(rn.blocks)
-	c.cfg.Rec.Note(obs.Event{At: c.eng.Now(), Kind: obs.EvDataLoss, Disk: rn.disk, Blocks: int(rn.blocks)})
+	c.cfg.Rec.DataLoss(c.eng.Now(), rn.disk, int(rn.blocks))
 	c.eng.After(0, done)
 }
 

@@ -7,6 +7,7 @@ import (
 	"raidsim/internal/disk"
 	"raidsim/internal/report"
 	"raidsim/internal/sim"
+	"raidsim/internal/trace"
 )
 
 func init() {
@@ -28,15 +29,14 @@ func init() {
 func ablateDestage(ctx *Context) error {
 	orgs := []array.Org{array.OrgBase, array.OrgMirror, array.OrgRAID5, array.OrgParityStriping}
 	sizes := []int{8, 32, 128}
-	for _, name := range ctx.TraceNames() {
-		tr := ctx.Trace(name, 1)
+	return ctx.perTrace(func(name string, tr *trace.Trace) renderable {
 		t := &report.Table{
 			Title:   fmt.Sprintf("Ablation (%s): periodic destage vs pure LRU write-back (resp ms)", name),
 			Columns: []string{"org", "cacheMB", "periodic", "pure-LRU", "LRU/periodic"},
 		}
+		var jobs []job
 		for _, org := range orgs {
 			for _, mb := range sizes {
-				var jobs []job
 				for _, pure := range []bool{false, true} {
 					cfg := ctx.BaseConfig(name)
 					cfg.Org = org
@@ -45,18 +45,20 @@ func ablateDestage(ctx *Context) error {
 					cfg.PureLRUWriteback = pure
 					jobs = append(jobs, job{cfg: cfg, tr: tr})
 				}
-				res, errs := runAll(jobs)
-				noteErrors(t, errs)
+			}
+		}
+		res, errs := ctx.run(jobs)
+		noteErrors(t, errs)
+		for _, org := range orgs {
+			for _, mb := range sizes {
 				p, l := meanOrNaN(res[0]), meanOrNaN(res[1])
+				res = res[2:]
 				t.AddRow(org.String(), fmt.Sprintf("%d", mb),
 					fmt.Sprintf("%.2f", p), fmt.Sprintf("%.2f", l), fmt.Sprintf("%.3f", l/p))
 			}
 		}
-		if err := ctx.Render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t
+	})
 }
 
 // ablatePStripe evaluates the paper's proposed fix for Parity Striping's
@@ -64,8 +66,7 @@ func ablateDestage(ctx *Context) error {
 // data area spreads its parity updates over all the other disks.
 func ablatePStripe(ctx *Context) error {
 	units := []int64{0, 4096, 1024, 256, 64} // 0 = classic whole-area parity
-	for _, name := range ctx.TraceNames() {
-		tr := ctx.Trace(name, 1)
+	return ctx.perTrace(func(name string, tr *trace.Trace) renderable {
 		t := &report.Table{
 			Title:   fmt.Sprintf("Ablation (%s): parity striping sub-unit (non-cached, N=10)", name),
 			Columns: []string{"parity unit (blocks)", "resp (ms)", "max disk util"},
@@ -77,7 +78,7 @@ func ablatePStripe(ctx *Context) error {
 			cfg.ParityStripeUnit = u
 			jobs = append(jobs, job{cfg: cfg, tr: tr})
 		}
-		res, errs := runAll(jobs)
+		res, errs := ctx.run(jobs)
 		noteErrors(t, errs)
 		for i, u := range units {
 			label := "classic"
@@ -94,11 +95,8 @@ func ablatePStripe(ctx *Context) error {
 			}
 			t.AddRow(label, fmt.Sprintf("%.2f", meanOrNaN(res[i])), fmt.Sprintf("%.3f", umax))
 		}
-		if err := ctx.Render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t
+	})
 }
 
 // ablateDestagePeriod sweeps the destage period for cached RAID5: short
@@ -106,8 +104,7 @@ func ablatePStripe(ctx *Context) error {
 // waits on a dirty victim (section 3.4's tradeoff).
 func ablateDestagePeriod(ctx *Context) error {
 	periods := []sim.Time{sim.Second / 4, sim.Second, 4 * sim.Second, 16 * sim.Second}
-	for _, name := range ctx.TraceNames() {
-		tr := ctx.Trace(name, 1)
+	return ctx.perTrace(func(name string, tr *trace.Trace) renderable {
 		t := &report.Table{
 			Title:   fmt.Sprintf("Ablation (%s): destage period, cached RAID5 (16MB)", name),
 			Columns: []string{"period (s)", "resp (ms)", "dirty evictions"},
@@ -120,7 +117,7 @@ func ablateDestagePeriod(ctx *Context) error {
 			cfg.DestagePeriod = p
 			jobs = append(jobs, job{cfg: cfg, tr: tr})
 		}
-		res, errs := runAll(jobs)
+		res, errs := ctx.run(jobs)
 		noteErrors(t, errs)
 		for i, p := range periods {
 			var de int64
@@ -130,56 +127,52 @@ func ablateDestagePeriod(ctx *Context) error {
 			t.AddRow(fmt.Sprintf("%.2f", float64(p)/float64(sim.Second)),
 				fmt.Sprintf("%.2f", meanOrNaN(res[i])), fmt.Sprintf("%d", de))
 		}
-		if err := ctx.Render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t
+	})
 }
 
 // ablateSched compares drive queue disciplines under the skewed trace:
 // how much of RAID5's balancing advantage could a smarter drive scheduler
 // have delivered on its own?
 func ablateSched(ctx *Context) error {
-	for _, name := range ctx.TraceNames() {
-		tr := ctx.Trace(name, 1)
+	return ctx.perTrace(func(name string, tr *trace.Trace) renderable {
 		t := &report.Table{
 			Title:   fmt.Sprintf("Ablation (%s): drive queue discipline, non-cached (resp ms)", name),
 			Columns: []string{"org", "fifo", "sstf", "look"},
 		}
-		for _, org := range []array.Org{array.OrgBase, array.OrgRAID5} {
-			var jobs []job
+		orgs := []array.Org{array.OrgBase, array.OrgRAID5}
+		var jobs []job
+		for _, org := range orgs {
 			for _, s := range []disk.Sched{disk.FIFO, disk.SSTF, disk.LOOK} {
 				cfg := ctx.BaseConfig(name)
 				cfg.Org = org
 				cfg.DiskSched = s
 				jobs = append(jobs, job{cfg: cfg, tr: tr})
 			}
-			res, errs := runAll(jobs)
-			noteErrors(t, errs)
+		}
+		res, errs := ctx.run(jobs)
+		noteErrors(t, errs)
+		for i, org := range orgs {
 			t.AddRow(org.String(),
-				fmt.Sprintf("%.2f", meanOrNaN(res[0])),
-				fmt.Sprintf("%.2f", meanOrNaN(res[1])),
-				fmt.Sprintf("%.2f", meanOrNaN(res[2])))
+				fmt.Sprintf("%.2f", meanOrNaN(res[3*i])),
+				fmt.Sprintf("%.2f", meanOrNaN(res[3*i+1])),
+				fmt.Sprintf("%.2f", meanOrNaN(res[3*i+2])))
 		}
-		if err := ctx.Render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t
+	})
 }
 
 // ablateSpindles measures the effect of spindle synchronization (the
 // paper assumes none) on full-stripe-write-heavy traffic.
 func ablateSpindles(ctx *Context) error {
-	for _, name := range ctx.TraceNames() {
-		tr := ctx.Trace(name, 1)
+	return ctx.perTrace(func(name string, tr *trace.Trace) renderable {
 		t := &report.Table{
 			Title:   fmt.Sprintf("Ablation (%s): spindle synchronization, non-cached RAID5 (resp ms)", name),
 			Columns: []string{"striping unit", "independent", "synchronized"},
 		}
-		for _, su := range []int{1, 16} {
-			var jobs []job
+		units := []int{1, 16}
+		var jobs []job
+		for _, su := range units {
 			for _, syncd := range []bool{false, true} {
 				cfg := ctx.BaseConfig(name)
 				cfg.Org = array.OrgRAID5
@@ -187,15 +180,14 @@ func ablateSpindles(ctx *Context) error {
 				cfg.SyncSpindles = syncd
 				jobs = append(jobs, job{cfg: cfg, tr: tr})
 			}
-			res, errs := runAll(jobs)
-			noteErrors(t, errs)
+		}
+		res, errs := ctx.run(jobs)
+		noteErrors(t, errs)
+		for i, su := range units {
 			t.AddRow(fmt.Sprintf("%d", su),
-				fmt.Sprintf("%.2f", meanOrNaN(res[0])),
-				fmt.Sprintf("%.2f", meanOrNaN(res[1])))
+				fmt.Sprintf("%.2f", meanOrNaN(res[2*i])),
+				fmt.Sprintf("%.2f", meanOrNaN(res[2*i+1])))
 		}
-		if err := ctx.Render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t
+	})
 }

@@ -9,12 +9,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"runtime"
 	"sort"
-	"sync"
+	"strings"
 
 	"raidsim/internal/array"
-	"raidsim/internal/campaign"
+	"raidsim/internal/campaign/shard"
 	"raidsim/internal/core"
 	"raidsim/internal/obs"
 	"raidsim/internal/trace"
@@ -36,9 +37,9 @@ type Options struct {
 	CSV bool
 	// Plot, when true, renders figures as ASCII charts above their tables.
 	Plot bool
-	// Obs threads an observability config into every BaseConfig, so any
-	// experiment can be run with windowed time series on.
-	Obs obs.Config
+	// Live, when set, receives every run's live snapshots for the
+	// introspection HTTP server.
+	Live *obs.Live
 }
 
 func (o *Options) fill() {
@@ -46,7 +47,7 @@ func (o *Options) fill() {
 		o.Scale = 0.1
 	}
 	if len(o.Traces) == 0 {
-		o.Traces = []string{"trace1", "trace2"}
+		o.Traces = traceNames
 	}
 	if o.Out == nil {
 		panic("exp: Options.Out is required")
@@ -68,18 +69,34 @@ type Experiment struct {
 	Run   func(ctx *Context) error
 }
 
-// Context carries shared state (cached traces) across an experiment.
+// traceNames are the workloads a Context can generate.
+var traceNames = []string{"trace1", "trace2"}
+
+// Context carries the state experiments share: the generated traces and
+// every simulation run so far, so a cell that several figures and tables
+// show is simulated once. Experiments run on it one at a time.
 type Context struct {
 	opts    Options
-	mu      sync.Mutex
 	traces  map[string]*trace.Trace
 	profile map[string]workload.Profile
+	cells   []*cell
 }
 
-// NewContext prepares a Context for the options.
-func NewContext(opts Options) *Context {
+// cell is one simulation the context has run: its trace, its config with
+// Workers zeroed (the worker count never changes a result), and its
+// outcome.
+type cell struct {
+	tr  *trace.Trace
+	cfg core.Config
+	res *core.Results
+	err string
+}
+
+// NewContext prepares a Context for the options. It rejects a trace name
+// that names no workload.
+func NewContext(opts Options) (*Context, error) {
 	opts.fill()
-	return &Context{
+	ctx := &Context{
 		opts:   opts,
 		traces: make(map[string]*trace.Trace),
 		profile: map[string]workload.Profile{
@@ -87,43 +104,40 @@ func NewContext(opts Options) *Context {
 			"trace2": workload.Trace2Profile(),
 		},
 	}
+	for _, name := range opts.Traces {
+		if _, ok := ctx.profile[name]; !ok {
+			return nil, fmt.Errorf("exp: unknown trace %q (valid: %s)", name, strings.Join(traceNames, ", "))
+		}
+	}
+	return ctx, nil
 }
+
+// SetOut directs the context's rendered output to w.
+func (ctx *Context) SetOut(w io.Writer) { ctx.opts.Out = w }
 
 // TraceNames returns the selected workloads.
 func (ctx *Context) TraceNames() []string { return ctx.opts.Traces }
 
 // Profile returns the workload profile for a trace name.
 func (ctx *Context) Profile(name string) workload.Profile {
-	p, ok := ctx.profile[name]
-	if !ok {
-		panic(fmt.Sprintf("exp: unknown trace %q", name))
-	}
-	return p.Scaled(ctx.opts.Scale)
+	return ctx.profile[name].Scaled(ctx.opts.Scale)
 }
 
 // Trace returns the (cached) generated trace at the given speed factor.
 func (ctx *Context) Trace(name string, speed float64) *trace.Trace {
 	key := fmt.Sprintf("%s@%g", name, speed)
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
 	if t, ok := ctx.traces[key]; ok {
 		return t
 	}
-	base, ok := ctx.traces[name+"@1"]
-	if !ok {
-		var err error
-		base, err = workload.Generate(ctx.Profile(name))
-		if err != nil {
-			panic(fmt.Sprintf("exp: generating %s: %v", name, err))
-		}
-		ctx.traces[name+"@1"] = base
-	}
+	var t *trace.Trace
+	var err error
 	if speed == 1 {
-		return base
+		t, err = workload.Generate(ctx.Profile(name))
+	} else {
+		t, err = ctx.Trace(name, 1).Scale(speed)
 	}
-	t, err := base.Scale(speed)
 	if err != nil {
-		panic(fmt.Sprintf("exp: scaling %s: %v", name, err))
+		panic(fmt.Sprintf("exp: generating %s: %v", key, err))
 	}
 	ctx.traces[key] = t
 	return t
@@ -133,14 +147,14 @@ func (ctx *Context) Trace(name string, speed float64) *trace.Trace {
 // workload: the core defaults (N = 10, 4 KB blocks, Disk First
 // synchronization, 1-block striping unit, middle-cylinder parity
 // placement, 16 MB cache when caching is on) with the workload's disk
-// count, the run's seed, and the run's observability config.
+// count, the run's seed, and the live metrics sink if one is set.
 func (ctx *Context) BaseConfig(name string) core.Config {
 	p := ctx.profile[name]
 	return core.Config{
 		DataDisks: p.NumDisks,
 		Sync:      array.DF,
 		Seed:      ctx.opts.Seed + 1,
-		Obs:       ctx.opts.Obs,
+		Obs:       obs.Config{Live: ctx.opts.Live},
 	}.Normalize()
 }
 
@@ -148,6 +162,17 @@ func (ctx *Context) BaseConfig(name string) core.Config {
 type renderable interface {
 	Render(io.Writer) error
 	RenderCSV(io.Writer) error
+}
+
+// perTrace renders, for each selected trace, the table that table builds
+// from it at speed 1.
+func (ctx *Context) perTrace(table func(name string, tr *trace.Trace) renderable) error {
+	for _, name := range ctx.TraceNames() {
+		if err := ctx.Render(table(name, ctx.Trace(name, 1))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // plottable is a renderable that can also draw itself as an ASCII chart.
@@ -190,45 +215,51 @@ func describe(cfg core.Config) string {
 	return s
 }
 
-// runAll executes the jobs on the shared campaign pool (bounded by
-// GOMAXPROCS) and returns results in order. A failed run (e.g.
-// hopelessly overloaded at double trace speed) yields a nil entry and
-// an error message naming the failing configuration; render it with
-// noteErrors.
-func runAll(jobs []job) ([]*core.Results, []string) {
-	workers := runtime.GOMAXPROCS(0)
-	points := make([]campaign.Point, len(jobs))
+// run returns the jobs' results in order. A job whose trace and config
+// (Workers aside) deeply equal a cell the context has kept reuses that
+// cell; the rest run on the shared pool, bounded by GOMAXPROCS, and are
+// kept. A failed run (e.g. hopelessly overloaded at double trace speed)
+// yields a nil entry and an error message naming the failing
+// configuration; render it with noteErrors.
+func (ctx *Context) run(jobs []job) ([]*core.Results, []string) {
+	cells := make([]*cell, len(jobs))
+	var fresh []*cell
 	for i, j := range jobs {
-		// Keep nested parallelism bounded: the per-config run uses the
-		// worker budget too, so restrict each to a couple of array
-		// workers when many configs run at once.
-		cfg := j.cfg
-		if cfg.Workers == 0 && len(jobs) >= workers {
-			cfg.Workers = 2
+		j.cfg.Workers = 0
+		for _, c := range ctx.cells {
+			if c.tr == j.tr && reflect.DeepEqual(c.cfg, j.cfg) {
+				cells[i] = c
+				break
+			}
 		}
-		// The index prefix keeps IDs unique when a sweep repeats a
-		// configuration.
-		points[i] = campaign.Point{
-			ID:     fmt.Sprintf("%03d %s", i, describe(cfg)),
-			Config: cfg,
-			Trace:  j.tr,
+		if cells[i] == nil {
+			cells[i] = &cell{tr: j.tr, cfg: j.cfg}
+			ctx.cells = append(ctx.cells, cells[i])
+			fresh = append(fresh, cells[i])
 		}
 	}
-	out := make([]*core.Results, len(jobs))
-	oc, err := campaign.Execute(points, campaign.Options{
-		Workers:  workers,
-		OnResult: func(i int, _ campaign.Point, res *core.Results) { out[i] = res },
+	// Keep nested parallelism bounded: each run uses the worker budget
+	// too, so restrict each to a couple of array workers when the batch
+	// fills the pool.
+	arrayWorkers := 0
+	if len(fresh) >= runtime.GOMAXPROCS(0) {
+		arrayWorkers = 2
+	}
+	shard.MapStats(0, len(fresh), func(_, k int) {
+		c := fresh[k]
+		cfg := c.cfg
+		cfg.Workers = arrayWorkers
+		var err error
+		if c.res, err = core.Run(cfg, c.tr); err != nil {
+			c.err = fmt.Sprintf("%s: %v", describe(cfg), err)
+		}
 	})
-	if err != nil {
-		// Structural (duplicate-ID) errors cannot happen with
-		// index-prefixed IDs; report defensively on every job.
-		errs := make([]string, len(jobs))
-		for i := range errs {
-			errs[i] = err.Error()
-		}
-		return out, errs
+	res := make([]*core.Results, len(jobs))
+	errs := make([]string, len(jobs))
+	for i, c := range cells {
+		res[i], errs[i] = c.res, c.err
 	}
-	return out, oc.Errors
+	return res, errs
 }
 
 // noter carries footnotes (report.Table and report.Figure both do).

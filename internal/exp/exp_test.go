@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"io"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 
 	"raidsim/internal/array"
+	"raidsim/internal/fault"
 	"raidsim/internal/report"
 )
 
@@ -14,12 +16,57 @@ func testCtx(buf *strings.Builder, traces ...string) *Context {
 	if len(traces) == 0 {
 		traces = []string{"trace2"}
 	}
-	return NewContext(Options{
+	return mustContext(Options{
 		Scale:  0.02,
 		Traces: traces,
 		Seed:   1,
 		Out:    buf,
 	})
+}
+
+func mustContext(opts Options) *Context {
+	ctx, err := NewContext(opts)
+	if err != nil {
+		panic(err)
+	}
+	return ctx
+}
+
+// TestNewContextRejectsBadTraceNames: an unknown or empty trace name is
+// an error that lists the valid names, not a panic at first use.
+func TestNewContextRejectsBadTraceNames(t *testing.T) {
+	for _, tc := range []struct {
+		traces []string
+		bad    string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"trace2"}, ""},
+		{[]string{"trace1", "trace2"}, ""},
+		{[]string{"trace3"}, `"trace3"`},
+		{[]string{"trace2", ""}, `""`},
+		{[]string{"Trace1"}, `"Trace1"`},
+	} {
+		_, err := NewContext(Options{Traces: tc.traces, Out: io.Discard})
+		if tc.bad == "" {
+			if err != nil {
+				t.Errorf("traces %q: %v", tc.traces, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("traces %q accepted", tc.traces)
+			continue
+		}
+		msg := err.Error()
+		for _, want := range []string{tc.bad, "valid: trace1, trace2"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("traces %q: error %q lacks %s", tc.traces, msg, want)
+			}
+		}
+		if strings.Contains(msg, "\n") {
+			t.Errorf("traces %q: error %q spans lines", tc.traces, msg)
+		}
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -146,7 +193,7 @@ func TestFig11CSV(t *testing.T) {
 		t.Skip("experiment runs are slow")
 	}
 	var buf strings.Builder
-	ctx := NewContext(Options{Scale: 0.02, Traces: []string{"trace2"}, Seed: 1, Out: &buf, CSV: true})
+	ctx := mustContext(Options{Scale: 0.02, Traces: []string{"trace2"}, Seed: 1, Out: &buf, CSV: true})
 	e, _ := Get("fig11")
 	if err := e.Run(ctx); err != nil {
 		t.Fatal(err)
@@ -160,14 +207,14 @@ func TestFig11CSV(t *testing.T) {
 	}
 }
 
-func TestRunAllFailureNamesTheConfig(t *testing.T) {
+func TestRunFailureNamesTheConfig(t *testing.T) {
 	var buf strings.Builder
 	ctx := testCtx(&buf)
 	tr := ctx.Trace("trace2", 1)
 	good := ctx.BaseConfig("trace2")
 	bad := ctx.BaseConfig("trace2")
 	bad.N = 1 // rejected by config validation
-	res, errs := runAll([]job{{cfg: good, tr: tr}, {cfg: bad, tr: tr}})
+	res, errs := ctx.run([]job{{cfg: good, tr: tr}, {cfg: bad, tr: tr}})
 	if res[0] == nil || errs[0] != "" {
 		t.Fatalf("good run failed: %q", errs[0])
 	}
@@ -185,12 +232,12 @@ func TestNoteErrorsExplainsBlankCells(t *testing.T) {
 	var buf strings.Builder
 	tbl := &report.Table{Title: "t", Columns: []string{"a"}}
 	tbl.AddRow("x")
-	noteErrors(tbl, []string{"", "001 org=raid5/n=1/sync=DF: core: N must be >= 2", ""})
+	noteErrors(tbl, []string{"", "org=raid5/n=1/sync=DF: core: N must be >= 2", ""})
 	if err := tbl.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "failed run: 001 org=raid5/n=1") {
+	if !strings.Contains(out, "failed run: org=raid5/n=1") {
 		t.Errorf("rendered table missing failure note:\n%s", out)
 	}
 }
@@ -250,5 +297,74 @@ func TestSweepFailedCellIsBlankAndNamed(t *testing.T) {
 		if !strings.Contains(fig.Notes[0], want) {
 			t.Errorf("note %q does not name %q", fig.Notes[0], want)
 		}
+	}
+}
+
+// TestContextRunShares: a Context simulates each distinct cell once.
+// Re-rendering reuses its cells byte for byte, cells are matched on
+// every config field but Workers (nested fields included), and a reused
+// failed cell reproduces its note.
+func TestContextRunShares(t *testing.T) {
+	var buf strings.Builder
+	ctx := testCtx(&buf, "trace1")
+	render := func(id string) string {
+		t.Helper()
+		e, err := Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		if err := e.Run(ctx); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return buf.String()
+	}
+	for _, id := range []string{"fig5", "ext-raid10"} {
+		first := render(id)
+		n := len(ctx.cells)
+		if again := render(id); again != first {
+			t.Errorf("%s rendered twice differs:\n%s\nthen\n%s", id, first, again)
+		}
+		if len(ctx.cells) != n {
+			t.Errorf("%s rendered twice added %d cells", id, len(ctx.cells)-n)
+		}
+	}
+	n := len(ctx.cells)
+	render("fig6") // non-cached Base at N = 10 on Trace 1: a fig5 cell
+	if len(ctx.cells) != n {
+		t.Errorf("fig6 after fig5 added %d cells", len(ctx.cells)-n)
+	}
+
+	tr := ctx.Trace("trace1", 1)
+	cfg := ctx.BaseConfig("trace1")
+	cfg.N = 20
+	cfg.Fault.DiskFails = []fault.DiskFail{{Disk: 0, At: tr.Duration() / 2}}
+	cfg.Robust.HedgeQuantile = 0.9
+	workers := cfg
+	workers.Workers = 3
+	failAt := cfg
+	failAt.Fault.DiskFails = []fault.DiskFail{{Disk: 0, At: tr.Duration() / 3}}
+	hedge := cfg
+	hedge.Robust.HedgeQuantile = 0.95
+	bad := cfg
+	bad.N = 1 // rejected by config validation
+	n = len(ctx.cells)
+	res, errs := ctx.run([]job{{cfg, tr}, {workers, tr}, {failAt, tr}, {hedge, tr}, {bad, tr}})
+	if got := len(ctx.cells) - n; got != 4 {
+		t.Errorf("added %d cells, want 4 (Workers shares one; DiskFails[0].At and HedgeQuantile do not)", got)
+	}
+	if res[0] == nil || res[0] != res[1] {
+		t.Error("configs that differ only in Workers do not share results")
+	}
+	if res[2] == res[0] || res[3] == res[0] {
+		t.Error("configs that differ in a nested field share results")
+	}
+	if errs[4] == "" {
+		t.Fatal("N = 1 did not fail")
+	}
+	n = len(ctx.cells)
+	res2, errs2 := ctx.run([]job{{bad, tr}})
+	if len(ctx.cells) != n || res2[0] != nil || errs2[0] != errs[4] {
+		t.Errorf("reused failed cell: %d new cells, note %q, want none and %q", len(ctx.cells)-n, errs2[0], errs[4])
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -69,7 +70,7 @@ func extRebuild(ctx *Context) error {
 		}
 		jobs = append(jobs, job{cfg: cfg, tr: tr})
 	}
-	res, errs := runAll(jobs)
+	res, errs := ctx.run(jobs)
 	noteErrors(t, errs)
 	for i, m := range modes {
 		r := res[i]
@@ -132,7 +133,7 @@ func extModel(ctx *Context) error {
 		cfg.Org = org
 		jobs = append(jobs, job{cfg: cfg, tr: tr})
 	}
-	res, errs := runAll(jobs)
+	res, errs := ctx.run(jobs)
 	noteErrors(t, errs)
 	for i, org := range orgs {
 		r, _ := model.ZeroLoadResponse(dev, org, false)
@@ -152,25 +153,30 @@ func extModel(ctx *Context) error {
 		Title:   "Extension: section 4.2.3 parity placement rule vs simulation",
 		Columns: []string{"trace", "N", "rule says", "sim middle (ms)", "sim end (ms)", "sim agrees"},
 	}
+	ns := []int{5, 10, 15, 20}
+	var pj []job
 	for _, tn := range ctx.TraceNames() {
-		prof := ctx.Profile(tn)
-		trn := ctx.Trace(tn, 1)
-		for _, n := range []int{5, 10, 15, 20} {
-			var pj []job
-			for _, pl := range []int{0, 1} {
+		for _, n := range ns {
+			for _, pl := range []layout.Placement{layout.MiddlePlacement, layout.EndPlacement} {
 				cfg := ctx.BaseConfig(tn)
 				cfg.Org = array.OrgParityStriping
 				cfg.N = n
-				cfg.Placement = placementOf(pl)
-				pj = append(pj, job{cfg: cfg, tr: trn})
+				cfg.Placement = pl
+				pj = append(pj, job{cfg: cfg, tr: ctx.Trace(tn, 1)})
 			}
-			r, errs := runAll(pj)
-			noteErrors(pt, errs)
+		}
+	}
+	r, errs := ctx.run(pj)
+	noteErrors(pt, errs)
+	for _, tn := range ctx.TraceNames() {
+		prof := ctx.Profile(tn)
+		for _, n := range ns {
 			mid, end := meanOrNaN(r[0]), meanOrNaN(r[1])
+			r = r[2:]
 			rule := model.RecommendPlacement(n, prof.WriteFraction)
-			simPick := placementOf(0)
+			simPick := layout.MiddlePlacement
 			if end < mid {
-				simPick = placementOf(1)
+				simPick = layout.EndPlacement
 			}
 			pt.AddRow(tn, fmt.Sprintf("%d", n), rule.String(),
 				fmt.Sprintf("%.2f", mid), fmt.Sprintf("%.2f", end),
@@ -179,13 +185,6 @@ func extModel(ctx *Context) error {
 	}
 	pt.AddNote("the paper found the rule holds for Trace 1 with the cutoff nearer N=10, and breaks for Trace 2 (non-uniform access)")
 	return ctx.Render(pt)
-}
-
-func placementOf(i int) layout.Placement {
-	if i == 1 {
-		return layout.EndPlacement
-	}
-	return layout.MiddlePlacement
 }
 
 // extClosedLoop sweeps the multiprogramming level, reporting the
@@ -261,12 +260,10 @@ func extTaxonomy(ctx *Context) error {
 		cfgD.StripingUnit = 4 // a sensible scan-friendly unit for the striped orgs
 		jobs = append(jobs, job{cfg: cfgD, tr: dss})
 	}
-	res, errs := runAll(jobs)
+	res, errs := ctx.run(jobs)
 	noteErrors(t, errs)
 	for i, org := range orgs {
-		cfg := ctx.BaseConfig("trace2")
-		cfg.Org = org
-		t.AddRow(org.String(), fmt.Sprintf("%d", cfg.PhysicalDisks()),
+		t.AddRow(org.String(), fmt.Sprintf("%d", jobs[2*i].cfg.PhysicalDisks()),
 			fmt.Sprintf("%.2f", meanOrNaN(res[2*i])),
 			fmt.Sprintf("%.2f", meanOrNaN(res[2*i+1])))
 	}
@@ -282,8 +279,7 @@ func extTaxonomy(ctx *Context) error {
 // the second RMW disappears from the foreground.
 func extParityLog(ctx *Context) error {
 	orgs := []array.Org{array.OrgBase, array.OrgMirror, array.OrgRAID5, array.OrgParityLog}
-	for _, name := range ctx.TraceNames() {
-		tr := ctx.Trace(name, 1)
+	return ctx.perTrace(func(name string, tr *trace.Trace) renderable {
 		t := &report.Table{
 			Title:   fmt.Sprintf("Extension (%s): parity logging vs the paper's organizations (non-cached)", name),
 			Columns: []string{"org", "resp (ms)", "write resp (ms)"},
@@ -294,7 +290,7 @@ func extParityLog(ctx *Context) error {
 			cfg.Org = org
 			jobs = append(jobs, job{cfg: cfg, tr: tr})
 		}
-		res, errs := runAll(jobs)
+		res, errs := ctx.run(jobs)
 		noteErrors(t, errs)
 		for i, org := range orgs {
 			w := 0.0
@@ -303,11 +299,8 @@ func extParityLog(ctx *Context) error {
 			}
 			t.AddRow(org.String(), fmt.Sprintf("%.2f", meanOrNaN(res[i])), fmt.Sprintf("%.2f", w))
 		}
-		if err := ctx.Render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t
+	})
 }
 
 // extRAID10 evaluates the RAID1/0 extension — RAID0 striping over mirror
@@ -319,8 +312,7 @@ func extParityLog(ctx *Context) error {
 // second arm, where RAID5 pays stripe-wide reconstruction reads.
 func extRAID10(ctx *Context) error {
 	orgs := []array.Org{array.OrgMirror, array.OrgRAID10, array.OrgRAID5}
-	for _, name := range ctx.TraceNames() {
-		tr := ctx.Trace(name, 1)
+	return ctx.perTrace(func(name string, tr *trace.Trace) renderable {
 		t := &report.Table{
 			Title:   fmt.Sprintf("Extension (%s): RAID1/0 vs Mirror and RAID5, healthy and degraded", name),
 			Columns: []string{"org", "drives", "resp (ms)", "read", "write", "degr resp (ms)", "degr reqs"},
@@ -340,12 +332,10 @@ func extRAID10(ctx *Context) error {
 			cfgF.Fault = fault.Config{DiskFails: []fault.DiskFail{{Disk: 0, At: tr.Duration() / 4}}}
 			jobs = append(jobs, job{cfg: cfgF, tr: tr})
 		}
-		res, errs := runAll(jobs)
+		res, errs := ctx.run(jobs)
 		noteErrors(t, errs)
 		for i, org := range orgs {
 			h, d := res[2*i], res[2*i+1]
-			cfg := ctx.BaseConfig(name)
-			cfg.Org = org
 			degr, nd := 0.0, int64(0)
 			if d != nil {
 				degr, nd = d.DegradedResp.Mean(), d.DegradedResp.N()
@@ -354,17 +344,14 @@ func extRAID10(ctx *Context) error {
 			if h != nil {
 				hr, hw = h.ReadResp.Mean(), h.WriteResp.Mean()
 			}
-			t.AddRow(org.String(), fmt.Sprintf("%d", cfg.PhysicalDisks()),
+			t.AddRow(org.String(), fmt.Sprintf("%d", jobs[2*i].cfg.PhysicalDisks()),
 				fmt.Sprintf("%.2f", meanOrNaN(h)),
 				fmt.Sprintf("%.2f", hr), fmt.Sprintf("%.2f", hw),
 				fmt.Sprintf("%.2f", degr), fmt.Sprintf("%d", nd))
 		}
 		t.AddNote("degraded = responses completed while a slot was unreadable (failure at t/4, one hot spare)")
-		if err := ctx.Render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t
+	})
 }
 
 // extLatency attributes each organization's disk-side time to pipeline
@@ -388,8 +375,7 @@ func extLatency(ctx *Context) error {
 		{"raid5+cache", array.OrgRAID5, true},
 		{"raid4+cache", array.OrgRAID4, true},
 	}
-	for _, name := range ctx.TraceNames() {
-		tr := ctx.Trace(name, 1)
+	return ctx.perTrace(func(name string, tr *trace.Trace) renderable {
 		t := &report.Table{
 			Title:   fmt.Sprintf("Extension (%s): where the disk time goes, by pipeline stage (%% of attributed disk-seconds)", name),
 			Columns: []string{"org", "resp (ms)", "disk-s", "queue", "seek+rot", "xfer", "parity sync", "destage stall"},
@@ -401,7 +387,7 @@ func extLatency(ctx *Context) error {
 			cfg.Cached = p.cached
 			jobs = append(jobs, job{cfg: cfg, tr: tr})
 		}
-		res, errs := runAll(jobs)
+		res, errs := ctx.run(jobs)
 		noteErrors(t, errs)
 		for i, p := range points {
 			r := res[i]
@@ -424,11 +410,8 @@ func extLatency(ctx *Context) error {
 				pct(s.ParitySyncMS), pct(s.DestageStallMS))
 		}
 		t.AddNote("disk-s = total attributed disk-side busy/stall seconds across all drives; parity sync = full rotations held for parity inputs")
-		if err := ctx.Render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t
+	})
 }
 
 // extSLO measures the goodput-vs-deadline curve when one drive turns
@@ -453,8 +436,7 @@ func extSLO(ctx *Context) error {
 		{"raid5+cache robust", array.OrgRAID5, true, true},
 	}
 	deadlines := []sim.Time{30 * sim.Millisecond, 60 * sim.Millisecond, 120 * sim.Millisecond}
-	for _, name := range ctx.TraceNames() {
-		tr := ctx.Trace(name, 1)
+	return ctx.perTrace(func(name string, tr *trace.Trace) renderable {
 		sick := fault.SickDisk{
 			Disk:          0,
 			At:            tr.Duration() / 4,
@@ -488,7 +470,7 @@ func extSLO(ctx *Context) error {
 				jobs = append(jobs, job{cfg: cfg, tr: tr})
 			}
 		}
-		res, errs := runAll(jobs)
+		res, errs := ctx.run(jobs)
 		noteErrors(t, errs)
 		i := 0
 		for _, p := range points {
@@ -511,11 +493,8 @@ func extSLO(ctx *Context) error {
 		}
 		t.AddNote("robust = 2 retries with backoff; RAID1/0 adds hedged reads (p95-derived delay)")
 		t.AddNote("naive runs still count transient errors: they fall straight through to redundancy reconstruction")
-		if err := ctx.Render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return t
+	})
 }
 
 // extDiurnal runs the built-in three-client diurnal workload spec — a
@@ -560,7 +539,7 @@ func extDiurnal(ctx *Context) error {
 		cfg.Robust.BatchDeadline = 240 * sim.Millisecond
 		jobs = append(jobs, job{cfg: cfg, tr: tr})
 	}
-	res, errs := runAll(jobs)
+	res, errs := ctx.run(jobs)
 
 	t := &report.Table{
 		Title: fmt.Sprintf("Extension: diurnal 3-client workload (%d requests, %.0fs compressed horizon), 60ms gold / 240ms batch deadlines",
@@ -616,19 +595,15 @@ func extTimeseries(ctx *Context) error {
 		win -= win % sim.Second
 	}
 	cfg.Obs.Window = win
-	// Retain every event (requests included) so the fault markers are
-	// not overwritten by later request events.
-	cfg.Obs.TraceCap = len(tr.Records) + 4096
 	// Keep the slowest requests per class so the tail-anatomy table can
 	// attribute the rebuild-window latency spike stage by stage.
-	if cfg.Obs.SpanTopK == 0 {
-		cfg.Obs.SpanTopK = 4
-	}
+	cfg.Obs.SpanTopK = 4
 
-	res, err := core.Run(cfg, tr)
-	if err != nil {
-		return err
+	rs, errs := ctx.run([]job{{cfg: cfg, tr: tr}})
+	if errs[0] != "" {
+		return errors.New(errs[0])
 	}
+	res := rs[0]
 
 	if err := ctx.Render(report.SeriesFigure(
 		fmt.Sprintf("Extension: response over time, cached RAID5, disk 0 fails at %.0fs", float64(failAt)/float64(sim.Second)),
@@ -646,7 +621,8 @@ func extTimeseries(ctx *Context) error {
 	if len(res.TailSpans) > 0 {
 		// TailSpans keeps the slowest K per class *per array*; with
 		// ceil(130/N) arrays that is too many rows, so re-select the
-		// slowest few per class system-wide.
+		// slowest few per class system-wide. TailSpans is sorted slowest
+		// first, stably, so each class's samples arrive in that order.
 		byClass := map[string][]obs.SpanSample{}
 		for _, s := range res.TailSpans {
 			k := s.Tree.Class
@@ -665,9 +641,6 @@ func extTimeseries(ctx *Context) error {
 		var tail []obs.SpanSample
 		for _, k := range classes {
 			g := byClass[k]
-			sort.SliceStable(g, func(i, j int) bool {
-				return g[i].Tree.Duration() > g[j].Tree.Duration()
-			})
 			if len(g) > 4 {
 				g = g[:4]
 			}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 
 	"raidsim/internal/array"
@@ -75,10 +76,11 @@ func perDiskAccesses(ctx *Context, title string, mutate func(*core.Config)) erro
 	cfg := ctx.BaseConfig("trace1")
 	cfg.Org = array.OrgBase
 	mutate(&cfg)
-	res, err := core.Run(cfg, ctx.Trace("trace1", 1))
-	if err != nil {
-		return err
+	rs, errs := ctx.run([]job{{cfg: cfg, tr: ctx.Trace("trace1", 1)}})
+	if errs[0] != "" {
+		return errors.New(errs[0])
 	}
+	res := rs[0]
 	t := &report.Table{
 		Title:   title,
 		Columns: []string{"disk", "accesses", "utilization"},

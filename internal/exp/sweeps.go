@@ -188,7 +188,7 @@ func (s *sweep) run(ctx *Context) error {
 	return nil
 }
 
-// figureFor runs every cell of one panel on one trace in a single runAll
+// figureFor runs every cell of one panel on one trace in a single run
 // call and fills the figure. A failed cell's note names its series and
 // tick.
 func (s *sweep) figureFor(ctx *Context, name string, pn point) *report.Figure {
@@ -220,7 +220,7 @@ func (s *sweep) figureFor(ctx *Context, name string, pn point) *report.Figure {
 	for _, tk := range s.ticks.points {
 		fig.XTicks = append(fig.XTicks, tk.label)
 	}
-	res, errs := runAll(jobs)
+	res, errs := ctx.run(jobs)
 	nt := len(s.ticks.points)
 	for i, se := range s.series.points {
 		cells := res[i*nt : (i+1)*nt]

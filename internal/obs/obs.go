@@ -6,7 +6,10 @@
 // throughput, per-disk utilization, queue depth, cache dirty fraction,
 // degraded-mode occupancy, and rebuild traffic — the transient phenomena
 // the steady-state means of the paper's figures collapse away. An
-// optional bounded ring buffer keeps an event trace for JSONL export.
+// optional bounded ring buffer keeps the high-rate events for JSONL
+// export; the few lifecycle events of a run (disk failures, spare swaps,
+// rebuild completions, cache failures, sickness onsets and clears) are
+// kept in full beside it.
 //
 // A nil *Recorder is the off switch: every method nil-checks its
 // receiver and returns, so instrumented hot paths cost one predictable
@@ -26,7 +29,9 @@ type Config struct {
 	Window sim.Time
 	// Disks is the number of drives whose utilization is tracked.
 	Disks int
-	// TraceCap bounds the event ring buffer; 0 disables the event trace.
+	// TraceCap bounds the ring of high-rate events (requests, destage
+	// batches, timeouts, retries, hedges, sheds, data losses); 0 keeps
+	// none of them. Lifecycle events (Note) are kept in full regardless.
 	TraceCap int
 	// SpanTopK enables the per-request span tracer and sizes its tail
 	// capture: the slowest K request span trees are retained per class
@@ -106,6 +111,7 @@ type Recorder struct {
 	win    sim.Time
 	wins   []*window
 	ring   *ring
+	notes  []note
 	tracer *Tracer
 
 	end       sim.Time // latest timestamp observed
@@ -410,23 +416,66 @@ func (r *Recorder) addDegraded(from, to sim.Time) {
 	}
 }
 
-// Note appends an event to the ring trace (no-op without a trace buffer).
+// note is a lifecycle event with its place in emission order: the
+// number of ring events appended before it.
+type note struct {
+	Event
+	after int64
+}
+
+// Note keeps a lifecycle event — a few per run — in full, outside the
+// bounded ring, so a long trace of request events cannot overwrite it.
 func (r *Recorder) Note(e Event) {
 	if r == nil {
 		return
 	}
 	r.observe(e.At)
+	var after int64
 	if r.ring != nil {
-		r.ring.append(e)
+		after = r.ring.total
+	}
+	r.notes = append(r.notes, note{Event: e, after: after})
+}
+
+// DataLoss records an unrecoverable read run on slot disk. It is one
+// event per lost run, so it can be high-rate and goes to the ring.
+func (r *Recorder) DataLoss(at sim.Time, disk, blocks int) {
+	if r == nil {
+		return
+	}
+	r.observe(at)
+	if r.ring != nil {
+		r.ring.append(Event{At: at, Kind: EvDataLoss, Disk: disk, Blocks: blocks})
 	}
 }
 
-// Events returns the retained event trace in chronological order.
+// Events returns the retained ring events and every lifecycle event,
+// merged in emission order (which is chronological).
 func (r *Recorder) Events() []Event {
-	if r == nil || r.ring == nil {
+	if r == nil {
 		return nil
 	}
-	return r.ring.events()
+	var evs []Event
+	var first int64 // emission index of evs[0] among all ring events
+	if r.ring != nil {
+		evs = r.ring.events()
+		first = r.ring.total - int64(len(evs))
+	}
+	if len(r.notes) == 0 {
+		return evs
+	}
+	out := make([]Event, 0, len(evs)+len(r.notes))
+	k := 0
+	for i, e := range evs {
+		for ; k < len(r.notes) && r.notes[k].after <= first+int64(i); k++ {
+			out = append(out, r.notes[k].Event)
+		}
+		out = append(out, e)
+	}
+	for ; k < len(r.notes); k++ {
+		out = append(out, r.notes[k].Event)
+	}
+	return out
 }
 
 // EventsDropped returns how many events the bounded ring overwrote.

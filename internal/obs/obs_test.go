@@ -164,6 +164,48 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestLifecycleEventsOutliveTheRing: lifecycle events (Note) survive a
+// ring that wraps many times over, data losses do not, and Events merges
+// the two in emission order, ties included.
+func TestLifecycleEventsOutliveTheRing(t *testing.T) {
+	ms := func(i int) sim.Time { return sim.Time(i) * sim.Millisecond }
+	kinds := func(evs []Event) string {
+		var s []string
+		for _, e := range evs {
+			s = append(s, fmt.Sprintf("%s@%d", e.Kind, e.At/sim.Millisecond))
+		}
+		return strings.Join(s, " ")
+	}
+	for _, tc := range []struct {
+		cap  int
+		want string
+	}{
+		{4, "disk-fail@0 spare-swap@5 request@8 request@9 sick-onset@9 request@9 request@10 rebuild-done@10"},
+		{0, "disk-fail@0 spare-swap@5 sick-onset@9 rebuild-done@10"},
+	} {
+		r := NewRecorder(Config{Window: sim.Second, Disks: 1, TraceCap: tc.cap})
+		r.Note(Event{At: 0, Kind: EvDiskFail})
+		r.DataLoss(ms(1), 0, 8)
+		for i := 1; i <= 10; i++ {
+			r.Request(ms(i), false, 1)
+			switch i {
+			case 5:
+				r.Note(Event{At: ms(5), Kind: EvSpareSwap})
+			case 9:
+				r.Note(Event{At: ms(9), Kind: EvSickOnset})
+				r.Request(ms(9), true, 1)
+			}
+		}
+		r.Note(Event{At: ms(10), Kind: EvRebuildDone})
+		if got := kinds(r.Events()); got != tc.want {
+			t.Errorf("TraceCap %d: events\n got %s\nwant %s", tc.cap, got, tc.want)
+		}
+		if want := int64(max(0, 12-tc.cap)); tc.cap > 0 && r.EventsDropped() != want {
+			t.Errorf("TraceCap %d: dropped %d, want %d", tc.cap, r.EventsDropped(), want)
+		}
+	}
+}
+
 // TestNilRecorder: every probe must be safe (and free) on a nil receiver.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
@@ -174,6 +216,7 @@ func TestNilRecorder(t *testing.T) {
 	r.RebuildIO(0, 48)
 	r.Degraded(0, true)
 	r.Note(Event{Kind: EvDiskFail})
+	r.DataLoss(0, 0, 1)
 	if r.Events() != nil || r.EventsDropped() != 0 || r.Series() != nil {
 		t.Fatal("nil recorder must read empty")
 	}
