@@ -51,7 +51,7 @@ func main() {
 		httpHold   = flag.Duration("http-hold", 0, "keep the -http server (and process) alive this long after the run completes")
 	)
 	bind := cliflag.Bind(flag.CommandLine)
-	wl := cliflag.BindWorkload(flag.CommandLine)
+	wl := cliflag.BindWorkload(flag.CommandLine, 0.1)
 	prof := cliflag.BindProfile(flag.CommandLine)
 	flag.Parse()
 
@@ -97,7 +97,12 @@ func main() {
 		return
 	}
 
-	tr, err := loadTrace(*tracePath, wl)
+	var tr *trace.Trace
+	if *tracePath != "" {
+		tr, err = trace.ReadFile(*tracePath)
+	} else {
+		tr, err = wl.Generate("trace2")
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -209,23 +214,6 @@ func printObs(res *core.Results, csvPath, jsonlPath string) {
 		fmt.Printf("event trace: %d events -> %s (%d dropped)\n\n",
 			len(res.ObsEvents), jsonlPath, res.ObsEventsDropped)
 	}
-}
-
-func loadTrace(path string, wl *cliflag.WorkloadBinding) (*trace.Trace, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		var magic [6]byte
-		if _, err := f.ReadAt(magic[:], 0); err == nil &&
-			(string(magic[:5]) == "RSTB1" || string(magic[:5]) == "RSTB2") {
-			return trace.ReadBinary(f)
-		}
-		return trace.ReadText(f)
-	}
-	return wl.Generate("trace2")
 }
 
 func printResults(cfg core.Config, tr *trace.Trace, res *core.Results, perDisk bool) {

@@ -1,14 +1,14 @@
 // Command tracegen synthesizes an OLTP I/O trace from a built-in
-// workload or a declarative .json workload spec (optionally customized
-// by flags) and writes it in the text or binary format that cmd/raidsim
-// and cmd/tracestat consume. Multi-client workloads carry their class
-// table through both formats.
+// workload or a declarative .json workload spec and writes it in the
+// text or binary format that cmd/raidsim and cmd/tracestat consume.
+// Multi-client workloads carry their class table through both formats.
+// To customize a built-in (seed, write fraction, disk skew, request or
+// disk count), write it as a .json spec: see examples/workloads.
 //
 // Examples:
 //
 //	tracegen -workload trace2 -o trace2.txt
 //	tracegen -workload trace1 -scale 0.1 -format bin -o t1.bin
-//	tracegen -workload trace2 -write-frac 0.5 -disk-zipf 1.2 -o hot.txt
 //	tracegen -workload examples/workloads/diurnal.json -format bin -o diurnal.bin
 //	tracegen -validate examples/workloads/diurnal.json
 package main
@@ -18,25 +18,19 @@ import (
 	"fmt"
 	"os"
 
+	"raidsim/internal/cliflag"
 	"raidsim/internal/trace"
 	"raidsim/internal/workload"
 )
 
 func main() {
 	var (
-		wl        = flag.String("workload", "", "workload: built-in name or .json spec path")
-		profile   = flag.String("profile", "", "alias of -workload kept for older scripts (default trace2)")
-		validate  = flag.String("validate", "", "validate a workload spec file and exit (no trace written)")
-		scale     = flag.Float64("scale", 1.0, "scale requests and duration (rate preserved)")
-		out       = flag.String("o", "-", "output path, - for stdout")
-		format    = flag.String("format", "text", "output format: text or bin")
-		seed      = flag.Uint64("seed", 0, "override the profile seed (0 = keep; built-in profiles only)")
-		writeFrac = flag.Float64("write-frac", -1, "override write fraction (-1 = keep; built-in profiles only)")
-		diskZipf  = flag.Float64("disk-zipf", -1, "override disk Zipf skew (-1 = keep; built-in profiles only)")
-		requests  = flag.Int("requests", 0, "override request count (0 = keep; built-in profiles only)")
-		disks     = flag.Int("disks", 0, "override number of logical disks (0 = keep; built-in profiles only)")
-		stats     = flag.Bool("stats", false, "also print Table 2 statistics to stderr")
+		validate = flag.String("validate", "", "validate a workload spec file and exit (no trace written)")
+		out      = flag.String("o", "-", "output path, - for stdout")
+		format   = flag.String("format", "text", "output format: text or bin")
+		stats    = flag.Bool("stats", false, "also print Table 2 statistics to stderr")
 	)
+	wl := cliflag.BindWorkload(flag.CommandLine, 1.0)
 	flag.Parse()
 
 	if *validate != "" {
@@ -52,48 +46,7 @@ func main() {
 		return
 	}
 
-	name := *wl
-	if name == "" {
-		name = *profile
-	}
-	if name == "" {
-		name = "trace2"
-	}
-
-	var tr *trace.Trace
-	var err error
-	switch name {
-	case "trace1", "trace2", "dss":
-		// Built-in profiles keep the classic path and the override flags.
-		var p workload.Profile
-		switch name {
-		case "trace1":
-			p = workload.Trace1Profile()
-		case "trace2":
-			p = workload.Trace2Profile()
-		case "dss":
-			p = workload.DSSProfile()
-		}
-		p = p.Scaled(*scale)
-		if *seed != 0 {
-			p.Seed = *seed
-		}
-		if *writeFrac >= 0 {
-			p.WriteFraction = *writeFrac
-		}
-		if *diskZipf >= 0 {
-			p.DiskZipfTheta = *diskZipf
-		}
-		if *requests > 0 {
-			p.Requests = *requests
-		}
-		if *disks > 0 {
-			p.NumDisks = *disks
-		}
-		tr, err = workload.Generate(p)
-	default:
-		tr, err = workload.ResolveTrace(name, *scale)
-	}
+	tr, err := wl.Generate("trace2")
 	if err != nil {
 		fatal(err)
 	}

@@ -1,12 +1,14 @@
 // Command tracestat prints Table 2-style characteristics of a trace file
-// (or a built-in profile), including the per-disk access distribution
-// behind Figure 6.
+// (text or binary, see cmd/tracegen) or of a generated workload (a
+// built-in name or a .json spec), including the per-disk access
+// distribution behind Figure 6.
 //
 // Examples:
 //
 //	tracestat t1.bin
 //	tracestat -per-disk t2.txt
-//	tracestat -profile trace1 -scale 0.1
+//	tracestat -workload trace1 -scale 0.1
+//	tracestat -workload examples/workloads/diurnal.json -scale 0.02
 //	tracestat -spans spans.json
 package main
 
@@ -15,19 +17,18 @@ import (
 	"fmt"
 	"os"
 
+	"raidsim/internal/cliflag"
 	"raidsim/internal/trace"
-	"raidsim/internal/workload"
 )
 
 func main() {
 	var (
-		profile  = flag.String("profile", "", "analyze a built-in profile instead of a file")
-		scale    = flag.Float64("scale", 1.0, "scale for -profile")
 		perDisk  = flag.Bool("per-disk", false, "print the per-disk access histogram")
 		analyze  = flag.Bool("analyze", false, "print arrival/locality/spatial analysis")
 		hitCurve = flag.Bool("hit-curve", false, "print the predicted hit-ratio curve from stack distances")
 		spans    = flag.Bool("spans", false, "analyze a span export from raidsim -trace-spans (Chrome trace-event JSON)")
 	)
+	wl := cliflag.BindWorkload(flag.CommandLine, 1.0)
 	flag.Parse()
 
 	if *spans {
@@ -41,21 +42,12 @@ func main() {
 	var tr *trace.Trace
 	var err error
 	switch {
-	case *profile != "":
-		var p workload.Profile
-		switch *profile {
-		case "trace1":
-			p = workload.Trace1Profile()
-		case "trace2":
-			p = workload.Trace2Profile()
-		default:
-			fatal(fmt.Errorf("unknown profile %q", *profile))
-		}
-		tr, err = workload.Generate(p.Scaled(*scale))
-	case flag.NArg() == 1:
-		tr, err = load(flag.Arg(0))
+	case wl.Selected() && flag.NArg() == 0:
+		tr, err = wl.Generate("")
+	case !wl.Selected() && flag.NArg() == 1:
+		tr, err = trace.ReadFile(flag.Arg(0))
 	default:
-		fatal(fmt.Errorf("usage: tracestat [-per-disk] <trace-file> | tracestat -profile trace1"))
+		fatal(fmt.Errorf("usage: tracestat [-per-disk] <trace-file> | tracestat -workload <name|spec.json>"))
 	}
 	if err != nil {
 		fatal(err)
@@ -82,19 +74,6 @@ func main() {
 			fmt.Printf("  %4d  %d\n", i, n)
 		}
 	}
-}
-
-func load(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var magic [6]byte
-	if _, err := f.ReadAt(magic[:], 0); err == nil && string(magic[:5]) == "RSTB1" {
-		return trace.ReadBinary(f)
-	}
-	return trace.ReadText(f)
 }
 
 func fatal(err error) {

@@ -175,14 +175,9 @@ func (s Spec) size() int {
 		len(s.CacheMB) * len(s.StripingUnit) * s.Seeds
 }
 
-// validateTrace checks a traces-axis entry: a built-in profile name, a
-// built-in spec name, or a .json workload-spec path (loaded and
-// validated without generating).
+// validateTrace checks a traces-axis entry: a built-in workload name or
+// a .json workload-spec path (loaded and validated without generating).
 func validateTrace(name string) error {
-	switch name {
-	case "trace1", "trace2", "dss":
-		return nil
-	}
 	sp, err := workload.Resolve(name)
 	if err != nil {
 		return fmt.Errorf("campaign: trace %q: %w", name, err)

@@ -125,3 +125,42 @@ func TestBadValues(t *testing.T) {
 		}
 	}
 }
+
+// TestBindWorkload: -scale defaults to the caller's value, -workload is
+// the one selection flag, and an unset -workload falls back to the
+// caller's default workload.
+func TestBindWorkload(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	b := BindWorkload(fs, 0.001)
+	if fs.Lookup("profile") != nil {
+		t.Error("-profile is still registered")
+	}
+	if got := fs.Lookup("scale").DefValue; got != "0.001" {
+		t.Errorf("-scale default %s, want 0.001", got)
+	}
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if b.Selected() {
+		t.Error("Selected with no -workload")
+	}
+	tr, err := b.Generate("dss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Name != "dss" {
+		t.Errorf("fallback generated %q, want dss", tr.Name)
+	}
+	if err := fs.Parse([]string{"-workload", "trace1"}); err != nil {
+		t.Fatal(err)
+	}
+	if !b.Selected() {
+		t.Error("not Selected with -workload trace1")
+	}
+	if tr, err = b.Generate("dss"); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Name != "trace1" {
+		t.Errorf("-workload trace1 generated %q", tr.Name)
+	}
+}

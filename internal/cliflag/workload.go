@@ -12,33 +12,27 @@ import (
 // generate (built-in name or declarative .json spec) and at what scale.
 type WorkloadBinding struct {
 	workload *string
-	profile  *string
 	scale    *float64
 }
 
-// BindWorkload registers the workload flags on fs. -workload and
-// -profile are aliases; -workload is the documented spelling and also
-// accepts a path to a workload spec file.
-func BindWorkload(fs *flag.FlagSet) *WorkloadBinding {
+// BindWorkload registers -workload and -scale on fs; scale is the
+// command's default -scale.
+func BindWorkload(fs *flag.FlagSet, scale float64) *WorkloadBinding {
 	return &WorkloadBinding{
 		workload: fs.String("workload", "",
 			"workload: built-in name ("+strings.Join(workload.BuiltinNames(), ", ")+") or a .json spec path (see examples/workloads)"),
-		profile: fs.String("profile", "",
-			"alias of -workload kept for older scripts (built-in names only)"),
-		scale: fs.Float64("scale", 0.1,
+		scale: fs.Float64("scale", scale,
 			"scale the generated workload: this fraction of the requests in the same fraction of the duration"),
 	}
 }
 
+// Selected reports whether -workload was given.
+func (b *WorkloadBinding) Selected() bool { return *b.workload != "" }
+
 // Generate resolves the selected workload and generates its trace;
-// fallback names the workload when neither -workload nor -profile was
-// set. The built-in profiles generate through the profile path, so
-// existing invocations stay bit-identical.
+// fallback names the workload when -workload was not set.
 func (b *WorkloadBinding) Generate(fallback string) (*trace.Trace, error) {
 	name := *b.workload
-	if name == "" {
-		name = *b.profile
-	}
 	if name == "" {
 		name = fallback
 	}

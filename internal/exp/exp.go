@@ -11,6 +11,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,7 +94,7 @@ type cell struct {
 }
 
 // NewContext prepares a Context for the options. It rejects a trace name
-// that names no workload.
+// that names no workload or appears twice.
 func NewContext(opts Options) (*Context, error) {
 	opts.fill()
 	ctx := &Context{
@@ -104,9 +105,12 @@ func NewContext(opts Options) (*Context, error) {
 			"trace2": workload.Trace2Profile(),
 		},
 	}
-	for _, name := range opts.Traces {
+	for i, name := range opts.Traces {
 		if _, ok := ctx.profile[name]; !ok {
 			return nil, fmt.Errorf("exp: unknown trace %q (valid: %s)", name, strings.Join(traceNames, ", "))
+		}
+		if slices.Contains(opts.Traces[:i], name) {
+			return nil, fmt.Errorf("exp: trace %q given twice", name)
 		}
 	}
 	return ctx, nil

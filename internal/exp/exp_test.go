@@ -33,21 +33,24 @@ func mustContext(opts Options) *Context {
 }
 
 // TestNewContextRejectsBadTraceNames: an unknown or empty trace name is
-// an error that lists the valid names, not a panic at first use.
+// an error that lists the valid names, and a repeated one is an error
+// that names it, not a panic at first use or a table printed twice.
 func TestNewContextRejectsBadTraceNames(t *testing.T) {
+	const valid = "valid: trace1, trace2"
 	for _, tc := range []struct {
 		traces []string
-		bad    string // "" = accepted
+		want   []string // substrings of the one-line error; nil = accepted
 	}{
-		{nil, ""},
-		{[]string{"trace2"}, ""},
-		{[]string{"trace1", "trace2"}, ""},
-		{[]string{"trace3"}, `"trace3"`},
-		{[]string{"trace2", ""}, `""`},
-		{[]string{"Trace1"}, `"Trace1"`},
+		{nil, nil},
+		{[]string{"trace2"}, nil},
+		{[]string{"trace1", "trace2"}, nil},
+		{[]string{"trace3"}, []string{`"trace3"`, valid}},
+		{[]string{"trace2", ""}, []string{`""`, valid}},
+		{[]string{"Trace1"}, []string{`"Trace1"`, valid}},
+		{[]string{"trace2", "trace1", "trace2"}, []string{`"trace2"`, "twice"}},
 	} {
 		_, err := NewContext(Options{Traces: tc.traces, Out: io.Discard})
-		if tc.bad == "" {
+		if tc.want == nil {
 			if err != nil {
 				t.Errorf("traces %q: %v", tc.traces, err)
 			}
@@ -58,7 +61,7 @@ func TestNewContextRejectsBadTraceNames(t *testing.T) {
 			continue
 		}
 		msg := err.Error()
-		for _, want := range []string{tc.bad, "valid: trace1, trace2"} {
+		for _, want := range tc.want {
 			if !strings.Contains(msg, want) {
 				t.Errorf("traces %q: error %q lacks %s", tc.traces, msg, want)
 			}

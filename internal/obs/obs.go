@@ -37,9 +37,6 @@ type Config struct {
 	// capture: the slowest K request span trees are retained per class
 	// (read/write × normal/degraded). 0 disables tracing entirely.
 	SpanTopK int
-	// SpanBgCap bounds retained background span trees (destage batches,
-	// rebuild chunks, parity spool); <= 0 means DefaultSpanBgCap.
-	SpanBgCap int
 	// Live, when non-nil, receives a thread-safe ArraySnapshot on every
 	// sampler tick for the introspection HTTP server.
 	Live *Live
@@ -137,7 +134,7 @@ func NewRecorder(cfg Config) *Recorder {
 		r.ring = newRing(cfg.TraceCap)
 	}
 	if cfg.SpanTopK > 0 {
-		r.tracer = NewTracer(cfg.SpanTopK, cfg.SpanBgCap)
+		r.tracer = NewTracer(cfg.SpanTopK, DefaultSpanBgCap)
 	}
 	return r
 }

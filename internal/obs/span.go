@@ -256,9 +256,8 @@ func (h *topkHeap) replaceMin(dur sim.Time, t *SpanTree) *SpanTree {
 	}
 }
 
-// DefaultSpanBgCap bounds retained background span trees (destage
-// batches, rebuild chunks, parity spool accesses) when Config.SpanBgCap
-// is unset.
+// DefaultSpanBgCap bounds the background span trees (destage batches,
+// rebuild chunks, parity spool accesses) a Recorder's tracer retains.
 const DefaultSpanBgCap = 512
 
 // Tracer builds per-request span trees and retains the slowest K per

@@ -16,12 +16,13 @@ import (
 	"strings"
 )
 
+// headerKey is the JSON key holding a spec file's version string.
+const headerKey = "spec"
+
 // Header describes the version header a spec format expects. The header
-// is a plain JSON string field (conventionally "spec") whose value names
-// the format and revision, e.g. "raidsim-workload/1".
+// is the plain JSON string field "spec" whose value names the format and
+// revision, e.g. "raidsim-workload/1".
 type Header struct {
-	// Field is the JSON key holding the version string; default "spec".
-	Field string
 	// Want is the exact version string this reader understands; empty
 	// disables the check entirely.
 	Want string
@@ -29,13 +30,6 @@ type Header struct {
 	// formats that predate versioning (their existing files must keep
 	// loading); the header is still validated when present.
 	Required bool
-}
-
-func (h Header) field() string {
-	if h.Field == "" {
-		return "spec"
-	}
-	return h.Field
 }
 
 // Load reads the file at path and decodes it into v (a struct pointer)
@@ -90,7 +84,7 @@ func checkHeader(raw []byte, what string, h Header) error {
 	}
 	found := false
 	for k, fv := range top {
-		if !strings.EqualFold(k, h.field()) {
+		if !strings.EqualFold(k, headerKey) {
 			continue
 		}
 		found = true
@@ -103,7 +97,7 @@ func checkHeader(raw []byte, what string, h Header) error {
 		}
 	}
 	if !found && h.Required {
-		return fmt.Errorf("%s: missing version header: want %q: %q", what, h.field(), h.Want)
+		return fmt.Errorf("%s: missing version header: want %q: %q", what, headerKey, h.Want)
 	}
 	return nil
 }

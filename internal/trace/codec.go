@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"unicode"
@@ -403,6 +405,24 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// ReadFile decodes the trace file at path in whichever format it holds:
+// a file opening with a binary magic (RSTB1 or RSTB2) is decoded as
+// binary, any other as text.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	// A short or failed Peek matches no magic; ReadText reports it.
+	head, _ := br.Peek(len(binMagic))
+	if bytes.Equal(head, binMagic) || bytes.Equal(head, binMagicV2) {
+		return ReadBinary(br)
+	}
+	return ReadText(br)
 }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -597,5 +600,49 @@ func TestClasslessStaysV1(t *testing.T) {
 	}
 	if !bytes.HasPrefix(bin.Bytes(), []byte("RSTB1\n")) {
 		t.Fatalf("classless trace should keep RSTB1, got %q", bin.Bytes()[:6])
+	}
+}
+
+// TestReadFile: ReadFile recognizes every format the writers produce —
+// text v1 and v2, RSTB1 and RSTB2 — and decodes each file equal to its
+// source; a missing or empty file is an error.
+func TestReadFile(t *testing.T) {
+	encode := func(write func(io.Writer, *Trace) error, tr *Trace) []byte {
+		var buf bytes.Buffer
+		if err := write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		file []byte // nil = no file at the path
+		want *Trace // nil = ReadFile must fail
+	}{
+		{"text-v1", encode(WriteText, sampleTrace()), sampleTrace()},
+		{"text-v2", encode(WriteText, classedTrace()), classedTrace()},
+		{"rstb1", encode(WriteBinary, sampleTrace()), sampleTrace()},
+		{"rstb2", encode(WriteBinary, classedTrace()), classedTrace()},
+		{"empty", []byte{}, nil},
+		{"missing", nil, nil},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if tc.file != nil {
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := ReadFile(path)
+		switch {
+		case tc.want == nil:
+			if err == nil {
+				t.Errorf("%s: decoded %+v, want an error", tc.name, got)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !reflect.DeepEqual(got, tc.want):
+			t.Errorf("%s: decoded\n %+v\nwant\n %+v", tc.name, got, tc.want)
+		}
 	}
 }
