@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"raidsim/internal/array"
@@ -291,15 +291,25 @@ func (s Spec) Points() ([]Point, error) {
 			}
 		}
 	}
-	sortPointsStable(out)
-	return out, nil
+	return sortPointsStable(out), nil
 }
 
 // sortPointsStable orders points by ID so the expanded grid has one
 // canonical order regardless of axis nesting; execution order then
-// matches journal-replay and merge order.
-func sortPointsStable(ps []Point) {
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
+// matches journal-replay and merge order. It sorts an index permutation
+// and builds the output in one pass, so each Point (with its
+// core.Config) is copied once instead of at every merge step.
+func sortPointsStable(ps []Point) []Point {
+	order := make([]int, len(ps))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(ps[a].ID, ps[b].ID) })
+	out := make([]Point, len(ps))
+	for i, k := range order {
+		out[i] = ps[k]
+	}
+	return out
 }
 
 // Hash fingerprints the grid-defining fields of the spec; journals

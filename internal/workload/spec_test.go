@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"cmp"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -267,25 +269,53 @@ func TestResolveAndLoadSpec(t *testing.T) {
 	}
 }
 
-// TestSortRecordsFallback exercises the displaced-merge path: records far
-// out of order (as merged multi-stream tails are) must still come out
-// stably sorted.
+// TestSortRecordsFallback checks sortRecords against slices.SortStableFunc
+// on both of its paths — the budgeted insertion pass and the stable-sort
+// fallback past the budget — and at the edges. Each record's LBA is its
+// input position, so a reordering of equal timestamps shows.
 func TestSortRecordsFallback(t *testing.T) {
-	n := 10000
-	rs := make([]trace.Record, n)
-	for i := range rs {
-		// Two interleaved ramps: displacement ~ n/2, far past the
-		// insertion-sort guard.
-		rs[i] = trace.Record{At: sim.Time((i%2)*1000000 + i), LBA: int64(i)}
+	const n = 10000
+	cases := []struct {
+		name string
+		at   func(i int) sim.Time
+		size int
+	}{
+		// Bursts that reach back past earlier bursts, as the generator's
+		// intra-burst jitter makes them: every 50th record arrives 100
+		// places early — far past 64 positions, well inside the move
+		// budget — and so does every record of a 150-record stretch. Each
+		// lands on the timestamp of the record 100 places back, so the
+		// insertion pass must keep ties in input order.
+		{"displaced-within-budget", func(i int) sim.Time {
+			if i%50 == 49 || (i >= 5000 && i < 5150) {
+				return sim.Time(10 * (i - 100))
+			}
+			return sim.Time(10 * i)
+		}, n},
+		// Two interleaved ramps: displacement ~ n/2, far past the budget.
+		{"interleaved-ramps", func(i int) sim.Time { return sim.Time((i%2)*1000000 + i) }, n},
+		// Runs of 100 equal timestamps in descending order (fallback),
+		// and one timestamp throughout (insertion, nothing moves).
+		{"equal-descending", func(i int) sim.Time { return sim.Time((n - i) / 100) }, n},
+		{"equal-all", func(int) sim.Time { return 7 }, n},
+		{"empty", nil, 0},
+		{"one", func(int) sim.Time { return 3 }, 1},
 	}
-	sortRecords(rs)
-	for i := 1; i < n; i++ {
-		if rs[i].At < rs[i-1].At {
-			t.Fatalf("unsorted at %d: %d < %d", i, rs[i].At, rs[i-1].At)
-		}
-		if rs[i].At == rs[i-1].At && rs[i].LBA < rs[i-1].LBA {
-			t.Fatalf("unstable at %d", i)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rs := make([]trace.Record, c.size)
+			for i := range rs {
+				rs[i] = trace.Record{At: c.at(i), LBA: int64(i)}
+			}
+			want := slices.Clone(rs)
+			slices.SortStableFunc(want, func(a, b trace.Record) int { return cmp.Compare(a.At, b.At) })
+			sortRecords(rs)
+			for i := range want {
+				if rs[i] != want[i] {
+					t.Fatalf("record %d: got %+v, stable sort gives %+v", i, rs[i], want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -329,8 +330,11 @@ func Generate(p Profile) (*trace.Trace, error) {
 		}
 	}
 
-	window := newRing(max(p.LocalityWindow, 1))
-	recentReads := newRing(4096)
+	// Every record makes one push, so a ring no larger than the request
+	// count never wraps and samples exactly what a window-sized one
+	// would; the trace's length, not the profile's window, bounds it.
+	window := newRing(min(p.LocalityWindow, p.Requests))
+	recentReads := newRing(min(4096, p.Requests))
 
 	totalBlocks := int64(p.NumDisks) * p.BlocksPerDisk
 
@@ -498,36 +502,31 @@ func Generate(p Profile) (*trace.Trace, error) {
 	return t, nil
 }
 
-// sortDisplacement is the lookback the nearly-sorted guard in
-// sortRecords uses: a record arriving earlier than the record this many
-// positions before it has to travel at least that far, and insertion
-// sort degenerates toward O(n^2).
-const sortDisplacement = 64
+// sortMovesPerRecord budgets sortRecords' insertion pass: past this
+// many record moves per record on average, the input is not nearly
+// sorted and insertion sort would degenerate toward O(n^2).
+const sortMovesPerRecord = 8
 
 func sortRecords(rs []trace.Record) {
 	// A single generator's stream is nearly sorted: only adjacent bursts
-	// overlap, so insertion sort is O(n) in practice. Merged independent
-	// client streams are not — a quiet client's burst can land arbitrarily
-	// far inside a busy client's run — so past a displacement threshold
-	// fall back to a stable O(n log n) sort. Both paths are stable sorts
-	// on At, so which one runs never changes the output.
-	for i := sortDisplacement; i < len(rs); i++ {
-		if rs[i].At < rs[i-sortDisplacement].At {
+	// overlap, so insertion sort is O(n) in practice (Trace 1 moves 0.75
+	// records per record, though single records travel over 100
+	// places). Input past the move budget falls back to a stable
+	// O(n log n) sort. Insertion sort is stable, so stopping it midway and
+	// stable-sorting the rest never changes the output.
+	budget := sortMovesPerRecord * len(rs)
+	for i := 1; i < len(rs); i++ {
+		x := rs[i]
+		j := i
+		for ; j > 0 && x.At < rs[j-1].At; j-- {
+			rs[j] = rs[j-1]
+		}
+		rs[j] = x
+		if budget -= i - j; budget < 0 {
 			slices.SortStableFunc(rs, func(a, b trace.Record) int {
-				switch {
-				case a.At < b.At:
-					return -1
-				case a.At > b.At:
-					return 1
-				}
-				return 0
+				return cmp.Compare(a.At, b.At)
 			})
 			return
-		}
-	}
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].At < rs[j-1].At; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
 		}
 	}
 }
