@@ -219,7 +219,7 @@ func render(f *campaign.Fleet, spec campaign.Spec, csv bool) error {
 	}
 	for i := range f.Groups {
 		g := &f.Groups[i]
-		t.AddRow(g.Key, fmt.Sprintf("%d", g.Runs), est(g.Estimate()).String(),
+		t.AddRow(g.Key, fmt.Sprintf("%d", g.Runs), g.Estimate().String(),
 			fmt.Sprintf("%.2f", g.Resp.Quantile(0.5)),
 			fmt.Sprintf("%.2f", g.Resp.Quantile(0.95)),
 			fmt.Sprintf("%.2f", g.Resp.Quantile(0.99)))
@@ -254,14 +254,10 @@ func compare(f *campaign.Fleet, aSel, bSel string, csv bool) error {
 		if name == "" {
 			name = "(all)"
 		}
-		rows = append(rows, report.CompareRow{Name: name, A: est(a[k].Estimate()), B: est(b[k].Estimate())})
+		rows = append(rows, report.CompareRow{Name: name, A: a[k].Estimate(), B: b[k].Estimate()})
 	}
 	t := report.CompareTable(fmt.Sprintf("mean response time: %s vs %s", aSel, bSel), "ms", aSel, bSel, rows)
 	return emit(t, csv)
-}
-
-func est(e campaign.Estimate) report.Estimate {
-	return report.Estimate{Mean: e.Mean, Half: e.Half, N: e.N}
 }
 
 func emit(t *report.Table, csv bool) error {

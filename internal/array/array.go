@@ -262,11 +262,7 @@ func (c *Config) fillDefaults() error {
 	if err := c.Fault.Validate(); err != nil {
 		return err
 	}
-	if err := c.Robust.Validate(); err != nil {
-		return err
-	}
-	c.Robust.fillDefaults()
-	return nil
+	return c.Robust.Validate()
 }
 
 // checkComparator rejects what the RAID3 and parity-logging comparators

@@ -424,12 +424,10 @@ func (q *creqRec) insert() {
 	cc := q.cc
 	cc.closeChan(&q.ch)
 	for ; q.next < q.r.Blocks; q.next++ {
-		l := q.r.LBA + int64(q.next)
-		if !cc.c.Contains(l) {
+		if !cc.c.MarkDirty(q.r.LBA + int64(q.next)) {
 			cc.makeRoom(1, q.sp, q.placeFn)
 			return
 		}
-		cc.c.MarkDirty(l)
 	}
 	q.finish()
 }
@@ -437,10 +435,7 @@ func (q *creqRec) insert() {
 // place lands the block that waited for room, then the rest.
 func (q *creqRec) place() {
 	cc := q.cc
-	l := q.r.LBA + int64(q.next)
-	if cc.c.Contains(l) {
-		cc.c.MarkDirty(l)
-	} else {
+	if l := q.r.LBA + int64(q.next); !cc.c.MarkDirty(l) {
 		cc.c.Insert(l, true)
 	}
 	q.next++

@@ -419,7 +419,7 @@ func TestCacheFailureDuringDestageStagger(t *testing.T) {
 // reconstruct from redundancy, without failing the request.
 func TestSectorErrorsRetryAndReconstruct(t *testing.T) {
 	cfg := faultConfig(OrgRAID5, false)
-	cfg.Fault = fault.Config{SectorErrorRate: 0.4, MaxReadRetries: 1, Seed: 9}
+	cfg.Fault = fault.Config{SectorErrorRate: 0.4, Seed: 9}
 	eng, ctrl := build(t, cfg)
 	for i := 0; i < 40; i++ {
 		lba := int64(i * 3)

@@ -404,7 +404,7 @@ func (m *readRec) done() {
 		return
 	}
 	c.fs.sectorErrors++
-	if tries < c.fs.inj.MaxReadRetries() {
+	if tries < fault.MaxReadRetries {
 		c.fs.sectorRetries++
 		c.mediaRead(rn, pri, tries+1, att, op, onDone)
 		return

@@ -211,7 +211,7 @@ func TestRecordsBalanceUnderFaults(t *testing.T) {
 		name: "sector-retry",
 		cfg: func() Config {
 			cfg := faultConfig(OrgRAID5, false)
-			cfg.Fault = fault.Config{SectorErrorRate: 0.3, MaxReadRetries: 1, Seed: 3}
+			cfg.Fault = fault.Config{SectorErrorRate: 0.3, Seed: 3}
 			return cfg
 		},
 		check: func(t *testing.T, c *common, _ []Request) {

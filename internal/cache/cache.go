@@ -3,7 +3,9 @@
 // for parity organizations, also retains the pre-write image of modified
 // blocks (so destage can compute parity without re-reading old data) and,
 // for RAID4 with parity caching, buffers pending parity updates destined
-// for the dedicated parity disk.
+// for the dedicated parity disk. Data, shadows and pending parity share
+// the slots: the parity spool may fill every free slot, with no part of
+// the cache reserved for data.
 //
 // The cache is pure bookkeeping — all timing lives in the array
 // controllers that drive it. The two candidate sets the controllers poll
@@ -26,10 +28,6 @@ type Config struct {
 	// KeepOldData retains the pre-write image when a clean cached block
 	// is first modified (parity organizations).
 	KeepOldData bool
-	// ParityReserve caps pending-parity occupancy at Blocks-ParityReserve
-	// so the parity spool can fill "most of the cache" (paper, section
-	// 4.4.3) without starving data entirely.
-	ParityReserve int
 }
 
 // Entry describes a cached data block.
@@ -95,9 +93,6 @@ const entrySlab = 256
 func New(cfg Config) (*Cache, error) {
 	if cfg.Blocks <= 0 {
 		return nil, fmt.Errorf("cache: capacity must be positive, got %d", cfg.Blocks)
-	}
-	if cfg.ParityReserve < 0 || cfg.ParityReserve >= cfg.Blocks {
-		cfg.ParityReserve = cfg.Blocks / 16
 	}
 	return &Cache{cfg: cfg, m: make(map[int64]*Entry)}, nil
 }
@@ -193,15 +188,15 @@ func (c *Cache) Touch(lba int64) bool {
 	return true
 }
 
-// MarkDirty records a write hit on a cached block: the entry becomes
-// dirty and moves to MRU. On the first modification of a clean block,
-// a shadow slot for the old image is captured when KeepOldData is set
-// and space allows; destage uses it to avoid re-reading old data.
-// It panics if the block is absent (callers check with Contains/Touch).
-func (c *Cache) MarkDirty(lba int64) {
+// MarkDirty records a write hit on a cached block and reports whether
+// the block was cached; an absent block is left alone. A hit entry
+// becomes dirty and moves to MRU. On the first modification of a clean
+// block, a shadow slot for the old image is captured when KeepOldData is
+// set and space allows; destage uses it to avoid re-reading old data.
+func (c *Cache) MarkDirty(lba int64) bool {
 	e, ok := c.m[lba]
 	if !ok {
-		panic(fmt.Sprintf("cache: MarkDirty of uncached block %d", lba))
+		return false
 	}
 	if e.Destaging {
 		// Written again while its write-back is in flight: it must stay
@@ -210,7 +205,7 @@ func (c *Cache) MarkDirty(lba int64) {
 		e.Dirty = true
 		c.unlink(e)
 		c.pushFront(e)
-		return
+		return true
 	}
 	if !e.Dirty {
 		c.dirty++
@@ -228,6 +223,7 @@ func (c *Cache) MarkDirty(lba int64) {
 	e.Dirty = true
 	c.unlink(e)
 	c.pushFront(e)
+	return true
 }
 
 // FreeSlots returns capacity not currently occupied.
@@ -398,16 +394,17 @@ func (c *Cache) parityIndex(k ParityKey) (int, bool) {
 }
 
 // AddParityPending buffers a parity update for the given physical parity
-// block. It reports false — a stall, per section 4.4 — when the parity
-// spool may not grow further. Duplicate keys coalesce (the update is an
-// XOR accumulation; a full image absorbs later deltas) and always succeed.
+// block. It reports false — a stall, per section 4.4 — when no slot is
+// free: the spool may fill every free slot. Duplicate keys coalesce (the
+// update is an XOR accumulation; a full image absorbs later deltas) and
+// always succeed.
 func (c *Cache) AddParityPending(k ParityKey, full bool) bool {
 	i, ok := c.parityIndex(k)
 	if ok {
 		c.parity[i].Full = c.parity[i].Full || full
 		return true
 	}
-	if len(c.parity) >= c.cfg.Blocks-c.cfg.ParityReserve || c.used >= c.cfg.Blocks {
+	if c.used >= c.cfg.Blocks {
 		c.S.ParityStalls++
 		return false
 	}

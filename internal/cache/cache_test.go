@@ -10,7 +10,7 @@ import (
 )
 
 func newCache(blocks int, keepOld bool) *Cache {
-	return mustNew(Config{Blocks: blocks, KeepOldData: keepOld, ParityReserve: 2})
+	return mustNew(Config{Blocks: blocks, KeepOldData: keepOld})
 }
 
 func mustNew(cfg Config) *Cache {
@@ -208,33 +208,28 @@ func TestParityPending(t *testing.T) {
 }
 
 func TestParityAdmissionStall(t *testing.T) {
-	c := mustNew(Config{Blocks: 4, KeepOldData: true, ParityReserve: 2})
-	// Parity may occupy at most Blocks - ParityReserve = 2 slots.
-	if !c.AddParityPending(ParityKey{0, 1}, false) {
-		t.Fatal("first admission failed")
+	c := mustNew(Config{Blocks: 4, KeepOldData: true})
+	c.Insert(7, false)
+	// The spool may fill every free slot: three beside the data block.
+	for b := int64(1); b <= 3; b++ {
+		if !c.AddParityPending(ParityKey{0, b}, false) {
+			t.Fatalf("admission %d into a free slot failed", b)
+		}
 	}
-	if !c.AddParityPending(ParityKey{0, 2}, false) {
-		t.Fatal("second admission failed")
-	}
-	if c.AddParityPending(ParityKey{0, 3}, false) {
-		t.Fatal("third admission should stall at the reserve limit")
+	if c.AddParityPending(ParityKey{0, 4}, false) {
+		t.Fatal("admission into a full cache should stall")
 	}
 	if c.S.ParityStalls != 1 {
 		t.Fatalf("stall count %d", c.S.ParityStalls)
 	}
-	// A full cache also stalls admission even under the parity cap.
-	c2 := mustNew(Config{Blocks: 4, KeepOldData: true, ParityReserve: 1})
-	for i := int64(0); i < 4; i++ {
-		c2.Insert(i, false)
-	}
-	if c2.AddParityPending(ParityKey{0, 9}, false) {
-		t.Fatal("admission into a full cache should stall")
+	// A duplicate coalesces without a slot, even when the cache is full.
+	if !c.AddParityPending(ParityKey{0, 2}, true) {
+		t.Fatal("duplicate admission into a full cache should coalesce")
 	}
 }
 
 func TestAccountingPanics(t *testing.T) {
 	cases := []func(c *Cache){
-		func(c *Cache) { c.MarkDirty(42) },                        // absent
 		func(c *Cache) { c.Insert(1, false); c.Insert(1, false) }, // duplicate
 		func(c *Cache) { c.Drop(42) },                             // absent
 		func(c *Cache) { c.BeginDestage(42) },                     // absent
@@ -257,6 +252,17 @@ func TestAccountingPanics(t *testing.T) {
 			}()
 			f(newCache(3, true))
 		}()
+	}
+	// MarkDirty of an absent block reports the miss and changes nothing.
+	c := newCache(3, true)
+	c.Insert(1, false)
+	before := c.S
+	if c.MarkDirty(42) {
+		t.Error("MarkDirty of an absent block reported a hit")
+	}
+	if c.S != before || c.Used() != 1 || c.Len() != 1 || c.DirtyCount() != 0 || c.Contains(42) {
+		t.Errorf("MarkDirty of an absent block changed the cache: used %d, len %d, dirty %d, stats %+v",
+			c.Used(), c.Len(), c.DirtyCount(), c.S)
 	}
 }
 
@@ -308,7 +314,7 @@ func bruteNextParity(pending map[ParityKey]bool, from int64) (ParityKey, bool) {
 func TestQuickOccupancyInvariant(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
-		c := mustNew(Config{Blocks: 16, KeepOldData: true, ParityReserve: 4})
+		c := mustNew(Config{Blocks: 16, KeepOldData: true})
 		inCache := map[int64]bool{}
 		destaging := map[int64]bool{}
 		pending := map[ParityKey]bool{} // key -> full

@@ -35,10 +35,10 @@ type Group struct {
 // Estimate returns the across-replication estimate of the group's mean
 // response time: mean of per-run means with a normal-approximation 95%
 // half-width (0 with a single replication).
-func (g *Group) Estimate() Estimate {
+func (g *Group) Estimate() stats.Estimate {
 	n := len(g.MeanPerRun)
 	if n == 0 {
-		return Estimate{}
+		return stats.Estimate{}
 	}
 	var sum, sumsq float64
 	for _, m := range g.MeanPerRun {
@@ -46,7 +46,7 @@ func (g *Group) Estimate() Estimate {
 		sumsq += m * m
 	}
 	mean := sum / float64(n)
-	e := Estimate{Mean: mean, N: n}
+	e := stats.Estimate{Mean: mean, N: n}
 	if n > 1 {
 		v := (sumsq - sum*sum/float64(n)) / float64(n-1)
 		if v < 0 {
@@ -55,14 +55,6 @@ func (g *Group) Estimate() Estimate {
 		e.Half = 1.96 * math.Sqrt(v) / math.Sqrt(float64(n))
 	}
 	return e
-}
-
-// Estimate is a value with a 95% confidence half-width over N
-// replications.
-type Estimate struct {
-	Mean float64
-	Half float64
-	N    int
 }
 
 // Fleet is the merged view of a whole campaign: per-group aggregates

@@ -32,34 +32,3 @@ func DefaultConfig(org array.Org) Config {
 	}
 	return c
 }
-
-// Normalize fills every unset (zero) field of c with the Table 4
-// default, returning the completed config. It lets callers build sparse
-// configs — just Org and the fields they care about — without repeating
-// the baseline. Fields whose zero value is meaningful (Cached, Warmup,
-// SyncSpindles, Fault, Obs, ...) are left alone.
-func (c Config) Normalize() Config {
-	d := DefaultConfig(c.Org)
-	if c.DataDisks <= 0 {
-		c.DataDisks = d.DataDisks
-	}
-	if c.N <= 0 {
-		c.N = d.N
-	}
-	if c.Spec == (geom.Spec{}) {
-		c.Spec = d.Spec
-	}
-	if c.StripingUnit <= 0 {
-		c.StripingUnit = d.StripingUnit
-	}
-	if c.CacheMB <= 0 {
-		c.CacheMB = d.CacheMB
-	}
-	if c.DestagePeriod <= 0 {
-		c.DestagePeriod = d.DestagePeriod
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
-	return c
-}

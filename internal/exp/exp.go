@@ -153,13 +153,11 @@ func (ctx *Context) Trace(name string, speed float64) *trace.Trace {
 // placement, 16 MB cache when caching is on) with the workload's disk
 // count, the run's seed, and the live metrics sink if one is set.
 func (ctx *Context) BaseConfig(name string) core.Config {
-	p := ctx.profile[name]
-	return core.Config{
-		DataDisks: p.NumDisks,
-		Sync:      array.DF,
-		Seed:      ctx.opts.Seed + 1,
-		Obs:       obs.Config{Live: ctx.opts.Live},
-	}.Normalize()
+	c := core.DefaultConfig(array.OrgBase)
+	c.DataDisks = ctx.profile[name].NumDisks
+	c.Seed = ctx.opts.Seed + 1
+	c.Obs = obs.Config{Live: ctx.opts.Live}
+	return c
 }
 
 // Render writes a renderable (Table or Figure) honoring the CSV option.

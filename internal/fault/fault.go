@@ -54,6 +54,11 @@ type SickDisk struct {
 	HangFor   sim.Time
 }
 
+// MaxReadRetries bounds the retry-then-reconstruct loop of a latent
+// sector error: a read is retried this many times before it is recovered
+// from redundancy.
+const MaxReadRetries = 2
+
 // Config describes a fault campaign against one array. The zero value
 // injects nothing.
 type Config struct {
@@ -71,8 +76,6 @@ type Config struct {
 	// MaxReadRetries times and then recovered from redundancy (or counted
 	// as lost on non-redundant organizations).
 	SectorErrorRate float64
-	// MaxReadRetries bounds the retry-then-reconstruct loop (default 2).
-	MaxReadRetries int
 	// SickDisks are drives that degrade without failing: slow service,
 	// transient read errors, intermittent hangs.
 	SickDisks []SickDisk
@@ -105,9 +108,6 @@ func (c Config) Validate() error {
 	if c.SectorErrorRate < 0 || c.SectorErrorRate >= 1 {
 		return fmt.Errorf("fault: sector error rate %g outside [0,1)", c.SectorErrorRate)
 	}
-	if c.MaxReadRetries < 0 {
-		return fmt.Errorf("fault: negative retry bound")
-	}
 	for _, s := range c.SickDisks {
 		if s.Disk < 0 {
 			return fmt.Errorf("fault: negative sick disk index %d", s.Disk)
@@ -132,12 +132,6 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-func (c *Config) fillDefaults() {
-	if c.MaxReadRetries == 0 {
-		c.MaxReadRetries = 2
-	}
 }
 
 // Handler is the fault consumer — implemented by array controllers. Both
@@ -199,7 +193,6 @@ func NewInjector(eng *sim.Engine, cfg Config, ndisks int) (*Injector, error) {
 			return nil, fmt.Errorf("fault: sick disk %d out of range [0,%d)", s.Disk, ndisks)
 		}
 	}
-	cfg.fillDefaults()
 	// Stream order matters: life and media must split first so adding
 	// sick-disk support leaves existing fault campaigns bit-identical.
 	root := rng.New(cfg.Seed ^ 0xfa17fa17fa17fa17)
@@ -213,9 +206,6 @@ func NewInjector(eng *sim.Engine, cfg Config, ndisks int) (*Injector, error) {
 		transRate: make([]float64, ndisks),
 	}, nil
 }
-
-// MaxReadRetries returns the bounded-retry budget for sector errors.
-func (in *Injector) MaxReadRetries() int { return in.cfg.MaxReadRetries }
 
 // Arm schedules every configured fault against h. Call once, before the
 // simulation starts (deterministic events with At earlier than the

@@ -137,7 +137,6 @@ func TestConfigValidate(t *testing.T) {
 		{MTTF: -1},
 		{CacheFailAt: -1},
 		{SectorErrorRate: 1.5},
-		{MaxReadRetries: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -3,35 +3,20 @@ package report
 import (
 	"fmt"
 	"math"
+
+	"raidsim/internal/stats"
 )
-
-// Estimate is a measured value with a 95% confidence half-width over N
-// replications, the unit of A-vs-B comparison.
-type Estimate struct {
-	Mean float64
-	Half float64 // 95% confidence half-width (0 when N < 2)
-	N    int
-}
-
-// String renders "12.34 ±2.1%" (the half-width as a percentage of the
-// mean), or just the mean when there is no interval.
-func (e Estimate) String() string {
-	if e.N < 2 || e.Mean == 0 || e.Half == 0 {
-		return fmt.Sprintf("%.2f", e.Mean)
-	}
-	return fmt.Sprintf("%.2f ±%.1f%%", e.Mean, 100*e.Half/math.Abs(e.Mean))
-}
 
 // overlaps reports whether the two confidence intervals intersect — the
 // benchstat criterion for an insignificant delta.
-func (e Estimate) overlaps(o Estimate) bool {
-	return e.Mean-e.Half <= o.Mean+o.Half && o.Mean-o.Half <= e.Mean+e.Half
+func overlaps(a, b stats.Estimate) bool {
+	return a.Mean-a.Half <= b.Mean+b.Half && b.Mean-b.Half <= a.Mean+a.Half
 }
 
 // CompareRow pairs one named quantity's A and B estimates.
 type CompareRow struct {
 	Name string
-	A, B Estimate
+	A, B stats.Estimate
 }
 
 // CompareTable builds a benchstat-style A-vs-B table: each row shows
@@ -49,7 +34,7 @@ func CompareTable(title, unit, aLabel, bLabel string, rows []CompareRow) *Table 
 		switch {
 		case r.A.Mean == 0:
 			delta = "?"
-		case r.A.overlaps(r.B):
+		case overlaps(r.A, r.B):
 			insignificant++
 		default:
 			delta = fmt.Sprintf("%+.1f%%", 100*(r.B.Mean-r.A.Mean)/math.Abs(r.A.Mean))

@@ -3,22 +3,24 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"raidsim/internal/stats"
 )
 
 func TestEstimateString(t *testing.T) {
-	if got := (Estimate{Mean: 12.3456, N: 1}).String(); got != "12.35" {
+	if got := (stats.Estimate{Mean: 12.3456, N: 1}).String(); got != "12.35" {
 		t.Errorf("single-rep estimate = %q", got)
 	}
-	if got := (Estimate{Mean: 10, Half: 0.5, N: 8}).String(); got != "10.00 ±5.0%" {
+	if got := (stats.Estimate{Mean: 10, Half: 0.5, N: 8}).String(); got != "10.00 ±5.0%" {
 		t.Errorf("estimate with CI = %q", got)
 	}
 }
 
 func TestCompareTableGolden(t *testing.T) {
 	tbl := CompareTable("raid5 vs mirror", "ms", "raid5", "mirror", []CompareRow{
-		{Name: "resp", A: Estimate{Mean: 40, Half: 1, N: 4}, B: Estimate{Mean: 30, Half: 1, N: 4}},
-		{Name: "read", A: Estimate{Mean: 20, Half: 4, N: 4}, B: Estimate{Mean: 22, Half: 4, N: 4}},
-		{Name: "write", A: Estimate{}, B: Estimate{Mean: 5, N: 1}},
+		{Name: "resp", A: stats.Estimate{Mean: 40, Half: 1, N: 4}, B: stats.Estimate{Mean: 30, Half: 1, N: 4}},
+		{Name: "read", A: stats.Estimate{Mean: 20, Half: 4, N: 4}, B: stats.Estimate{Mean: 22, Half: 4, N: 4}},
+		{Name: "write", A: stats.Estimate{}, B: stats.Estimate{Mean: 5, N: 1}},
 	})
 	var buf strings.Builder
 	if err := tbl.Render(&buf); err != nil {
@@ -38,7 +40,7 @@ func TestCompareTableGolden(t *testing.T) {
 
 func TestCompareTableDeltaSign(t *testing.T) {
 	tbl := CompareTable("t", "ms", "a", "b", []CompareRow{
-		{Name: "up", A: Estimate{Mean: 10, N: 1}, B: Estimate{Mean: 15, N: 1}},
+		{Name: "up", A: stats.Estimate{Mean: 10, N: 1}, B: stats.Estimate{Mean: 15, N: 1}},
 	})
 	if tbl.Rows[0][3] != "+50.0%" {
 		t.Errorf("delta = %q, want +50.0%%", tbl.Rows[0][3])
