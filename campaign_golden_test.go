@@ -7,9 +7,6 @@ import (
 
 	"raidsim/internal/campaign"
 	"raidsim/internal/core"
-	"raidsim/internal/fault"
-	"raidsim/internal/geom"
-	"raidsim/internal/layout"
 	"raidsim/internal/sim"
 	"raidsim/internal/workload"
 )
@@ -27,22 +24,7 @@ func equivalencePoints(t *testing.T) []campaign.Point {
 	}
 	points := make([]campaign.Point, 0, len(equivalenceCases))
 	for _, tc := range equivalenceCases {
-		cfg := core.Config{
-			Org: tc.org, DataDisks: 10, N: 5,
-			Spec: geom.Default(), Sync: tc.sync,
-			Cached: tc.cached, CacheMB: 8, Seed: 9,
-			Placement: layout.EndPlacement,
-		}
-		if tc.faulted {
-			cfg.Spares = 1
-			cfg.Fault = fault.Config{
-				DiskFails: []fault.DiskFail{{Disk: 1, At: 30 * sim.Second}},
-			}
-			if tc.cached {
-				cfg.Fault.CacheFailAt = 60 * sim.Second
-			}
-		}
-		points = append(points, campaign.Point{ID: tc.name, Config: cfg, Trace: tr})
+		points = append(points, campaign.Point{ID: tc.name, Config: tc.config(), Trace: tr})
 	}
 	return points
 }

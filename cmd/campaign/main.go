@@ -55,13 +55,9 @@ func main() {
 	}
 
 	spec, err := campaign.LoadSpec(*specPath)
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	points, err := spec.Points()
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 
 	// The fleet registry is always armed: the progress line reads it for
 	// ETA and throughput even when no HTTP server is serving it.
@@ -73,9 +69,7 @@ func main() {
 	var srv *obs.Server
 	if *httpAddr != "" {
 		srv, err = obs.Serve(*httpAddr, live)
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		fmt.Fprintf(os.Stderr, "campaign: introspection on http://%s (/metrics /runs /healthz /debug/pprof/)\n", srv.Addr)
 	}
 	if *out != "" {
@@ -85,9 +79,7 @@ func main() {
 			}
 		}
 		j, err := campaign.OpenJournal(*out, spec.Name, spec.Hash())
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		defer j.Close()
 		opts.Journal = j
 	}
@@ -111,9 +103,7 @@ func main() {
 	}
 
 	outcome, err := campaign.Execute(points, opts)
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	sec := outcome.Elapsed.Seconds()
 	fmt.Fprintf(os.Stderr, "%s: %d runs (%d executed, %d resumed) in %.1fs on %d workers",
 		spec.Name, len(points), outcome.Executed, outcome.Skipped, sec, len(outcome.Workers))
@@ -131,43 +121,27 @@ func main() {
 			if *selfMetrics {
 				ft.AddNote("engine: " + outcome.Engine.String())
 			}
-			if err := ft.Render(os.Stderr); err != nil {
-				fatal(err)
-			}
+			check(ft.Render(os.Stderr))
 		}
 	}
 
 	fleet, err := campaign.Merge(outcome.Records)
-	if err != nil {
-		fatal(err)
-	}
-	if err := render(fleet, spec, *csv); err != nil {
-		fatal(err)
-	}
+	check(err)
+	check(render(fleet, spec, *csv))
 	if *aSel != "" {
-		if err := compare(fleet, *aSel, *bSel, *csv); err != nil {
-			fatal(err)
-		}
+		check(compare(fleet, *aSel, *bSel, *csv))
 	} else if len(spec.Orgs) == 2 {
 		// The common two-organization sweep compares itself.
-		if err := compare(fleet, "org="+spec.Orgs[0], "org="+spec.Orgs[1], *csv); err != nil {
-			fatal(err)
-		}
+		check(compare(fleet, "org="+spec.Orgs[0], "org="+spec.Orgs[1], *csv))
 	}
 	if *seriesOut != "" {
 		if series == nil {
 			fmt.Fprintln(os.Stderr, "campaign: no time series collected (set obs_window_s in the spec; resumed runs carry none)")
 		} else {
 			f, err := os.Create(*seriesOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := series.WriteCSV(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
+			check(err)
+			check(series.WriteCSV(f))
+			check(f.Close())
 		}
 	}
 	if srv != nil {
@@ -265,6 +239,13 @@ func emit(t *report.Table, csv bool) error {
 		return t.RenderCSV(os.Stdout)
 	}
 	return t.Render(os.Stdout)
+}
+
+// check exits through fatal on a non-nil error.
+func check(err error) {
+	if err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {

@@ -58,9 +58,7 @@ func main() {
 	case *ids != "":
 		for _, id := range strings.Split(*ids, ",") {
 			e, err := exp.Get(strings.TrimSpace(id))
-			if err != nil {
-				fatal(err)
-			}
+			check(err)
 			todo = append(todo, e)
 		}
 	default:
@@ -82,23 +80,15 @@ func main() {
 		Plot:   *plot,
 		Live:   live,
 	})
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 
-	if err := prof.Start(); err != nil {
-		fatal(err)
-	}
+	check(prof.Start())
 	defer func() {
-		if err := prof.Stop(); err != nil {
-			fatal(err)
-		}
+		check(prof.Stop())
 	}()
 	if live != nil {
 		srv, err := obs.Serve(*httpAddr, live)
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", srv.Addr)
 		defer func() {
 			if err := srv.Close(); err != nil {
@@ -108,9 +98,7 @@ func main() {
 	}
 
 	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
-		}
+		check(os.MkdirAll(*outDir, 0o755))
 	}
 	for _, e := range todo {
 		if !*quiet {
@@ -125,22 +113,25 @@ func main() {
 			}
 			var err error
 			f, err = os.Create(filepath.Join(*outDir, e.ID+ext))
-			if err != nil {
-				fatal(err)
-			}
+			check(err)
 			ctx.SetOut(f)
 		}
 		if err := e.Run(ctx); err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
 		if f != nil {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
+			check(f.Close())
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "   done in %v\n", time.Since(t0).Round(time.Millisecond))
 		}
+	}
+}
+
+// check exits through fatal on a non-nil error.
+func check(err error) {
+	if err != nil {
+		fatal(err)
 	}
 }
 

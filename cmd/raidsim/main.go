@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -56,9 +57,7 @@ func main() {
 	flag.Parse()
 
 	cfg, err := bind.Config()
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	// -trace-spans implies the tracer; default to the slowest 8 per class
 	// unless -trace-topk chose a depth.
 	if *traceSpans != "" && cfg.Obs.SpanTopK == 0 {
@@ -69,9 +68,7 @@ func main() {
 		live := obs.NewLive()
 		cfg.Obs.Live = live
 		httpSrv, err = obs.Serve(*httpAddr, live)
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		fmt.Printf("serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", httpSrv.Addr)
 		defer func() {
 			if *httpHold > 0 {
@@ -83,9 +80,7 @@ func main() {
 			}
 		}()
 	}
-	if err := prof.Start(); err != nil {
-		fatal(err)
-	}
+	check(prof.Start())
 	defer func() {
 		if err := prof.Stop(); err != nil {
 			fmt.Fprintln(os.Stderr, "raidsim:", err)
@@ -103,13 +98,10 @@ func main() {
 	} else {
 		tr, err = wl.Generate("trace2")
 	}
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	if *speed != 1 {
-		if tr, err = tr.Scale(*speed); err != nil {
-			fatal(err)
-		}
+		tr, err = tr.Scale(*speed)
+		check(err)
 	}
 	cfg.DataDisks = tr.NumDisks
 
@@ -118,9 +110,7 @@ func main() {
 			MPL:       *mpl,
 			ThinkTime: sim.Time(*thinkMS * float64(sim.Millisecond)),
 		})
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		printResults(cfg, tr, &res.Results, *perDisk)
 		fmt.Printf("closed loop: MPL=%d throughput %.1f req/s (makespan %.1fs)\n",
 			*mpl, res.Throughput(), float64(res.Makespan)/float64(sim.Second))
@@ -129,9 +119,7 @@ func main() {
 		return
 	}
 	res, err := core.Run(cfg, tr)
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	printResults(cfg, tr, res, *perDisk)
 	printObs(res, *obsCSV, *obsJSONL)
 	printSpans(res, *traceSpans)
@@ -144,23 +132,12 @@ func printSpans(res *core.Results, path string) {
 	if len(res.TailSpans) == 0 && len(res.BgSpans) == 0 {
 		return
 	}
-	if err := report.TailTable("tail anatomy: slowest requests per class", res.TailSpans).Render(os.Stdout); err != nil {
-		fatal(err)
-	}
+	check(report.TailTable("tail anatomy: slowest requests per class", res.TailSpans).Render(os.Stdout))
 	if path == "" {
 		return
 	}
 	samples := append(append([]obs.SpanSample(nil), res.TailSpans...), res.BgSpans...)
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := obs.WriteSpansChrome(f, samples); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	writeFile(path, func(w io.Writer) error { return obs.WriteSpansChrome(w, samples) })
 	fmt.Printf("span trace: %d request + %d background trees -> %s (%d background trees dropped)\n\n",
 		len(res.TailSpans), len(res.BgSpans), path, res.SpanTreesDropped)
 }
@@ -170,29 +147,14 @@ func printSpans(res *core.Results, path string) {
 func printObs(res *core.Results, csvPath, jsonlPath string) {
 	if res.Series != nil {
 		if res.Series.Len() > 1 {
-			if err := report.SeriesFigure("response over time", res.Series).RenderPlot(os.Stdout); err != nil {
-				fatal(err)
-			}
+			check(report.SeriesFigure("response over time", res.Series).RenderPlot(os.Stdout))
 		}
-		if err := report.SeriesTable("windowed time series", res.Series).Render(os.Stdout); err != nil {
-			fatal(err)
-		}
+		check(report.SeriesTable("windowed time series", res.Series).Render(os.Stdout))
 		if ct := report.ClassSeriesTable("per-class time series", res.Series); ct != nil {
-			if err := ct.Render(os.Stdout); err != nil {
-				fatal(err)
-			}
+			check(ct.Render(os.Stdout))
 		}
 		if csvPath != "" {
-			f, err := os.Create(csvPath)
-			if err != nil {
-				fatal(err)
-			}
-			if err := res.Series.WriteCSV(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
+			writeFile(csvPath, res.Series.WriteCSV)
 		}
 	}
 	if len(res.ObsEvents) > 0 {
@@ -201,16 +163,7 @@ func printObs(res *core.Results, csvPath, jsonlPath string) {
 				len(res.ObsEvents), res.ObsEventsDropped)
 			return
 		}
-		f, err := os.Create(jsonlPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteJSONL(f, res.ObsEvents); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+		writeFile(jsonlPath, func(w io.Writer) error { return obs.WriteJSONL(w, res.ObsEvents) })
 		fmt.Printf("event trace: %d events -> %s (%d dropped)\n\n",
 			len(res.ObsEvents), jsonlPath, res.ObsEventsDropped)
 	}
@@ -309,20 +262,14 @@ func printResults(cfg core.Config, tr *trace.Trace, res *core.Results, perDisk b
 			}
 		}
 	}
-	if err := t.Render(os.Stdout); err != nil {
-		fatal(err)
-	}
+	check(t.Render(os.Stdout))
 
 	if res.Robust.Enabled {
-		if err := report.RobustTable("request robustness (SLO)", &res.Robust).Render(os.Stdout); err != nil {
-			fatal(err)
-		}
+		check(report.RobustTable("request robustness (SLO)", &res.Robust).Render(os.Stdout))
 	}
 
 	if ct := report.ClassTable("per-class results (workload clients)", res.Classes); ct != nil {
-		if err := ct.Render(os.Stdout); err != nil {
-			fatal(err)
-		}
+		check(ct.Render(os.Stdout))
 	}
 
 	if perDisk {
@@ -333,9 +280,7 @@ func printResults(cfg core.Config, tr *trace.Trace, res *core.Results, perDisk b
 		for i := range res.DiskAccesses {
 			d.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", res.DiskAccesses[i]), fmt.Sprintf("%.4f", res.DiskUtil[i]))
 		}
-		if err := d.Render(os.Stdout); err != nil {
-			fatal(err)
-		}
+		check(d.Render(os.Stdout))
 	}
 }
 
@@ -346,13 +291,11 @@ func runCampaign(cfg core.Config, mttrHours float64, runs int) {
 	if mttfHours <= 0 {
 		fatal(fmt.Errorf("-mttdl-runs needs -mttf-hours"))
 	}
-	var scheme fault.Scheme
-	switch cfg.Org {
-	case array.OrgMirror, array.OrgRAID10:
+	scheme := fault.ParityArray
+	switch cfg.Org.Redundancy() {
+	case array.Mirrored:
 		scheme = fault.MirrorPair
-	case array.OrgRAID5, array.OrgRAID4, array.OrgParityStriping:
-		scheme = fault.ParityArray
-	default:
+	case array.NoRedundancy:
 		fatal(fmt.Errorf("organization %v has no redundancy to measure MTTDL for", cfg.Org))
 	}
 	res, err := fault.RunCampaign(fault.CampaignConfig{
@@ -360,9 +303,7 @@ func runCampaign(cfg core.Config, mttrHours float64, runs int) {
 		MTTFHours: mttfHours, MTTRHours: mttrHours,
 		Runs: runs, Seed: cfg.Fault.Seed,
 	})
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	t := &report.Table{
 		Title:   fmt.Sprintf("MTTDL campaign: %s (%s), MTTF %gh, MTTR %gh, %d lifetimes", cfg.Org, scheme, mttfHours, mttrHours, runs),
 		Columns: []string{"metric", "value"},
@@ -374,9 +315,22 @@ func runCampaign(cfg core.Config, mttrHours float64, runs int) {
 	t.AddRow("shortest lifetime (h)", fmt.Sprintf("%.1f", res.MinHours))
 	t.AddRow("longest lifetime (h)", fmt.Sprintf("%.0f", res.MaxHours))
 	t.AddRow("empirical MTTDL (years)", fmt.Sprintf("%.1f", res.EmpiricalMTTDLHours/(24*365)))
-	if err := t.Render(os.Stdout); err != nil {
+	check(t.Render(os.Stdout))
+}
+
+// check exits through fatal on a non-nil error.
+func check(err error) {
+	if err != nil {
 		fatal(err)
 	}
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	check(err)
+	check(write(f))
+	check(f.Close())
 }
 
 func fatal(err error) {

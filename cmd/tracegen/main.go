@@ -35,21 +35,15 @@ func main() {
 
 	if *validate != "" {
 		sp, err := workload.LoadSpec(*validate)
-		if err != nil {
-			fatal(err)
-		}
-		if err := sp.Validate(); err != nil {
-			fatal(err)
-		}
+		check(err)
+		check(sp.Validate())
 		fmt.Printf("%s: ok (%d clients, %d disks, %.0fs horizon, time scale %g)\n",
 			*validate, len(sp.Clients), sp.Disks, sp.DurationS, max(sp.TimeScale, 1))
 		return
 	}
 
 	tr, err := wl.Generate("trace2")
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	if *stats {
 		fmt.Fprint(os.Stderr, trace.Characterize(tr))
 	}
@@ -57,9 +51,7 @@ func main() {
 	w := os.Stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		defer f.Close()
 		w = f
 	}
@@ -71,12 +63,13 @@ func main() {
 	default:
 		err = fmt.Errorf("unknown format %q (want text or bin)", *format)
 	}
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
+// check exits on a non-nil error.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
 }

@@ -85,9 +85,16 @@ func TestEveryOrganizationEndToEnd(t *testing.T) {
 	for _, tc := range cases {
 		cfg := core.Config{
 			Org: tc.org, DataDisks: 10, N: 5,
-			Spec: geom.Default(), Sync: array.DFPR,
-			Cached: tc.cached, CacheMB: 8, Seed: 4,
-			Placement: layout.EndPlacement,
+			Spec: geom.Default(), Cached: tc.cached, Seed: 4,
+		}
+		if tc.org.Reads(array.ReadsSync) {
+			cfg.Sync = array.DFPR
+		}
+		if tc.org.Reads(array.ReadsParityLayout) {
+			cfg.Placement = layout.EndPlacement
+		}
+		if tc.cached {
+			cfg.CacheMB = 8
 		}
 		res, err := core.Run(cfg, tr)
 		if err != nil {
@@ -117,13 +124,15 @@ func TestEveryOrganizationEndToEnd(t *testing.T) {
 // exact simulation outputs are pinned below. The fingerprints were
 // captured before the redundancy-scheme refactor of internal/array; the
 // refactor (and any future one) must reproduce them bit for bit.
-var equivalenceCases = []struct {
+type equivalenceCase struct {
 	name    string
 	org     array.Org
 	sync    array.SyncPolicy
 	cached  bool
 	faulted bool
-}{
+}
+
+var equivalenceCases = []equivalenceCase{
 	{"base", array.OrgBase, array.DF, false, false},
 	{"base+f", array.OrgBase, array.DF, false, true},
 	{"base$", array.OrgBase, array.DF, true, false},
@@ -145,6 +154,32 @@ var equivalenceCases = []struct {
 	{"raid4$+f", array.OrgRAID4, array.DF, true, true},
 	{"raid3", array.OrgRAID3, array.DF, false, false},
 	{"plog", array.OrgParityLog, array.DF, false, false},
+}
+
+// config is the case's system. Placement is set only where the
+// organization reads it and the cache size only when cached; elsewhere
+// neither ever changed a result, and core.Config.Validate rejects them.
+func (tc equivalenceCase) config() core.Config {
+	cfg := core.Config{
+		Org: tc.org, DataDisks: 10, N: 5,
+		Spec: geom.Default(), Sync: tc.sync, Seed: 9,
+	}
+	if tc.org.Reads(array.ReadsParityLayout) {
+		cfg.Placement = layout.EndPlacement
+	}
+	if tc.cached {
+		cfg.Cached, cfg.CacheMB = true, 8
+	}
+	if tc.faulted {
+		cfg.Spares = 1
+		cfg.Fault = fault.Config{
+			DiskFails: []fault.DiskFail{{Disk: 1, At: 30 * sim.Second}},
+		}
+		if tc.cached {
+			cfg.Fault.CacheFailAt = 60 * sim.Second
+		}
+	}
+	return cfg
 }
 
 // equivalenceGolden maps case name -> exact fingerprint (hex floats, so
@@ -217,21 +252,7 @@ func TestRefactorEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range equivalenceCases {
-		cfg := core.Config{
-			Org: tc.org, DataDisks: 10, N: 5,
-			Spec: geom.Default(), Sync: tc.sync,
-			Cached: tc.cached, CacheMB: 8, Seed: 9,
-			Placement: layout.EndPlacement,
-		}
-		if tc.faulted {
-			cfg.Spares = 1
-			cfg.Fault = fault.Config{
-				DiskFails: []fault.DiskFail{{Disk: 1, At: 30 * sim.Second}},
-			}
-			if tc.cached {
-				cfg.Fault.CacheFailAt = 60 * sim.Second
-			}
-		}
+		cfg := tc.config()
 		res, err := core.Run(cfg, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -272,22 +293,8 @@ func TestObservabilityEquivalence(t *testing.T) {
 		return fp
 	}
 	for _, tc := range equivalenceCases {
-		cfg := core.Config{
-			Org: tc.org, DataDisks: 10, N: 5,
-			Spec: geom.Default(), Sync: tc.sync,
-			Cached: tc.cached, CacheMB: 8, Seed: 9,
-			Placement: layout.EndPlacement,
-			Obs:       obs.Config{Window: 10 * sim.Second, TraceCap: 64, SpanTopK: 4},
-		}
-		if tc.faulted {
-			cfg.Spares = 1
-			cfg.Fault = fault.Config{
-				DiskFails: []fault.DiskFail{{Disk: 1, At: 30 * sim.Second}},
-			}
-			if tc.cached {
-				cfg.Fault.CacheFailAt = 60 * sim.Second
-			}
-		}
+		cfg := tc.config()
+		cfg.Obs = obs.Config{Window: 10 * sim.Second, TraceCap: 64, SpanTopK: 4}
 		res, err := core.Run(cfg, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -338,22 +345,8 @@ func TestSelfMetricsEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range equivalenceCases {
-		cfg := core.Config{
-			Org: tc.org, DataDisks: 10, N: 5,
-			Spec: geom.Default(), Sync: tc.sync,
-			Cached: tc.cached, CacheMB: 8, Seed: 9,
-			Placement:   layout.EndPlacement,
-			SelfMetrics: true,
-		}
-		if tc.faulted {
-			cfg.Spares = 1
-			cfg.Fault = fault.Config{
-				DiskFails: []fault.DiskFail{{Disk: 1, At: 30 * sim.Second}},
-			}
-			if tc.cached {
-				cfg.Fault.CacheFailAt = 60 * sim.Second
-			}
-		}
+		cfg := tc.config()
+		cfg.SelfMetrics = true
 		res, err := core.Run(cfg, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -397,22 +390,8 @@ func TestWorkerInvariance(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, tc := range equivalenceCases {
-			cfg := core.Config{
-				Org: tc.org, DataDisks: 10, N: 5,
-				Spec: geom.Default(), Sync: tc.sync,
-				Cached: tc.cached, CacheMB: 8, Seed: 9,
-				Placement: layout.EndPlacement,
-				Workers:   workers,
-			}
-			if tc.faulted {
-				cfg.Spares = 1
-				cfg.Fault = fault.Config{
-					DiskFails: []fault.DiskFail{{Disk: 1, At: 30 * sim.Second}},
-				}
-				if tc.cached {
-					cfg.Fault.CacheFailAt = 60 * sim.Second
-				}
-			}
+			cfg := tc.config()
+			cfg.Workers = workers
 			res, err := core.Run(cfg, tr)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
@@ -464,8 +443,11 @@ func TestClosedLoopWorkerInvariance(t *testing.T) {
 				cfg := core.Config{
 					Org: tc.org, DataDisks: 10, N: 2,
 					Spec: geom.Default(), Sync: array.DF,
-					Cached: tc.cached, CacheMB: 8, Seed: 9,
+					Cached: tc.cached, Seed: 9,
 					Workers: workers,
+				}
+				if tc.cached {
+					cfg.CacheMB = 8
 				}
 				res, err := core.RunClosedLoop(cfg, tr, core.ClosedLoopConfig{MPL: 8, ThinkTime: think})
 				if err != nil {
@@ -533,8 +515,7 @@ func TestSpanExportPerfetto(t *testing.T) {
 		Org: array.OrgRAID5, DataDisks: 10, N: 5,
 		Spec: geom.Default(), Sync: array.DF,
 		Cached: true, CacheMB: 8, Seed: 9,
-		Placement: layout.EndPlacement,
-		Spares:    1,
+		Spares: 1,
 		Fault: fault.Config{
 			DiskFails: []fault.DiskFail{{Disk: 1, At: 30 * sim.Second}},
 		},

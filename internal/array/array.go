@@ -30,79 +30,6 @@ import (
 	"raidsim/internal/trace"
 )
 
-// Org selects the array organization.
-type Org int
-
-// Organizations under study (Table 3 of the paper), plus the RAID0 and
-// RAID3 comparators from the related work (Chen et al.) and the RAID1/0
-// striped-mirror extension.
-const (
-	OrgBase Org = iota
-	OrgMirror
-	OrgRAID5
-	OrgRAID4
-	OrgParityStriping
-	OrgRAID0
-	OrgRAID3
-	OrgParityLog
-	OrgRAID10
-)
-
-func (o Org) String() string {
-	switch o {
-	case OrgBase:
-		return "base"
-	case OrgMirror:
-		return "mirror"
-	case OrgRAID5:
-		return "raid5"
-	case OrgRAID4:
-		return "raid4"
-	case OrgParityStriping:
-		return "pstripe"
-	case OrgRAID0:
-		return "raid0"
-	case OrgRAID3:
-		return "raid3"
-	case OrgParityLog:
-		return "plog"
-	case OrgRAID10:
-		return "raid10"
-	}
-	return fmt.Sprintf("org(%d)", int(o))
-}
-
-// OrgNames lists the canonical organization names ParseOrg accepts.
-func OrgNames() []string {
-	return []string{"base", "mirror", "raid10", "raid5", "raid4", "pstripe", "raid0", "raid3", "plog"}
-}
-
-// ParseOrg converts a name to an Org. Matching is case-insensitive and
-// accepts common aliases (raid1, raid1+0, parity-striping, ...).
-func ParseOrg(s string) (Org, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "base", "jbod":
-		return OrgBase, nil
-	case "mirror", "mirrored", "raid1":
-		return OrgMirror, nil
-	case "raid10", "raid1+0", "raid1/0", "stripedmirror", "striped-mirror":
-		return OrgRAID10, nil
-	case "raid5":
-		return OrgRAID5, nil
-	case "raid4":
-		return OrgRAID4, nil
-	case "pstripe", "paritystriping", "parity-striping":
-		return OrgParityStriping, nil
-	case "raid0":
-		return OrgRAID0, nil
-	case "raid3":
-		return OrgRAID3, nil
-	case "plog", "paritylog", "parity-logging":
-		return OrgParityLog, nil
-	}
-	return 0, fmt.Errorf("array: unknown organization %q (valid: %s)", s, strings.Join(OrgNames(), ", "))
-}
-
 // SyncPolicy selects how a parity update is synchronized with its data
 // update (section 3.3 of the paper).
 type SyncPolicy int
@@ -262,20 +189,10 @@ func (c *Config) fillDefaults() error {
 	if err := c.Fault.Validate(); err != nil {
 		return err
 	}
-	return c.Robust.Validate()
-}
-
-// checkComparator rejects what the RAID3 and parity-logging comparators
-// do not model: the NV cache (parity logging's log plays its role) and
-// any degraded mode.
-func (c *Config) checkComparator() error {
-	if c.Cached {
-		return fmt.Errorf("array: the %v comparator is modeled non-cached only", c.Org)
+	if err := c.Robust.Validate(); err != nil {
+		return err
 	}
-	if c.Fault.Enabled() || c.Spares > 0 {
-		return fmt.Errorf("array: the %v comparator has no degraded-mode model; fault injection is unsupported", c.Org)
-	}
-	return nil
+	return c.checkOrg()
 }
 
 // Request is one logical I/O against the array's data space.
@@ -391,46 +308,34 @@ func New(eng *sim.Engine, cfg Config) (Controller, error) {
 	switch cfg.Org {
 	case OrgBase:
 		lay = layout.NewBase(cfg.N, bpd)
-		s = &plainScheme{noRedundancy{c}, lay, OrgBase}
+		s = &plainScheme{noRedundancy{c}, lay}
 	case OrgRAID0:
 		lay = layout.NewRAID0(cfg.N, bpd, cfg.StripingUnit)
-		s = &plainScheme{noRedundancy{c}, lay, OrgRAID0}
+		s = &plainScheme{noRedundancy{c}, lay}
 	case OrgMirror:
 		ml := layout.NewMirror(cfg.N, bpd)
-		lay, s = ml, &mirrorScheme{c: c, lay: ml, o: OrgMirror}
+		lay, s = ml, &mirrorScheme{c: c, lay: ml}
 	case OrgRAID10:
 		ml := layout.NewRAID10(cfg.N, bpd, cfg.StripingUnit)
-		lay, s = ml, &mirrorScheme{c: c, lay: ml, o: OrgRAID10}
+		lay, s = ml, &mirrorScheme{c: c, lay: ml}
 	case OrgRAID5:
 		pl := layout.NewRAID5(cfg.N, bpd, cfg.StripingUnit)
-		lay, s = pl, &parityScheme{c: c, lay: pl, o: OrgRAID5}
+		lay, s = pl, &parityScheme{c: c, lay: pl}
 	case OrgParityStriping:
 		pl := layout.NewParityStriping(cfg.N, bpd, cfg.Placement, cfg.ParityStripeUnit)
-		lay, s = pl, &parityScheme{c: c, lay: pl, o: OrgParityStriping}
+		lay, s = pl, &parityScheme{c: c, lay: pl}
 	case OrgRAID4:
-		if !cfg.Cached {
-			return nil, fmt.Errorf("array: RAID4 is only studied with parity caching; set Cached")
-		}
 		pl := layout.NewRAID4(cfg.N, bpd, cfg.StripingUnit)
 		lay, s = pl, newRAID4Scheme(c, pl)
 	case OrgRAID3:
-		if err := cfg.checkComparator(); err != nil {
-			return nil, err
-		}
-		cfg.SyncSpindles = true // RAID3 requires synchronized spindles
 		// A one-block unit puts block l's slices at row l/N, parity on disk N.
 		r4 := layout.NewRAID4(cfg.N, bpd, 1)
 		lay, s = r4, &raid3Scheme{noRedundancy{c}, r4}
 	case OrgParityLog:
-		if err := cfg.checkComparator(); err != nil {
-			return nil, err
-		}
 		pl := newPlogScheme(c, cfg)
 		lay, s = pl.lay, pl
-	default:
-		return nil, fmt.Errorf("array: unknown organization %v", cfg.Org)
 	}
-	if err := c.init(eng, cfg, lay.Disks()); err != nil {
+	if err := c.init(eng, cfg, lay); err != nil {
 		return nil, err
 	}
 	c.sch = s
@@ -461,13 +366,14 @@ func New(eng *sim.Engine, cfg Config) (Controller, error) {
 
 // common holds the hardware every controller variant shares.
 type common struct {
-	eng   *sim.Engine
-	cfg   Config
-	disks []*disk.Disk
-	ch    *bus.Channel
-	buf   *bus.BufferPool
-	sch   scheme      // the organization's mapping; the fault path dispatches to it
-	tr    *obs.Tracer // nil when span tracing is off
+	eng    *sim.Engine
+	cfg    Config
+	blocks int64 // the layout's logical capacity
+	disks  []*disk.Disk
+	ch     *bus.Channel
+	buf    *bus.BufferPool
+	sch    scheme      // the organization's mapping; the fault path dispatches to it
+	tr     *obs.Tracer // nil when span tracing is off
 
 	requests               int64
 	inflight               int64
@@ -498,9 +404,10 @@ type common struct {
 	recs recPools
 }
 
-// init wires c to the engine and builds its ndisks drives, channel and
-// track buffers.
-func (c *common) init(eng *sim.Engine, cfg Config, ndisks int) error {
+// init wires c to the engine and builds the layout's drives, channel
+// and track buffers.
+func (c *common) init(eng *sim.Engine, cfg Config, lay layout.DataLayout) error {
+	ndisks := lay.Disks()
 	src := rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	ch, err := bus.NewChannel(eng, cfg.Spec.ChannelMBps)
 	if err != nil {
@@ -510,12 +417,13 @@ func (c *common) init(eng *sim.Engine, cfg Config, ndisks int) error {
 	if err != nil {
 		return err
 	}
-	c.eng, c.cfg, c.ch, c.buf = eng, cfg, ch, buf
+	c.eng, c.cfg, c.ch, c.buf, c.blocks = eng, cfg, ch, buf, lay.DataBlocks()
 	c.disks = make([]*disk.Disk, ndisks)
 	sharedPhase := src.Float64()
+	lockstep := cfg.SyncSpindles || cfg.Org.row().lockstep
 	for i := range c.disks {
 		phase := sharedPhase
-		if !cfg.SyncSpindles {
+		if !lockstep {
 			phase = src.Float64()
 		}
 		c.disks[i], err = disk.New(eng, i, cfg.Spec, cfg.Seek, phase)
@@ -656,9 +564,9 @@ func (c *common) closeChan(ch **obs.Span) {
 	}
 }
 
-func (c *common) baseResults(org Org) *Results {
+func (c *common) baseResults() *Results {
 	r := &Results{
-		Org:       org,
+		Org:       c.cfg.Org,
 		Requests:  c.requests,
 		Resp:      c.resp,
 		ReadResp:  c.readResp,
@@ -714,11 +622,14 @@ func (l *latch) done() {
 	}
 }
 
-func (c *common) checkRequest(r Request, capacity int64) {
+// DataBlocks implements Controller.
+func (c *common) DataBlocks() int64 { return c.blocks }
+
+func (c *common) checkRequest(r Request) {
 	if r.Blocks <= 0 {
 		panic("array: request with no blocks")
 	}
-	if r.LBA < 0 || r.LBA+int64(r.Blocks) > capacity {
-		panic(fmt.Sprintf("array: request [%d,%d) outside [0,%d)", r.LBA, r.LBA+int64(r.Blocks), capacity))
+	if r.LBA < 0 || r.LBA+int64(r.Blocks) > c.blocks {
+		panic(fmt.Sprintf("array: request [%d,%d) outside [0,%d)", r.LBA, r.LBA+int64(r.Blocks), c.blocks))
 	}
 }

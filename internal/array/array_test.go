@@ -162,6 +162,37 @@ func TestRAID10ReadsUseOneCopy(t *testing.T) {
 	}
 }
 
+// TestParseOrgRoundTrip: every organization constant has one row, and
+// every name and alias in it parses back to that organization in any
+// case and spacing, whose String is the row's canonical name.
+func TestParseOrgRoundTrip(t *testing.T) {
+	seen := map[Org]bool{}
+	for _, r := range orgTable {
+		if seen[r.org] {
+			t.Errorf("%v has two rows", r.org)
+		}
+		seen[r.org] = true
+		if r.org.String() != r.names[0] {
+			t.Errorf("%v.String() = %q, want %q", r.org, r.org.String(), r.names[0])
+		}
+		for _, name := range r.names {
+			for _, in := range []string{name, strings.ToUpper(name), " " + name + " "} {
+				if got, err := ParseOrg(in); err != nil || got != r.org {
+					t.Errorf("ParseOrg(%q) = %v, %v; want %v", in, got, err, r.org)
+				}
+			}
+		}
+	}
+	for o := OrgBase; o <= OrgRAID10; o++ {
+		if !seen[o] {
+			t.Errorf("org(%d) has no row", int(o))
+		}
+	}
+	if got := Org(99).String(); got != "org(99)" {
+		t.Errorf("unknown org prints %q", got)
+	}
+}
+
 func TestParseOrgAliases(t *testing.T) {
 	cases := map[string]Org{
 		"base": OrgBase, "JBOD": OrgBase,

@@ -30,11 +30,10 @@ type cachedCtrl struct {
 	dirty    []int64          // destageTick's candidate buffer
 }
 
-// newCached wraps the scheme in the cache front-end. Parity schemes get
-// old-data shadows (KeepOldData) so destage can usually skip re-reading
-// old data.
+// newCached wraps the scheme in the cache front-end; parity organizations
+// keep old-data shadows so destage can usually skip re-reading old data.
 func newCached(c *common, s scheme) (*cachedCtrl, error) {
-	ccfg := cache.Config{Blocks: c.cfg.CacheBlocks, KeepOldData: s.keepOldData()}
+	ccfg := cache.Config{Blocks: c.cfg.CacheBlocks, KeepOldData: c.cfg.Org.Redundancy() == Parity}
 	nvc, err := cache.New(ccfg)
 	if err != nil {
 		return nil, err
@@ -81,12 +80,9 @@ func (cc *cachedCtrl) cacheFailed() {
 	cc.c = fresh
 }
 
-// DataBlocks implements Controller.
-func (cc *cachedCtrl) DataBlocks() int64 { return cc.s.dataBlocks() }
-
 // Results implements Controller.
 func (cc *cachedCtrl) Results() *Results {
-	r := cc.baseResults(cc.s.org())
+	r := cc.baseResults()
 	r.Cache = cc.c.S
 	return r
 }
@@ -293,7 +289,7 @@ func makeRoomRetryFire(_ *sim.Engine, cl *sim.Call) {
 
 // Submit implements Controller.
 func (cc *cachedCtrl) Submit(r Request) {
-	cc.checkRequest(r, cc.s.dataBlocks())
+	cc.checkRequest(r)
 	if cc.maybeShed(r) {
 		return
 	}

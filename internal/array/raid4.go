@@ -41,7 +41,7 @@ type raid4Scheme struct {
 // newRAID4Scheme builds the scheme over lay with its continuations bound
 // once, as a pooled record's are.
 func newRAID4Scheme(c *common, lay *layout.RAID4) *raid4Scheme {
-	s := &raid4Scheme{parityScheme: parityScheme{c: c, lay: lay, o: OrgRAID4}}
+	s := &raid4Scheme{parityScheme: parityScheme{c: c, lay: lay}}
 	s.issueParityFn, s.spoolDoneFn = s.issueParity, s.spoolDone
 	return s
 }

@@ -15,13 +15,6 @@ import (
 // below. The same scheme instance therefore serves both the non-cached
 // controller (schemeCtrl) and the cached one (cachedCtrl).
 type scheme interface {
-	// org labels results.
-	org() Org
-	// dataBlocks returns the organization's logical capacity.
-	dataBlocks() int64
-	// keepOldData reports whether the NV cache should keep pre-write
-	// images (parity schemes destage cheaper with old-data shadows).
-	keepOldData() bool
 	// fetchRuns lays out a read of the given blocks in normal mode, in
 	// rb's storage; degraded reads recover per-run via readFallback.
 	fetchRuns(rb *runBuf, lbas []int64) []run
@@ -70,15 +63,12 @@ type schemeCtrl struct {
 	s scheme
 }
 
-// DataBlocks implements Controller.
-func (sc *schemeCtrl) DataBlocks() int64 { return sc.s.dataBlocks() }
-
 // Results implements Controller.
-func (sc *schemeCtrl) Results() *Results { return sc.baseResults(sc.s.org()) }
+func (sc *schemeCtrl) Results() *Results { return sc.baseResults() }
 
 // Submit implements Controller.
 func (sc *schemeCtrl) Submit(r Request) {
-	sc.checkRequest(r, sc.s.dataBlocks())
+	sc.checkRequest(r)
 	if sc.maybeShed(r) {
 		return
 	}

@@ -19,12 +19,7 @@ import (
 type mirrorScheme struct {
 	c   *common
 	lay layout.MirrorLayout
-	o   Org
 }
-
-func (s *mirrorScheme) org() Org          { return s.o }
-func (s *mirrorScheme) dataBlocks() int64 { return s.lay.DataBlocks() }
-func (s *mirrorScheme) keepOldData() bool { return false }
 
 // fetchRuns picks, per run, the mirror copy with the shorter seek. A
 // dead copy never wins: reads fail over to the survivor.

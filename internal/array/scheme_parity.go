@@ -14,12 +14,7 @@ import (
 type parityScheme struct {
 	c   *common
 	lay layout.ParityLayout
-	o   Org
 }
-
-func (s *parityScheme) org() Org          { return s.o }
-func (s *parityScheme) dataBlocks() int64 { return s.lay.DataBlocks() }
-func (s *parityScheme) keepOldData() bool { return true }
 
 func (s *parityScheme) fetchRuns(rb *runBuf, lbas []int64) []run { return rb.dataRuns(s.lay, lbas) }
 

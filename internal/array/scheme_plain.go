@@ -13,12 +13,7 @@ import (
 type plainScheme struct {
 	noRedundancy
 	lay layout.DataLayout
-	o   Org
 }
-
-func (s *plainScheme) org() Org          { return s.o }
-func (s *plainScheme) dataBlocks() int64 { return s.lay.DataBlocks() }
-func (s *plainScheme) keepOldData() bool { return false }
 
 func (s *plainScheme) fetchRuns(rb *runBuf, lbas []int64) []run { return rb.dataRuns(s.lay, lbas) }
 

@@ -62,10 +62,6 @@ func newPlogScheme(c *common, cfg Config) *plogScheme {
 	return s
 }
 
-func (s *plogScheme) org() Org          { return OrgParityLog }
-func (s *plogScheme) dataBlocks() int64 { return s.lay.DataBlocks() }
-func (s *plogScheme) keepOldData() bool { return false }
-
 func (s *plogScheme) fetchRuns(rb *runBuf, lbas []int64) []run { return rb.dataRuns(s.lay, lbas) }
 
 // write issues the batch's data legs — read-modify-writes, since the old

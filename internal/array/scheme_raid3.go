@@ -22,10 +22,6 @@ type raid3Scheme struct {
 	lay *layout.RAID4
 }
 
-func (s *raid3Scheme) org() Org          { return OrgRAID3 }
-func (s *raid3Scheme) dataBlocks() int64 { return s.lay.DataBlocks() }
-func (s *raid3Scheme) keepOldData() bool { return false }
-
 // fetchRuns reads the slices off the N data disks; parity idles.
 func (s *raid3Scheme) fetchRuns(rb *runBuf, lbas []int64) []run { return s.slices(rb, lbas, false) }
 

@@ -87,6 +87,38 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsUnreadAxis: a setting that reaches an organization
+// that cannot read it fails Points, naming the point (so its org and
+// axis values) and the field, instead of running inert points.
+func TestSpecRejectsUnreadAxis(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want []string
+	}{
+		{Spec{Scale: 0.005, Orgs: []string{"raid5", "base"}, Sync: "rf"},
+			[]string{"org=base", "base does not read Sync"}},
+		{Spec{Scale: 0.005, Orgs: []string{"raid5", "pstripe"}, StripingUnit: []int{0, 4}},
+			[]string{"org=pstripe", "su=4", "pstripe does not read StripingUnit"}},
+		{Spec{Scale: 0.005, Orgs: []string{"raid3"}, CacheMB: []int{0, 16}},
+			[]string{"org=raid3", "cache=16", "raid3 does not read Cached"}},
+	} {
+		_, err := tc.spec.Points()
+		if err == nil {
+			t.Errorf("%+v expanded", tc.spec)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("error %q does not name %q", err, w)
+			}
+		}
+	}
+	ok := Spec{Scale: 0.005, Orgs: []string{"raid5", "pstripe"}, Sync: "rf"}
+	if _, err := ok.Points(); err != nil {
+		t.Errorf("sync on parity organizations rejected: %v", err)
+	}
+}
+
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	_, err := ParseSpec(strings.NewReader(`{"orgs":["raid5"],"cache_sizes":[16]}`))
 	if err == nil {

@@ -193,7 +193,8 @@ func validateTrace(name string) error {
 // first). Each point's ID is its sorted axis assignment; its seed
 // derives from the base seed keyed on that ID, so editing the grid
 // never reseeds surviving runs. Traces are generated once per
-// (trace, speed) pair and shared across points.
+// (trace, speed) pair and shared across points. A point that sets what
+// its organization does not read (core.Config.Unread) is an error.
 func (s Spec) Points() ([]Point, error) {
 	s.fill()
 	if err := s.Validate(); err != nil {
@@ -274,6 +275,9 @@ func (s Spec) Points() ([]Point, error) {
 								}
 								if s.Sync != "" {
 									cfg.Sync = syncPol
+								}
+								if err := cfg.Unread(core.DefaultConfig(org)); err != nil {
+									return nil, fmt.Errorf("campaign: point %s: %w", id, err)
 								}
 								if s.ObsWindowS > 0 {
 									cfg.Obs = obs.Config{Window: sim.Time(s.ObsWindowS * float64(sim.Second))}

@@ -159,13 +159,27 @@ func (b *Binding) Config() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	cfg := core.DefaultConfig(org)
+	def := core.DefaultConfig(org)
+	cfg := def
+	var set []string
 	b.fs.Visit(func(f *flag.Flag) {
 		if edit := b.edits[f.Name]; edit != nil && err == nil {
 			err = edit(&cfg)
+			set = append(set, f.Name)
 		}
 	})
 	if err != nil {
+		return core.Config{}, err
+	}
+	// A setting the organization does not read is an error naming the
+	// first set flag whose edit alone reproduces it.
+	if err := cfg.Unread(def); err != nil {
+		for _, name := range set {
+			one := def
+			if b.edits[name](&one) == nil && fmt.Sprint(one.Unread(def)) == err.Error() {
+				return core.Config{}, fmt.Errorf("cliflag: -%s: %w", name, err)
+			}
+		}
 		return core.Config{}, err
 	}
 	return cfg, nil

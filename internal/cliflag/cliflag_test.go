@@ -128,6 +128,17 @@ func TestBadValues(t *testing.T) {
 		{[]string{"-slow-factor", "4"}, "-slow-factor does nothing without -sick-disk >= 0"},
 		{[]string{"-transient-rate", "0.1"}, "-transient-rate does nothing without -sick-disk >= 0"},
 		{[]string{"-hang-every", "3s"}, "-hang-every does nothing without -sick-disk >= 0"},
+		// A setting the organization does not read names the flag, the
+		// organization and the field.
+		{[]string{"-org", "base", "-sync", "rf"}, "cliflag: -sync: core: base does not read Sync"},
+		{[]string{"-org", "raid4", "-sync", "si"}, "cliflag: -sync: core: raid4 does not read Sync"},
+		{[]string{"-org", "pstripe", "-su", "4"}, "cliflag: -su: core: pstripe does not read StripingUnit"},
+		{[]string{"-org", "raid3", "-sync-spindles"}, "cliflag: -sync-spindles: core: raid3 does not read SyncSpindles"},
+		{[]string{"-org", "raid5", "-parity-unit", "8", "-cache-mb", "1", "-destage-sec", "5"}, "cliflag: -parity-unit: core: raid5 does not read ParityStripeUnit"},
+		{[]string{"-org", "raid5", "-cache-mb", "1"}, "cliflag: -cache-mb: core: raid5 reads CacheMB only when Cached"},
+		{[]string{"-org", "raid3", "-cached", "-cache-mb", "4"}, "cliflag: -cached: core: raid3 does not read Cached"},
+		{[]string{"-org", "plog", "-spares", "1"}, "cliflag: -spares: core: plog does not read Spares"},
+		{[]string{"-org", "raid5", "-hedge-after", "10ms"}, "cliflag: -hedge-after: core: raid5 does not read Robust.HedgeAfter"},
 		{[]string{"-hang-for", "50ms"}, "-hang-for does nothing without -sick-disk >= 0"},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -203,7 +214,8 @@ func TestFlagVocabulary(t *testing.T) {
 // TestEachFlagEdits sets every shared flag to a non-default value and
 // checks that the resulting config is the raid5 default with exactly the
 // edit that flag owns. Companion flags (-fail-disk, the -sick-* group)
-// ride with the flag that arms them. Every registered flag must appear
+// ride with the flag that arms them, and a flag raid5 does not read rides
+// with -cached or an -org that reads it. Every registered flag must appear
 // first in some row.
 func TestEachFlagEdits(t *testing.T) {
 	ms := func(d sim.Time) sim.Time { return d * sim.Millisecond }
@@ -215,12 +227,18 @@ func TestEachFlagEdits(t *testing.T) {
 		{[]string{"-n", "4"}, func(c *core.Config) { c.N = 4 }},
 		{[]string{"-su", "8"}, func(c *core.Config) { c.StripingUnit = 8 }},
 		{[]string{"-sync", "si"}, func(c *core.Config) { c.Sync = array.SI }},
-		{[]string{"-placement", "end"}, func(c *core.Config) { c.Placement = layout.EndPlacement }},
-		{[]string{"-parity-unit", "32"}, func(c *core.Config) { c.ParityStripeUnit = 32 }},
+		{[]string{"-org", "pstripe", "-placement", "end"}, func(c *core.Config) {
+			*c = core.DefaultConfig(array.OrgParityStriping)
+			c.Placement = layout.EndPlacement
+		}},
+		{[]string{"-org", "pstripe", "-parity-unit", "32"}, func(c *core.Config) {
+			*c = core.DefaultConfig(array.OrgParityStriping)
+			c.ParityStripeUnit = 32
+		}},
 		{[]string{"-cached"}, func(c *core.Config) { c.Cached = true }},
-		{[]string{"-cache-mb", "8"}, func(c *core.Config) { c.CacheMB = 8 }},
-		{[]string{"-destage-sec", "0.5"}, func(c *core.Config) { c.DestagePeriod = ms(500) }},
-		{[]string{"-pure-lru"}, func(c *core.Config) { c.PureLRUWriteback = true }},
+		{[]string{"-cached", "-cache-mb", "8"}, func(c *core.Config) { c.Cached, c.CacheMB = true, 8 }},
+		{[]string{"-cached", "-destage-sec", "0.5"}, func(c *core.Config) { c.Cached, c.DestagePeriod = true, ms(500) }},
+		{[]string{"-cached", "-pure-lru"}, func(c *core.Config) { c.Cached, c.PureLRUWriteback = true, true }},
 		{[]string{"-seed", "7"}, func(c *core.Config) { c.Seed = 7 }},
 		{[]string{"-sched", "look"}, func(c *core.Config) { c.DiskSched = disk.LOOK }},
 		{[]string{"-sync-spindles"}, func(c *core.Config) { c.SyncSpindles = true }},
@@ -232,7 +250,7 @@ func TestEachFlagEdits(t *testing.T) {
 		}},
 		{[]string{"-mttf-hours", "0.5"}, func(c *core.Config) { c.Fault.MTTF = 1800 * sim.Second }},
 		{[]string{"-sector-error-rate", "0.01"}, func(c *core.Config) { c.Fault.SectorErrorRate = 0.01 }},
-		{[]string{"-cache-fail-at", "5s"}, func(c *core.Config) { c.Fault.CacheFailAt = 5 * sim.Second }},
+		{[]string{"-cached", "-cache-fail-at", "5s"}, func(c *core.Config) { c.Cached, c.Fault.CacheFailAt = true, 5*sim.Second }},
 		{[]string{"-fault-seed", "11"}, func(c *core.Config) { c.Fault.Seed = 11 }},
 
 		{[]string{"-obs-window", "250ms"}, func(c *core.Config) { c.Obs.Window = ms(250) }},
@@ -243,8 +261,14 @@ func TestEachFlagEdits(t *testing.T) {
 		{[]string{"-deadline", "100ms"}, func(c *core.Config) { c.Robust.Deadline = ms(100) }},
 		{[]string{"-batch-deadline", "2s"}, func(c *core.Config) { c.Robust.BatchDeadline = 2 * sim.Second }},
 		{[]string{"-retries", "3"}, func(c *core.Config) { c.Robust.Retries = 3 }},
-		{[]string{"-hedge-after", "20ms"}, func(c *core.Config) { c.Robust.HedgeAfter = ms(20) }},
-		{[]string{"-hedge-quantile", "0.95"}, func(c *core.Config) { c.Robust.HedgeQuantile = 0.95 }},
+		{[]string{"-org", "mirror", "-hedge-after", "20ms"}, func(c *core.Config) {
+			*c = core.DefaultConfig(array.OrgMirror)
+			c.Robust.HedgeAfter = ms(20)
+		}},
+		{[]string{"-org", "mirror", "-hedge-quantile", "0.95"}, func(c *core.Config) {
+			*c = core.DefaultConfig(array.OrgMirror)
+			c.Robust.HedgeQuantile = 0.95
+		}},
 		{[]string{"-shed-queue", "12"}, func(c *core.Config) { c.Robust.ShedQueue = 12 }},
 
 		{[]string{"-sick-disk", "2", "-sick-at", "1s", "-sick-until", "9s", "-slow-factor", "4",

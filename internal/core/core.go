@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -113,30 +114,68 @@ func (c Config) Validate() error {
 	if err := c.Robust.Validate(); err != nil {
 		return err
 	}
-	return c.Fault.Validate()
+	if err := c.Fault.Validate(); err != nil {
+		return err
+	}
+	return c.Unread(Config{})
+}
+
+// Unread reports, naming both, the first field c sets that c.Org does
+// not read (array.Org.Reads): set means unequal to base's value and to
+// DefaultConfig(c.Org)'s. Validate's base is the zero Config.
+func (c Config) Unread(base Config) error {
+	b, d := &base, DefaultConfig(c.Org)
+	return cmp.Or(
+		unread(&c, "StripingUnit", array.ReadsStripingUnit, c.StripingUnit, b.StripingUnit, d.StripingUnit),
+		unread(&c, "Placement", array.ReadsParityLayout, c.Placement, b.Placement, d.Placement),
+		unread(&c, "ParityStripeUnit", array.ReadsParityLayout, c.ParityStripeUnit, b.ParityStripeUnit, d.ParityStripeUnit),
+		unread(&c, "Sync", array.ReadsSync, c.Sync, b.Sync, d.Sync),
+		unread(&c, "SyncSpindles", array.ReadsSpindleSync, c.SyncSpindles, b.SyncSpindles, d.SyncSpindles),
+		unread(&c, "Robust.HedgeAfter", array.ReadsHedging, c.Robust.HedgeAfter, b.Robust.HedgeAfter, d.Robust.HedgeAfter),
+		unread(&c, "Robust.HedgeQuantile", array.ReadsHedging, c.Robust.HedgeQuantile, b.Robust.HedgeQuantile, d.Robust.HedgeQuantile),
+		unread(&c, "Cached", array.ReadsCache, c.Cached, b.Cached, d.Cached),
+		unread(&c, "CacheMB", cacheOwn, c.CacheMB, b.CacheMB, d.CacheMB),
+		unread(&c, "DestagePeriod", cacheOwn, c.DestagePeriod, b.DestagePeriod, d.DestagePeriod),
+		unread(&c, "PureLRUWriteback", cacheOwn, c.PureLRUWriteback, b.PureLRUWriteback, d.PureLRUWriteback),
+		unread(&c, "Fault.CacheFailAt", cacheOwn, c.Fault.CacheFailAt, b.Fault.CacheFailAt, d.Fault.CacheFailAt),
+		unread(&c, "Fault.DiskFails", array.ReadsFaults, len(c.Fault.DiskFails), len(b.Fault.DiskFails), len(d.Fault.DiskFails)),
+		unread(&c, "Fault.SickDisks", array.ReadsFaults, len(c.Fault.SickDisks), len(b.Fault.SickDisks), len(d.Fault.SickDisks)),
+		unread(&c, "Fault.MTTF", array.ReadsFaults, c.Fault.MTTF, b.Fault.MTTF, d.Fault.MTTF),
+		unread(&c, "Fault.SectorErrorRate", array.ReadsFaults, c.Fault.SectorErrorRate, b.Fault.SectorErrorRate, d.Fault.SectorErrorRate),
+		unread(&c, "Fault.Seed", array.ReadsFaults, c.Fault.Seed, b.Fault.Seed, d.Fault.Seed),
+		unread(&c, "Spares", array.ReadsFaults, c.Spares, b.Spares, d.Spares),
+		unread(&c, "RebuildChunk", array.ReadsRebuild, c.RebuildChunk, b.RebuildChunk, d.RebuildChunk),
+		unread(&c, "RebuildPause", array.ReadsRebuild, c.RebuildPause, b.RebuildPause, d.RebuildPause),
+	)
+}
+
+// cacheOwn marks the cache's own fields: read where array.ReadsCache is,
+// and only when Cached is set.
+const cacheOwn array.Setting = 0
+
+// unread is Unread for one field of group g, whose values in c, the base
+// and DefaultConfig are v, base and def.
+func unread[T comparable](c *Config, name string, g array.Setting, v, base, def T) error {
+	switch {
+	case v == base || v == def:
+		return nil
+	case g == cacheOwn && c.Org.Reads(array.ReadsCache) && !c.Cached:
+		return fmt.Errorf("core: %v reads %s only when Cached", c.Org, name)
+	case g == cacheOwn && c.Org.Reads(array.ReadsCache), c.Org.Reads(g):
+		return nil
+	}
+	return fmt.Errorf("core: %v does not read %s", c.Org, name)
 }
 
 // arrays returns the number of arrays the system needs.
 func (c Config) arrays() int { return (c.DataDisks + c.N - 1) / c.N }
 
-// PhysicalDisks returns the total drive count, the cost side of the
-// paper's equal-capacity comparison.
+// PhysicalDisks returns the drive count Run simulates, the cost side of
+// the paper's equal-capacity comparison.
 func (c Config) PhysicalDisks() int {
-	switch c.Org {
-	case array.OrgMirror, array.OrgRAID10:
-		return 2 * c.DataDisks
-	case array.OrgBase, array.OrgRAID0:
-		return c.DataDisks
-	}
-	if c.N >= c.DataDisks {
-		// One wide array striping the whole database.
-		return c.N + 1
-	}
-	full := c.DataDisks / c.N
-	rem := c.DataDisks % c.N
-	n := full * (c.N + 1)
-	if rem > 0 {
-		n += rem + 1
+	n := 0
+	for _, w := range c.groupDisks(c.arrays()) {
+		n += c.Org.Width(w)
 	}
 	return n
 }
@@ -145,7 +184,7 @@ func (c Config) arrayConfig(group, disks int, fc fault.Config, classes []trace.C
 	var rec *obs.Recorder
 	if c.Obs.Enabled() {
 		oc := c.Obs
-		oc.Disks = c.physWidth(disks)
+		oc.Disks = c.Org.Width(disks)
 		oc.Array = group
 		for _, cl := range classes {
 			oc.Classes = append(oc.Classes, cl.Name)
@@ -179,18 +218,6 @@ func (c Config) arrayConfig(group, disks int, fc fault.Config, classes []trace.C
 	}
 }
 
-// physWidth returns the physical drive count of one array holding the
-// given number of data disks.
-func (c Config) physWidth(disks int) int {
-	switch c.Org {
-	case array.OrgMirror, array.OrgRAID10:
-		return 2 * disks
-	case array.OrgBase, array.OrgRAID0:
-		return disks
-	}
-	return disks + 1
-}
-
 // groupDisks returns the data-disk width of each array group, mirroring
 // the assignment Run and RunClosedLoop make.
 func (c Config) groupDisks(ngroups int) []int {
@@ -222,10 +249,7 @@ func (c Config) groupFaults(widths []int) ([]fault.Config, error) {
 	if !c.Fault.Enabled() {
 		return out, nil
 	}
-	total := 0
-	for _, w := range widths {
-		total += c.physWidth(w)
-	}
+	total := c.PhysicalDisks()
 	for _, f := range c.Fault.DiskFails {
 		if f.Disk >= total {
 			return nil, fmt.Errorf("core: fault disk %d out of range; system has %d physical disks", f.Disk, total)
@@ -238,7 +262,7 @@ func (c Config) groupFaults(widths []int) ([]fault.Config, error) {
 	}
 	offset := 0
 	for g, w := range widths {
-		pw := c.physWidth(w)
+		pw := c.Org.Width(w)
 		fc := c.Fault
 		fc.DiskFails = nil
 		for _, f := range c.Fault.DiskFails {

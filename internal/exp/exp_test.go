@@ -340,6 +340,7 @@ func TestContextRunShares(t *testing.T) {
 
 	tr := ctx.Trace("trace1", 1)
 	cfg := ctx.BaseConfig("trace1")
+	cfg.Org = array.OrgMirror // an organization that reads HedgeQuantile
 	cfg.N = 20
 	cfg.Fault.DiskFails = []fault.DiskFail{{Disk: 0, At: tr.Duration() / 2}}
 	cfg.Robust.HedgeQuantile = 0.9

@@ -257,7 +257,9 @@ func extTaxonomy(ctx *Context) error {
 		cfg.Org = org
 		jobs = append(jobs, job{cfg: cfg, tr: oltp})
 		cfgD := cfg
-		cfgD.StripingUnit = 4 // a sensible scan-friendly unit for the striped orgs
+		if org.Reads(array.ReadsStripingUnit) {
+			cfgD.StripingUnit = 4 // a sensible scan-friendly unit for the striped orgs
+		}
 		jobs = append(jobs, job{cfg: cfgD, tr: dss})
 	}
 	res, errs := ctx.run(jobs)

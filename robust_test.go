@@ -7,7 +7,6 @@ import (
 	"raidsim/internal/core"
 	"raidsim/internal/fault"
 	"raidsim/internal/geom"
-	"raidsim/internal/layout"
 	"raidsim/internal/obs"
 	"raidsim/internal/sim"
 	"raidsim/internal/workload"
@@ -27,23 +26,8 @@ func TestRobustOffEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range equivalenceCases {
-		cfg := core.Config{
-			Org: tc.org, DataDisks: 10, N: 5,
-			Spec: geom.Default(), Sync: tc.sync,
-			Cached: tc.cached, CacheMB: 8, Seed: 9,
-			Placement: layout.EndPlacement,
-			Robust:    array.RobustConfig{}, // every robustness feature off
-		}
-		if tc.faulted {
-			cfg.Spares = 1
-			cfg.Fault = fault.Config{
-				DiskFails: []fault.DiskFail{{Disk: 1, At: 30 * sim.Second}},
-				SickDisks: nil,
-			}
-			if tc.cached {
-				cfg.Fault.CacheFailAt = 60 * sim.Second
-			}
-		}
+		cfg := tc.config()
+		cfg.Robust = array.RobustConfig{} // every robustness feature off
 		res, err := core.Run(cfg, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -71,10 +55,8 @@ func TestDeadlineAccountingIsPureObservation(t *testing.T) {
 	}
 	cfg := core.Config{
 		Org: array.OrgRAID5, DataDisks: 10, N: 5,
-		Spec: geom.Default(), Sync: array.DF,
-		CacheMB: 8, Seed: 9,
-		Placement: layout.EndPlacement,
-		Robust:    array.RobustConfig{Deadline: 50 * sim.Millisecond},
+		Spec: geom.Default(), Sync: array.DF, Seed: 9,
+		Robust: array.RobustConfig{Deadline: 50 * sim.Millisecond},
 	}
 	res, err := core.Run(cfg, tr)
 	if err != nil {
@@ -112,8 +94,7 @@ func TestRetryPropertyNoDataLoss(t *testing.T) {
 	cfg := core.Config{
 		Org: array.OrgRAID10, DataDisks: 10, N: 5,
 		Spec: geom.Default(), Sync: array.DF,
-		CacheMB: 8, Seed: 9, StripingUnit: 4,
-		Placement: layout.EndPlacement,
+		Seed: 9, StripingUnit: 4,
 		Robust: array.RobustConfig{
 			Deadline:   50 * sim.Millisecond,
 			Retries:    budget,
@@ -189,8 +170,7 @@ func TestShedBatchOnly(t *testing.T) {
 		Org: array.OrgRAID5, DataDisks: 10, N: 5,
 		Spec: geom.Default(), Sync: array.DF,
 		Cached: true, CacheMB: 8, Seed: 9,
-		Placement: layout.EndPlacement,
-		Robust:    array.RobustConfig{ShedQueue: 2},
+		Robust: array.RobustConfig{ShedQueue: 2},
 	}
 	res, err := core.Run(cfg, tr)
 	if err != nil {
@@ -219,8 +199,7 @@ func TestSickDiskHangCompletes(t *testing.T) {
 	cfg := core.Config{
 		Org: array.OrgMirror, DataDisks: 10, N: 5,
 		Spec: geom.Default(), Sync: array.DF,
-		CacheMB: 8, Seed: 9,
-		Placement: layout.EndPlacement,
+		Seed: 9,
 		Fault: fault.Config{
 			SickDisks: []fault.SickDisk{{
 				Disk:      2,

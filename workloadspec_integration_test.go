@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"raidsim/internal/core"
-	"raidsim/internal/fault"
-	"raidsim/internal/geom"
-	"raidsim/internal/layout"
 	"raidsim/internal/sim"
 	"raidsim/internal/trace"
 	"raidsim/internal/workload"
@@ -30,21 +27,7 @@ func TestSpecPathReproducesEquivalenceGolden(t *testing.T) {
 		t.Fatalf("spec-path trace classes = %+v, want one auto class", tr.Classes)
 	}
 	for _, tc := range equivalenceCases {
-		cfg := core.Config{
-			Org: tc.org, DataDisks: 10, N: 5,
-			Spec: geom.Default(), Sync: tc.sync,
-			Cached: tc.cached, CacheMB: 8, Seed: 9,
-			Placement: layout.EndPlacement,
-		}
-		if tc.faulted {
-			cfg.Spares = 1
-			cfg.Fault = fault.Config{
-				DiskFails: []fault.DiskFail{{Disk: 1, At: 30 * sim.Second}},
-			}
-			if tc.cached {
-				cfg.Fault.CacheFailAt = 60 * sim.Second
-			}
-		}
+		cfg := tc.config()
 		res, err := core.Run(cfg, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
