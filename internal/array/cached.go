@@ -376,8 +376,7 @@ func (q *creqRec) fetch() {
 	// A concurrent miss may have inserted some blocks meanwhile.
 	fetch := q.miss[:0]
 	for _, l := range q.miss {
-		if !cc.c.Contains(l) {
-			cc.c.Insert(l, false)
+		if cc.c.InsertIfAbsent(l, false) {
 			fetch = append(fetch, l)
 		}
 	}
@@ -431,8 +430,8 @@ func (q *creqRec) insert() {
 // place lands the block that waited for room, then the rest.
 func (q *creqRec) place() {
 	cc := q.cc
-	if l := q.r.LBA + int64(q.next); !cc.c.MarkDirty(l) {
-		cc.c.Insert(l, true)
+	if l := q.r.LBA + int64(q.next); !cc.c.InsertIfAbsent(l, true) {
+		cc.c.MarkDirty(l)
 	}
 	q.next++
 	q.insert()

@@ -17,6 +17,8 @@ package cache
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -32,11 +34,11 @@ type Config struct {
 
 // Entry describes a cached data block.
 //
-// Entries are recycled: Drop returns a block's entry to the cache's free
-// list and a later Insert reuses it for another block. A pointer from
+// Entries live in a store of fixed chunks that never move, and Drop
+// recycles a block's entry for a later Insert to reuse. A pointer from
 // Lookup, Victim, CleanVictim or Insert is therefore valid only until
-// that block is dropped; callers that need the block past that point keep
-// its LBA, never the pointer.
+// that block is dropped; callers that need the block past that point
+// keep its LBA, never the pointer.
 type Entry struct {
 	LBA       int64
 	Dirty     bool
@@ -45,7 +47,7 @@ type Entry struct {
 	redirtied bool  // written again while the write-back was in flight
 	idleAt    int32 // 1 + index in Cache.idle while Dirty && !Destaging, else 0
 
-	prev, next *Entry // LRU list, most recent at head
+	prev, next int32 // store indices of the LRU neighbours (most recent at head), or none
 }
 
 // Stats counts cache-internal events.
@@ -63,21 +65,40 @@ type Stats struct {
 }
 
 // Cache is a fixed-capacity write-back LRU block cache.
+//
+// Its one index is an open-addressed, linear-probing table from LBA to
+// entry, at most half full and doubled as the cache fills. Deletion
+// shifts the rest of a probe chain back, so the table holds no
+// tombstones. The entries sit in a chunked store and link into the LRU
+// list by store index, so the garbage collector scans no pointer per
+// block.
 type Cache struct {
 	cfg   Config
-	m     map[int64]*Entry
-	head  *Entry // MRU
-	tail  *Entry // LRU
-	used  int    // slots: entries + old shadows + pending parity
-	dirty int    // dirty entries, kept incrementally so DirtyCount is O(1)
+	index []slot // power-of-two length, at most half full
+	shift uint8  // 64 - log2(len(index)): home keeps the hash's top bits
 
-	idle []*Entry // dirty entries with no write-back in flight, unordered
-	free []*Entry // dropped entries awaiting reuse by Insert
-	slab []Entry  // never-used entries, carved off entrySlab at a time
+	store      [][]Entry // chunks of chunkLen entries, the last capped by cfg.Blocks
+	n          int32     // entries ever handed out; store index n is the next new one
+	head, tail int32     // MRU and LRU store indices, or none
+	used       int       // slots: entries + old shadows + pending parity
+	dirty      int       // dirty entries, kept incrementally so DirtyCount is O(1)
+
+	idle []int32 // store indices of dirty entries with no write-back in flight, unordered
+	free []int32 // store indices of dropped entries awaiting reuse by Insert
 
 	parity []PendingParity // the parity spool, sorted by (Disk, Block)
 	S      Stats
 }
+
+// slot is one cell of the index: a cached block and its entry's store
+// index plus one, so the zero slot is empty.
+type slot struct {
+	lba int64
+	ref int32
+}
+
+// none is the store index of no entry.
+const none int32 = -1
 
 // ParityKey identifies a pending parity block by its physical location.
 type ParityKey struct {
@@ -85,16 +106,32 @@ type ParityKey struct {
 	Block int64
 }
 
-// entrySlab is how many entries Insert allocates at once while the cache
-// fills; once it is full, dropped entries are reused instead.
-const entrySlab = 256
+// minIndex is the index's length in a new cache; it doubles whenever an
+// Insert would fill it past half, so a cache pays for the blocks it
+// holds, not for its capacity.
+const minIndex = 16
 
-// New returns an empty cache. It rejects a non-positive capacity.
+// chunkBits sizes the store's chunks: chunkLen entries, 6 KiB, each
+// allocated when the cache first needs one of its entries.
+const (
+	chunkBits = 8
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
+
+// New returns an empty cache. It rejects a non-positive capacity, and one
+// too large for int32 store indices.
 func New(cfg Config) (*Cache, error) {
-	if cfg.Blocks <= 0 {
-		return nil, fmt.Errorf("cache: capacity must be positive, got %d", cfg.Blocks)
+	if cfg.Blocks <= 0 || cfg.Blocks > math.MaxInt32 {
+		return nil, fmt.Errorf("cache: capacity must be in [1, %d], got %d", math.MaxInt32, cfg.Blocks)
 	}
-	return &Cache{cfg: cfg, m: make(map[int64]*Entry)}, nil
+	return &Cache{
+		cfg:   cfg,
+		index: make([]slot, minIndex),
+		shift: uint8(64 - bits.TrailingZeros(minIndex)),
+		head:  none,
+		tail:  none,
+	}, nil
 }
 
 // Capacity returns the slot capacity.
@@ -104,19 +141,92 @@ func (c *Cache) Capacity() int { return c.cfg.Blocks }
 func (c *Cache) Used() int { return c.used }
 
 // Len returns the number of cached data blocks.
-func (c *Cache) Len() int { return len(c.m) }
+func (c *Cache) Len() int { return int(c.n) - len(c.free) }
+
+// at returns the entry at store index x.
+func (c *Cache) at(x int32) *Entry { return &c.store[x>>chunkBits][x&chunkMask] }
 
 // ParityPendingCount returns the number of buffered parity updates.
 func (c *Cache) ParityPendingCount() int { return len(c.parity) }
 
+// hash is the Fibonacci hash of lba. Its top bits pick the block's home
+// in the index, so runs of consecutive blocks spread over the table.
+func hash(lba int64) uint64 { return uint64(lba) * 0x9e3779b97f4a7c15 }
+
+// home is lba's preferred index position.
+func (c *Cache) home(lba int64) int { return int(hash(lba) >> c.shift) }
+
+// probe returns the index position holding lba and true, or the empty
+// position where lba would go and false.
+func (c *Cache) probe(lba int64) (int, bool) {
+	mask := len(c.index) - 1
+	for i := c.home(lba); ; i = (i + 1) & mask {
+		s := &c.index[i]
+		if s.ref == 0 {
+			return i, false
+		}
+		if s.lba == lba {
+			return i, true
+		}
+	}
+}
+
+// find returns lba's store index, or none.
+func (c *Cache) find(lba int64) int32 {
+	i, ok := c.probe(lba)
+	if !ok {
+		return none
+	}
+	return c.index[i].ref - 1
+}
+
+// grow doubles the index and re-places every block in it.
+func (c *Cache) grow() {
+	old := c.index
+	c.index = make([]slot, 2*len(old))
+	c.shift--
+	mask := len(c.index) - 1
+	for _, s := range old {
+		if s.ref == 0 {
+			continue
+		}
+		i := c.home(s.lba)
+		for c.index[i].ref != 0 {
+			i = (i + 1) & mask
+		}
+		c.index[i] = s
+	}
+}
+
+// unindex empties index position i and shifts back each later block of
+// its probe chain that may move into the hole, so every block stays
+// reachable from its home without crossing an empty position.
+func (c *Cache) unindex(i int) {
+	mask := len(c.index) - 1
+	for j := (i + 1) & mask; c.index[j].ref != 0; j = (j + 1) & mask {
+		// The block at j may fill the hole at i only if i lies between
+		// its home and j, cyclically.
+		if (j-c.home(c.index[j].lba))&mask >= (j-i)&mask {
+			c.index[i] = c.index[j]
+			i = j
+		}
+	}
+	c.index[i] = slot{}
+}
+
 // Contains reports whether lba is cached, without touching LRU order.
 func (c *Cache) Contains(lba int64) bool {
-	_, ok := c.m[lba]
+	_, ok := c.probe(lba)
 	return ok
 }
 
-// Lookup returns the entry for lba without touching LRU order.
-func (c *Cache) Lookup(lba int64) *Entry { return c.m[lba] }
+// Lookup returns the entry for lba without touching LRU order, or nil.
+func (c *Cache) Lookup(lba int64) *Entry {
+	if x := c.find(lba); x != none {
+		return c.at(x)
+	}
+	return nil
+}
 
 func (c *Cache) bumpUsed(delta int) {
 	c.used += delta
@@ -131,60 +241,61 @@ func (c *Cache) bumpUsed(delta int) {
 	}
 }
 
-func (c *Cache) unlink(e *Entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (c *Cache) unlink(x int32) {
+	e := c.at(x)
+	if e.prev != none {
+		c.at(e.prev).next = e.next
 	} else {
 		c.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != none {
+		c.at(e.next).prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.prev, e.next = none, none
 }
 
-// idleAdd adds e to the idle-dirty set. Callers invoke it on every
+func (c *Cache) pushFront(x int32) {
+	e := c.at(x)
+	e.next = c.head
+	e.prev = none
+	if c.head != none {
+		c.at(c.head).prev = x
+	}
+	c.head = x
+	if c.tail == none {
+		c.tail = x
+	}
+}
+
+// idleAdd adds entry x to the idle-dirty set. Callers invoke it on every
 // transition into Dirty && !Destaging.
-func (c *Cache) idleAdd(e *Entry) {
-	c.idle = append(c.idle, e)
-	e.idleAt = int32(len(c.idle))
+func (c *Cache) idleAdd(x int32) {
+	c.idle = append(c.idle, x)
+	c.at(x).idleAt = int32(len(c.idle))
 }
 
-// idleRemove removes e from the idle-dirty set by moving the last member
-// into its slot. Callers invoke it on every transition out of
+// idleRemove removes entry x from the idle-dirty set by moving the last
+// member into its place. Callers invoke it on every transition out of
 // Dirty && !Destaging.
-func (c *Cache) idleRemove(e *Entry) {
-	i, last := int(e.idleAt)-1, len(c.idle)-1
+func (c *Cache) idleRemove(x int32) {
+	i, last := int(c.at(x).idleAt)-1, len(c.idle)-1
 	moved := c.idle[last]
 	c.idle[i] = moved
-	moved.idleAt = int32(i + 1)
-	c.idle[last] = nil
+	c.at(moved).idleAt = int32(i + 1)
 	c.idle = c.idle[:last]
-	e.idleAt = 0
-}
-
-func (c *Cache) pushFront(e *Entry) {
-	e.next = c.head
-	e.prev = nil
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
+	c.at(x).idleAt = 0
 }
 
 // Touch moves lba to MRU if present and reports whether it was cached.
 func (c *Cache) Touch(lba int64) bool {
-	e, ok := c.m[lba]
-	if !ok {
+	x := c.find(lba)
+	if x == none {
 		return false
 	}
-	c.unlink(e)
-	c.pushFront(e)
+	c.unlink(x)
+	c.pushFront(x)
 	return true
 }
 
@@ -194,22 +305,23 @@ func (c *Cache) Touch(lba int64) bool {
 // block, a shadow slot for the old image is captured when KeepOldData is
 // set and space allows; destage uses it to avoid re-reading old data.
 func (c *Cache) MarkDirty(lba int64) bool {
-	e, ok := c.m[lba]
-	if !ok {
+	x := c.find(lba)
+	if x == none {
 		return false
 	}
+	e := c.at(x)
 	if e.Destaging {
 		// Written again while its write-back is in flight: it must stay
 		// dirty when the write-back lands.
 		e.redirtied = true
 		e.Dirty = true
-		c.unlink(e)
-		c.pushFront(e)
+		c.unlink(x)
+		c.pushFront(x)
 		return true
 	}
 	if !e.Dirty {
 		c.dirty++
-		c.idleAdd(e)
+		c.idleAdd(x)
 	}
 	if !e.Dirty && c.cfg.KeepOldData && !e.HasOld {
 		if c.used < c.cfg.Blocks {
@@ -221,8 +333,8 @@ func (c *Cache) MarkDirty(lba int64) bool {
 		}
 	}
 	e.Dirty = true
-	c.unlink(e)
-	c.pushFront(e)
+	c.unlink(x)
+	c.pushFront(x)
 	return true
 }
 
@@ -230,40 +342,65 @@ func (c *Cache) MarkDirty(lba int64) bool {
 func (c *Cache) FreeSlots() int { return c.cfg.Blocks - c.used }
 
 // Insert adds an uncached block at MRU. The caller must have made room
-// (FreeSlots() > 0); inserting over capacity panics.
+// (FreeSlots() > 0); inserting over capacity or inserting a cached block
+// panics.
 func (c *Cache) Insert(lba int64, dirty bool) *Entry {
-	if _, ok := c.m[lba]; ok {
+	i, ok := c.probe(lba)
+	if ok {
 		panic(fmt.Sprintf("cache: duplicate insert of block %d", lba))
 	}
+	return c.at(c.insertAt(i, lba, dirty))
+}
+
+// InsertIfAbsent inserts an uncached block at MRU as Insert does, in the
+// same probe that finds it absent, and reports whether it did; a cached
+// block is left alone.
+func (c *Cache) InsertIfAbsent(lba int64, dirty bool) bool {
+	i, ok := c.probe(lba)
+	if ok {
+		return false
+	}
+	c.insertAt(i, lba, dirty)
+	return true
+}
+
+// insertAt caches the absent block lba, whose probe ended at the empty
+// index position i, and returns its store index.
+func (c *Cache) insertAt(i int, lba int64, dirty bool) int32 {
 	c.bumpUsed(1)
-	var e *Entry
+	if 2*(c.Len()+1) > len(c.index) {
+		c.grow()
+		i, _ = c.probe(lba)
+	}
+	var x int32
 	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free[n-1] = nil
+		x = c.free[n-1]
 		c.free = c.free[:n-1]
 	} else {
-		if len(c.slab) == 0 {
-			c.slab = make([]Entry, min(entrySlab, c.cfg.Blocks))
+		// A new entry: used <= Blocks keeps the live entries, all the
+		// store has handed out here, below the capacity.
+		x = c.n
+		if x&chunkMask == 0 {
+			c.store = append(c.store, make([]Entry, min(chunkLen, c.cfg.Blocks-int(x))))
 		}
-		e = &c.slab[0]
-		c.slab = c.slab[1:]
+		c.n++
 	}
-	*e = Entry{LBA: lba, Dirty: dirty}
+	*c.at(x) = Entry{LBA: lba, Dirty: dirty}
 	if dirty {
 		c.dirty++
-		c.idleAdd(e)
+		c.idleAdd(x)
 	}
-	c.m[lba] = e
-	c.pushFront(e)
+	c.index[i] = slot{lba: lba, ref: x + 1}
+	c.pushFront(x)
 	c.S.Inserts++
-	return e
+	return x
 }
 
 // Victim returns the least recently used entry that is not mid-destage,
 // or nil if none qualifies.
 func (c *Cache) Victim() *Entry {
-	for e := c.tail; e != nil; e = e.prev {
-		if !e.Destaging {
+	for x := c.tail; x != none; x = c.at(x).prev {
+		if e := c.at(x); !e.Destaging {
 			return e
 		}
 	}
@@ -273,8 +410,8 @@ func (c *Cache) Victim() *Entry {
 // CleanVictim returns the least recently used clean, not-mid-destage
 // entry, or nil. Dropping it frees a slot without any disk I/O.
 func (c *Cache) CleanVictim() *Entry {
-	for e := c.tail; e != nil; e = e.prev {
-		if !e.Destaging && !e.Dirty {
+	for x := c.tail; x != none; x = c.at(x).prev {
+		if e := c.at(x); !e.Destaging && !e.Dirty {
 			return e
 		}
 	}
@@ -284,16 +421,18 @@ func (c *Cache) CleanVictim() *Entry {
 // Drop removes an entry, releasing its slot and any shadow slot. The
 // entry goes to the free list for a later Insert to reuse.
 func (c *Cache) Drop(lba int64) {
-	e, ok := c.m[lba]
+	i, ok := c.probe(lba)
 	if !ok {
 		panic(fmt.Sprintf("cache: dropping uncached block %d", lba))
 	}
-	c.unlink(e)
-	delete(c.m, lba)
+	x := c.index[i].ref - 1
+	c.unlink(x)
+	c.unindex(i)
+	e := c.at(x)
 	if e.Dirty {
 		c.dirty--
 		if !e.Destaging {
-			c.idleRemove(e)
+			c.idleRemove(x)
 		}
 	}
 	n := 1
@@ -302,7 +441,7 @@ func (c *Cache) Drop(lba int64) {
 	}
 	c.bumpUsed(-n)
 	c.S.Evictions++
-	c.free = append(c.free, e)
+	c.free = append(c.free, x)
 }
 
 // NoteDirtyEviction records that an eviction had to write its victim back
@@ -313,21 +452,22 @@ func (c *Cache) NoteDirtyEviction() { c.S.DirtyEvictions++ }
 // BeginDestage marks a dirty block as having a write-back in flight, so
 // it is not picked as a victim and not re-destaged.
 func (c *Cache) BeginDestage(lba int64) {
-	e, ok := c.m[lba]
-	if !ok || !e.Dirty || e.Destaging {
+	x := c.find(lba)
+	if x == none || !c.at(x).Dirty || c.at(x).Destaging {
 		panic(fmt.Sprintf("cache: BeginDestage of block %d in wrong state", lba))
 	}
-	e.Destaging = true
-	c.idleRemove(e)
+	c.at(x).Destaging = true
+	c.idleRemove(x)
 }
 
 // CompleteDestage marks the write-back done: the block becomes clean and
 // its old-data shadow (if any) is released. The block stays cached.
 func (c *Cache) CompleteDestage(lba int64) {
-	e, ok := c.m[lba]
-	if !ok || !e.Destaging {
+	x := c.find(lba)
+	if x == none || !c.at(x).Destaging {
 		panic(fmt.Sprintf("cache: CompleteDestage of block %d in wrong state", lba))
 	}
+	e := c.at(x)
 	e.Destaging = false
 	if e.redirtied {
 		// The concurrent write keeps the block dirty; its old image is
@@ -335,7 +475,7 @@ func (c *Cache) CompleteDestage(lba int64) {
 		// shadow (if any) is released and the next destage reads old
 		// data from disk.
 		e.redirtied = false
-		c.idleAdd(e)
+		c.idleAdd(x)
 	} else {
 		e.Dirty = false
 		c.dirty--
@@ -353,8 +493,8 @@ func (c *Cache) CompleteDestage(lba int64) {
 // the whole cache, and allocates only when dst must grow.
 func (c *Cache) DirtyNotDestaging(dst []int64) []int64 {
 	n := len(dst)
-	for _, e := range c.idle {
-		dst = append(dst, e.LBA)
+	for _, x := range c.idle {
+		dst = append(dst, c.at(x).LBA)
 	}
 	slices.Sort(dst[n:])
 	return dst

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -266,13 +268,25 @@ func TestAccountingPanics(t *testing.T) {
 	}
 }
 
+// liveEntries returns a copy of every cached block's entry, found
+// through the block index.
+func liveEntries(c *Cache) []Entry {
+	var out []Entry
+	for _, s := range c.index {
+		if s.ref != 0 {
+			out = append(out, *c.at(s.ref - 1))
+		}
+	}
+	return out
+}
+
 // bruteDirtyNotDestaging is the reference for the idle-dirty index: a
 // sorted scan of every entry.
 func bruteDirtyNotDestaging(c *Cache) []int64 {
 	var out []int64
-	for lba, e := range c.m {
+	for _, e := range liveEntries(c) {
 		if e.Dirty && !e.Destaging {
-			out = append(out, lba)
+			out = append(out, e.LBA)
 		}
 	}
 	slices.Sort(out)
@@ -378,7 +392,7 @@ func TestQuickOccupancyInvariant(t *testing.T) {
 				return false
 			}
 			dirty := 0
-			for _, e := range c.m {
+			for _, e := range liveEntries(c) {
 				if e.Dirty {
 					dirty++
 				}
@@ -475,17 +489,21 @@ func TestIndexAllocBudgets(t *testing.T) {
 }
 
 // TestDirtyNotDestagingSkipsEntryMap: the destage query reads only the
-// idle-dirty index. With the entry map hidden, a full-cache walk would
-// find nothing; the index still yields every candidate, in order.
+// idle-dirty index. With the block index and the LRU list hidden and
+// every entry's dirty bit cleared, a whole-cache walk would find nothing;
+// the idle-dirty index still yields every candidate, in order.
 func TestDirtyNotDestagingSkipsEntryMap(t *testing.T) {
 	c := newCache(4096, false)
 	for i := int64(0); i < 4000; i++ {
 		c.Insert(i, i == 3999 || i == 17 || i == 512)
 	}
-	m := c.m
-	c.m = nil
+	index, head, tail := c.index, c.head, c.tail
+	c.index, c.head, c.tail = nil, none, none
+	for x := range c.n {
+		c.at(x).Dirty = false
+	}
 	got := c.DirtyNotDestaging(nil)
-	c.m = m
+	c.index, c.head, c.tail = index, head, tail
 	if want := []int64{17, 512, 3999}; !slices.Equal(got, want) {
 		t.Fatalf("DirtyNotDestaging without the entry map = %v, want %v", got, want)
 	}
@@ -534,5 +552,94 @@ func TestRecycledEntryNeverAliases(t *testing.T) {
 		next++
 	}); n != 0 {
 		t.Errorf("drop+insert allocates %.0f, want 0", n)
+	}
+}
+
+// bytesAllocated returns the heap bytes f allocates, the least of three
+// runs so that an allocation elsewhere in the process cannot inflate it.
+func bytesAllocated(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestCacheAllocBudget pins what the block index and the entry store
+// cost in allocations, which unlike host time are the same on every
+// machine. A cache that holds few blocks must pay for those blocks, not
+// for its capacity: a fleet of short runs each builds caches of 8–64 MB
+// and fills a small part of them.
+func TestCacheAllocBudget(t *testing.T) {
+	// Steady state on a full cache: hits, write hits and the
+	// drop-then-insert of eviction reuse what the fill allocated.
+	c := newCache(4096, true)
+	for l := int64(0); l < 4096; l++ {
+		c.Insert(l, l%3 == 0)
+	}
+	next, hot := int64(4096), int64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Touch(hot)
+		c.MarkDirty(hot + 1)
+		hot = (hot + 7) % next
+		v := c.Victim()
+		if v.Dirty {
+			c.BeginDestage(v.LBA)
+			c.CompleteDestage(v.LBA)
+		}
+		c.Drop(v.LBA)
+		c.Insert(next, next%2 == 0)
+		next++
+	}); n != 0 {
+		t.Errorf("steady-state touch, mark, drop and insert allocate %.1f per op, want 0", n)
+	}
+
+	// A 64 MB cache (16,384 blocks) holding 1,400 blocks: the index
+	// doubles to 4,096 positions and the store takes six 6 KiB chunks,
+	// 168,296 bytes in all. Sized from the capacity instead, they would
+	// take 32,768 16-byte index positions and 16,384 24-byte entries,
+	// 917,504 bytes.
+	const fillBudget = 192 << 10
+	if b := bytesAllocated(func() {
+		c := newCache(16384, true)
+		for l := int64(0); l < 1400; l++ {
+			c.Insert(7*l, false)
+		}
+	}); b > fillBudget {
+		t.Errorf("filling 1,400 of 16,384 blocks allocates %d bytes, want at most %d", b, fillBudget)
+	}
+
+	// Filling a 4,096-block cache takes 32: the cache and its first
+	// index, 9 index doublings (16 to 8,192 positions), 16 store chunks
+	// and 5 growths of the chunk list.
+	const fillAllocs = 36
+	if n := testing.AllocsPerRun(10, func() {
+		c := newCache(4096, true)
+		for l := int64(0); l < 4096; l++ {
+			c.Insert(l, false)
+		}
+	}); n > fillAllocs {
+		t.Errorf("filling a 4,096-block cache takes %.0f allocations, want at most %d", n, fillAllocs)
+	}
+}
+
+// TestNewRejectsCapacity: a capacity must be positive, and its store
+// indices must fit the int32 links.
+func TestNewRejectsCapacity(t *testing.T) {
+	bad := []int{0, -1}
+	if huge := int64(math.MaxInt32) + 1; huge <= math.MaxInt {
+		bad = append(bad, int(huge))
+	}
+	for _, n := range bad {
+		if _, err := New(Config{Blocks: n}); err == nil {
+			t.Errorf("New accepted a capacity of %d blocks", n)
+		}
+	}
+	if _, err := New(Config{Blocks: math.MaxInt32}); err != nil {
+		t.Errorf("New rejected the largest capacity: %v", err)
 	}
 }

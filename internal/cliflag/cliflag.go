@@ -47,13 +47,17 @@ func defErr[T any](b *Binding, newFlag func(string, T, string) *T, name string, 
 	return p
 }
 
-// companion registers a flag that only its key flag's edit reads. Setting
-// it while armed() is false would do nothing, so it is an error naming
-// both flags.
-func companion[T any](b *Binding, newFlag func(string, T, string) *T, name string, value T, usage, key string, armed func() bool) *T {
-	return defErr(b, newFlag, name, value, usage, func(*core.Config, T) error {
+// companion registers a flag that acts only while its key flags arm it:
+// either only the key flag's edit reads it (edit is nil), or its own edit
+// sets a field that nothing reads unless armed() holds. Setting it while
+// armed() is false would do nothing, so it is an error naming the key.
+func companion[T any](b *Binding, newFlag func(string, T, string) *T, name string, value T, usage, key string, armed func() bool, edit func(*core.Config, T)) *T {
+	return defErr(b, newFlag, name, value, usage, func(c *core.Config, v T) error {
 		if !armed() {
 			return fmt.Errorf("cliflag: -%s does nothing without %s", name, key)
+		}
+		if edit != nil {
+			edit(c, v)
 		}
 		return nil
 	})
@@ -105,13 +109,21 @@ func Bind(fs *flag.FlagSet) *Binding {
 		}
 	})
 	failDisk = companion(b, fs.Int, "fail-disk", 0, "physical disk to fail at -fail-at (array-major numbering)",
-		"a positive -fail-at", func() bool { return *failAt > 0 })
-	def(b, fs.Float64, "mttf-hours", 0, "give every drive an exponential lifetime with this mean (0 = no stochastic failures)", func(c *core.Config, v float64) {
+		"a positive -fail-at", func() bool { return *failAt > 0 }, nil)
+	mttf := def(b, fs.Float64, "mttf-hours", 0, "give every drive an exponential lifetime with this mean (0 = no stochastic failures)", func(c *core.Config, v float64) {
 		c.Fault.MTTF = sim.Time(v * 3600 * float64(sim.Second))
 	})
-	def(b, fs.Float64, "sector-error-rate", 0, "per-block probability a media read surfaces a latent sector error", func(c *core.Config, v float64) { c.Fault.SectorErrorRate = v })
+	sectorRate := def(b, fs.Float64, "sector-error-rate", 0, "per-block probability a media read surfaces a latent sector error", func(c *core.Config, v float64) { c.Fault.SectorErrorRate = v })
 	def(b, fs.Duration, "cache-fail-at", 0, "fail the NVRAM cache at this time (0 = never)", func(c *core.Config, v time.Duration) { c.Fault.CacheFailAt = sim.Time(v) })
-	def(b, fs.Uint64, "fault-seed", 0, "seed for the stochastic fault streams", func(c *core.Config, v uint64) { c.Fault.Seed = v })
+	// The seed feeds fault's three stochastic streams: drive lifetimes,
+	// latent sector errors and a sick disk's transient errors.
+	var sickDisk *int
+	var transientRate *float64
+	transient := func() bool { return *sickDisk >= 0 && *transientRate > 0 }
+	companion(b, fs.Uint64, "fault-seed", 0, "seed for the stochastic fault streams",
+		"-mttf-hours, -sector-error-rate or a sick disk's -transient-rate",
+		func() bool { return *mttf > 0 || *sectorRate > 0 || transient() },
+		func(c *core.Config, v uint64) { c.Fault.Seed = v })
 
 	def(b, fs.Duration, "obs-window", 0, "record a windowed time series with this window width (e.g. 1s; 0 = off)", func(c *core.Config, v time.Duration) { c.Obs.Window = sim.Time(v) })
 	def(b, fs.Int, "obs-trace", 0, "keep the newest N observability events for JSONL export (0 = off)", func(c *core.Config, v int) { c.Obs.TraceCap = v })
@@ -120,14 +132,16 @@ func Bind(fs *flag.FlagSet) *Binding {
 
 	def(b, fs.Duration, "deadline", 0, "gold-class response deadline (e.g. 100ms; 0 = off)", func(c *core.Config, v time.Duration) { c.Robust.Deadline = sim.Time(v) })
 	def(b, fs.Duration, "batch-deadline", 0, "batch-class response deadline (0 = use -deadline)", func(c *core.Config, v time.Duration) { c.Robust.BatchDeadline = sim.Time(v) })
-	def(b, fs.Int, "retries", 0, "retry a transient read error up to N times before redundancy fallback", func(c *core.Config, v int) { c.Robust.Retries = v })
+	companion(b, fs.Int, "retries", 0, "retry a transient read error up to N times before redundancy fallback",
+		"-sick-disk >= 0 and a positive -transient-rate", transient,
+		func(c *core.Config, v int) { c.Robust.Retries = v })
 	def(b, fs.Duration, "hedge-after", 0, "hedge mirror reads still unanswered after this delay (0 = off)", func(c *core.Config, v time.Duration) { c.Robust.HedgeAfter = sim.Time(v) })
 	def(b, fs.Float64, "hedge-quantile", 0, "derive the hedge delay from this read-response quantile, e.g. 0.95 (0 = fixed)", func(c *core.Config, v float64) { c.Robust.HedgeQuantile = v })
 	def(b, fs.Int, "shed-queue", 0, "shed batch-class requests while total disk queue depth >= N (0 = off)", func(c *core.Config, v int) { c.Robust.ShedQueue = v })
 
 	var sickAt, sickUntil, hangEvery, hangFor *time.Duration
-	var slowFactor, transientRate *float64
-	sickDisk := def(b, fs.Int, "sick-disk", -1, "physical disk that turns sick (array-major numbering; -1 = none)", func(c *core.Config, v int) {
+	var slowFactor *float64
+	sickDisk = def(b, fs.Int, "sick-disk", -1, "physical disk that turns sick (array-major numbering; -1 = none)", func(c *core.Config, v int) {
 		if v >= 0 {
 			c.Fault.SickDisks = append(c.Fault.SickDisks, fault.SickDisk{
 				Disk:          v,
@@ -142,12 +156,12 @@ func Bind(fs *flag.FlagSet) *Binding {
 	})
 	const sickKey = "-sick-disk >= 0"
 	sick := func() bool { return *sickDisk >= 0 }
-	sickAt = companion(b, fs.Duration, "sick-at", 0, "when the sick disk's symptoms start", sickKey, sick)
-	sickUntil = companion(b, fs.Duration, "sick-until", 0, "when the sickness clears (0 = never)", sickKey, sick)
-	slowFactor = companion(b, fs.Float64, "slow-factor", 0, "sick disk serves this many times slower (<=1 = no slowdown)", sickKey, sick)
-	transientRate = companion(b, fs.Float64, "transient-rate", 0, "per-block probability a sick disk's media pass fails transiently", sickKey, sick)
-	hangEvery = companion(b, fs.Duration, "hang-every", 0, "sick disk freezes at this period (0 = never)", sickKey, sick)
-	hangFor = companion(b, fs.Duration, "hang-for", 0, "duration of each sick-disk freeze", sickKey, sick)
+	sickAt = companion(b, fs.Duration, "sick-at", 0, "when the sick disk's symptoms start", sickKey, sick, nil)
+	sickUntil = companion(b, fs.Duration, "sick-until", 0, "when the sickness clears (0 = never)", sickKey, sick, nil)
+	slowFactor = companion(b, fs.Float64, "slow-factor", 0, "sick disk serves this many times slower (<=1 = no slowdown)", sickKey, sick, nil)
+	transientRate = companion(b, fs.Float64, "transient-rate", 0, "per-block probability a sick disk's media pass fails transiently", sickKey, sick, nil)
+	hangEvery = companion(b, fs.Duration, "hang-every", 0, "sick disk freezes at this period (0 = never)", sickKey, sick, nil)
+	hangFor = companion(b, fs.Duration, "hang-for", 0, "duration of each sick-disk freeze", sickKey, sick, nil)
 	return b
 }
 

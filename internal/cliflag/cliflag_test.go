@@ -128,6 +128,14 @@ func TestBadValues(t *testing.T) {
 		{[]string{"-slow-factor", "4"}, "-slow-factor does nothing without -sick-disk >= 0"},
 		{[]string{"-transient-rate", "0.1"}, "-transient-rate does nothing without -sick-disk >= 0"},
 		{[]string{"-hang-every", "3s"}, "-hang-every does nothing without -sick-disk >= 0"},
+		// The fault seed needs a stochastic stream to seed, and retries
+		// need transient errors to retry.
+		{[]string{"-fault-seed", "5"}, "-fault-seed does nothing without -mttf-hours, -sector-error-rate or a sick disk's -transient-rate"},
+		{[]string{"-fault-seed", "5", "-sick-disk", "2", "-slow-factor", "4"}, "-fault-seed does nothing without"},
+		{[]string{"-fault-seed", "5", "-mttf-hours", "0"}, "-fault-seed does nothing without"},
+		{[]string{"-retries", "2"}, "-retries does nothing without -sick-disk >= 0 and a positive -transient-rate"},
+		{[]string{"-retries", "2", "-sick-disk", "2", "-slow-factor", "4"}, "-retries does nothing without"},
+		{[]string{"-retries", "2", "-sector-error-rate", "0.01"}, "-retries does nothing without"},
 		// A setting the organization does not read names the flag, the
 		// organization and the field.
 		{[]string{"-org", "base", "-sync", "rf"}, "cliflag: -sync: core: base does not read Sync"},
@@ -213,10 +221,10 @@ func TestFlagVocabulary(t *testing.T) {
 
 // TestEachFlagEdits sets every shared flag to a non-default value and
 // checks that the resulting config is the raid5 default with exactly the
-// edit that flag owns. Companion flags (-fail-disk, the -sick-* group)
-// ride with the flag that arms them, and a flag raid5 does not read rides
-// with -cached or an -org that reads it. Every registered flag must appear
-// first in some row.
+// edit that flag owns. Companion flags (-fail-disk, the -sick-* group,
+// -fault-seed, -retries) ride with the flags that arm them, and a flag
+// raid5 does not read rides with -cached or an -org that reads it. Every
+// registered flag must appear first in some row.
 func TestEachFlagEdits(t *testing.T) {
 	ms := func(d sim.Time) sim.Time { return d * sim.Millisecond }
 	rows := []struct {
@@ -251,7 +259,16 @@ func TestEachFlagEdits(t *testing.T) {
 		{[]string{"-mttf-hours", "0.5"}, func(c *core.Config) { c.Fault.MTTF = 1800 * sim.Second }},
 		{[]string{"-sector-error-rate", "0.01"}, func(c *core.Config) { c.Fault.SectorErrorRate = 0.01 }},
 		{[]string{"-cached", "-cache-fail-at", "5s"}, func(c *core.Config) { c.Cached, c.Fault.CacheFailAt = true, 5*sim.Second }},
-		{[]string{"-fault-seed", "11"}, func(c *core.Config) { c.Fault.Seed = 11 }},
+		{[]string{"-fault-seed", "11", "-mttf-hours", "0.5"}, func(c *core.Config) {
+			c.Fault.Seed, c.Fault.MTTF = 11, 1800*sim.Second
+		}},
+		{[]string{"-fault-seed", "12", "-sector-error-rate", "0.01"}, func(c *core.Config) {
+			c.Fault.Seed, c.Fault.SectorErrorRate = 12, 0.01
+		}},
+		{[]string{"-fault-seed", "13", "-sick-disk", "1", "-transient-rate", "0.2"}, func(c *core.Config) {
+			c.Fault.Seed = 13
+			c.Fault.SickDisks = append(c.Fault.SickDisks, fault.SickDisk{Disk: 1, TransientRate: 0.2})
+		}},
 
 		{[]string{"-obs-window", "250ms"}, func(c *core.Config) { c.Obs.Window = ms(250) }},
 		{[]string{"-obs-trace", "64"}, func(c *core.Config) { c.Obs.TraceCap = 64 }},
@@ -260,7 +277,10 @@ func TestEachFlagEdits(t *testing.T) {
 
 		{[]string{"-deadline", "100ms"}, func(c *core.Config) { c.Robust.Deadline = ms(100) }},
 		{[]string{"-batch-deadline", "2s"}, func(c *core.Config) { c.Robust.BatchDeadline = 2 * sim.Second }},
-		{[]string{"-retries", "3"}, func(c *core.Config) { c.Robust.Retries = 3 }},
+		{[]string{"-retries", "3", "-sick-disk", "1", "-transient-rate", "0.2"}, func(c *core.Config) {
+			c.Robust.Retries = 3
+			c.Fault.SickDisks = append(c.Fault.SickDisks, fault.SickDisk{Disk: 1, TransientRate: 0.2})
+		}},
 		{[]string{"-org", "mirror", "-hedge-after", "20ms"}, func(c *core.Config) {
 			*c = core.DefaultConfig(array.OrgMirror)
 			c.Robust.HedgeAfter = ms(20)

@@ -14,7 +14,8 @@ import (
 // same read-only trace, must give the same results, or results that
 // differ only as the row states. The trace is examples/workloads/
 // oltp-single.json with its write fraction set to 0, at a fifth of its
-// length, on one RAID5 array of 10 data disks.
+// length, on one RAID5 array of 10 data disks. A last relation orders
+// runs instead: LRU inclusion.
 func TestMetamorphicRelations(t *testing.T) {
 	spec, err := workload.LoadSpec("examples/workloads/oltp-single.json")
 	if err != nil {
@@ -83,4 +84,32 @@ func TestMetamorphicRelations(t *testing.T) {
 			}
 		})
 	}
+	t.Run("read hits never fall as the cache grows", func(t *testing.T) {
+		// LRU inclusion: a larger LRU cache holds every block a smaller
+		// one holds, so on a trace with no writes (and no reads issued
+		// ahead of them) it hits at least as often. Without writes
+		// nothing is dirty and no eviction waits on a write-back, so the cache
+		// sees the same reference string at every size.
+		spec.Clients[0].ReadBeforeWriteProb = 0
+		tr, err := spec.Scaled(0.2).Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := int64(-1)
+		for _, mb := range []int{1, 2, 4, 8, 16, 32, 64} {
+			cfg := base
+			cfg.Cached, cfg.CacheMB = true, mb
+			res, err := core.Run(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ReadMisses == 0 || res.WriteHits+res.WriteMisses != 0 {
+				t.Fatalf("%d MB: %d read misses, %d writes; want a read-only run that misses", mb, res.ReadMisses, res.WriteHits+res.WriteMisses)
+			}
+			if res.ReadHits < prev {
+				t.Errorf("%d MB cache: %d read hits, fewer than the %d of half its size", mb, res.ReadHits, prev)
+			}
+			prev = res.ReadHits
+		}
+	})
 }
