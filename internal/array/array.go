@@ -287,6 +287,11 @@ type Controller interface {
 	Drained() bool
 	// Results snapshots statistics; call after the engine has drained.
 	Results() *Results
+	// Release hands the controller's reusable buffers back for a later
+	// controller to recycle. Call it after Results, when the engine will
+	// run none of the controller's events again (before a Reset); the
+	// controller must not be used afterwards.
+	Release()
 }
 
 // New builds the controller the config describes: the organization's

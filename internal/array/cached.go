@@ -87,6 +87,14 @@ func (cc *cachedCtrl) Results() *Results {
 	return r
 }
 
+// Release implements Controller: the live cache goes back for cache.New
+// to recycle. A module that cacheFailed swapped out is never released;
+// it is left to the garbage collector with whatever state it died in.
+func (cc *cachedCtrl) Release() {
+	cc.c.Release()
+	cc.c = nil
+}
+
 // destageChunk bounds how many blocks one write-back batch may carry, so
 // a large destage neither seizes the whole track-buffer pool nor floods
 // the disk queues at once.

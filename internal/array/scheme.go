@@ -66,6 +66,10 @@ type schemeCtrl struct {
 // Results implements Controller.
 func (sc *schemeCtrl) Results() *Results { return sc.baseResults() }
 
+// Release implements Controller; the non-cached controller keeps nothing
+// worth recycling.
+func (sc *schemeCtrl) Release() {}
+
 // Submit implements Controller.
 func (sc *schemeCtrl) Submit(r Request) {
 	sc.checkRequest(r)

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Config sizes and configures a cache.
@@ -72,12 +73,21 @@ type Stats struct {
 // tombstones. The entries sit in a chunked store and link into the LRU
 // list by store index, so the garbage collector scans no pointer per
 // block.
+//
+// Release hands a cache back for New to recycle. A recycled cache keeps
+// its index buffers and its full store chunks, and starts again from the
+// minIndex buffer, so it fills and grows exactly as a new one does.
 type Cache struct {
 	cfg   Config
 	index []slot // power-of-two length, at most half full
 	shift uint8  // 64 - log2(len(index)): home keeps the hash's top bits
 
+	// indexes[k] is the index buffer of length minIndex<<k, nil until
+	// this cache first grows that far; index is one of them.
+	indexes [maxIndexes][]slot
+
 	store      [][]Entry // chunks of chunkLen entries, the last capped by cfg.Blocks
+	spare      [][]Entry // full chunks kept from before the last Release, for reuse
 	n          int32     // entries ever handed out; store index n is the next new one
 	head, tail int32     // MRU and LRU store indices, or none
 	used       int       // slots: entries + old shadows + pending parity
@@ -106,10 +116,14 @@ type ParityKey struct {
 	Block int64
 }
 
-// minIndex is the index's length in a new cache; it doubles whenever an
-// Insert would fill it past half, so a cache pays for the blocks it
-// holds, not for its capacity.
+// minIndex is the index's length in a new or recycled cache; it doubles
+// whenever an Insert would fill it past half, so a cache pays for the
+// blocks it holds, not for its capacity.
 const minIndex = 16
+
+// maxIndexes bounds the index's doublings: minIndex<<28 = 2^32
+// positions hold math.MaxInt32 blocks at most half full.
+const maxIndexes = 29
 
 // chunkBits sizes the store's chunks: chunkLen entries, 6 KiB, each
 // allocated when the cache first needs one of its entries.
@@ -119,19 +133,74 @@ const (
 	chunkMask = chunkLen - 1
 )
 
-// New returns an empty cache. It rejects a non-positive capacity, and one
-// too large for int32 store indices.
+// released holds caches handed back by Release for New to recycle. An
+// item survives one garbage collection in it, not two, so it keeps alive
+// only caches released since the last two collections.
+var released = sync.Pool{New: func() any { return new(Cache) }}
+
+// New returns an empty cache, recycling a released one when it can. It
+// rejects a non-positive capacity, and one too large for int32 store
+// indices.
 func New(cfg Config) (*Cache, error) {
 	if cfg.Blocks <= 0 || cfg.Blocks > math.MaxInt32 {
 		return nil, fmt.Errorf("cache: capacity must be in [1, %d], got %d", math.MaxInt32, cfg.Blocks)
 	}
-	return &Cache{
-		cfg:   cfg,
-		index: make([]slot, minIndex),
-		shift: uint8(64 - bits.TrailingZeros(minIndex)),
-		head:  none,
-		tail:  none,
-	}, nil
+	c := released.Get().(*Cache)
+	c.reset(cfg)
+	return c, nil
+}
+
+// Release hands c back for a later New to recycle, buffers and all. The
+// caller must not use c, or any Entry it returned, afterwards.
+func (c *Cache) Release() { released.Put(c) }
+
+// reset empties c for a cache of cfg, keeping its index buffers, its
+// full store chunks and its slices' capacity.
+func (c *Cache) reset(cfg Config) {
+	for _, ch := range c.store {
+		if len(ch) == chunkLen {
+			c.spare = append(c.spare, ch)
+		}
+	}
+	clear(c.store)
+	*c = Cache{
+		cfg:     cfg,
+		indexes: c.indexes,
+		store:   c.store[:0],
+		spare:   c.spare,
+		head:    none,
+		tail:    none,
+		idle:    c.idle[:0],
+		free:    c.free[:0],
+		parity:  c.parity[:0],
+	}
+	c.useIndex(0)
+}
+
+// useIndex makes the empty buffer of length minIndex<<k the index,
+// allocating it the first time this cache grows that far.
+func (c *Cache) useIndex(k int) {
+	if c.indexes[k] == nil {
+		c.indexes[k] = make([]slot, minIndex<<k)
+	} else {
+		clear(c.indexes[k])
+	}
+	c.index = c.indexes[k]
+	c.shift = uint8(64 - bits.TrailingZeros(uint(len(c.index))))
+}
+
+// chunk returns a store chunk of n entries: a spare one when n is a full
+// chunk and one is kept, else a new one. A reused chunk's stale entries
+// are never read: insertAt overwrites each entry it hands out.
+func (c *Cache) chunk(n int) []Entry {
+	k := len(c.spare) - 1
+	if n != chunkLen || k < 0 {
+		return make([]Entry, n)
+	}
+	ch := c.spare[k]
+	c.spare[k] = nil
+	c.spare = c.spare[:k]
+	return ch
 }
 
 // Capacity returns the slot capacity.
@@ -183,8 +252,7 @@ func (c *Cache) find(lba int64) int32 {
 // grow doubles the index and re-places every block in it.
 func (c *Cache) grow() {
 	old := c.index
-	c.index = make([]slot, 2*len(old))
-	c.shift--
+	c.useIndex(bits.TrailingZeros(uint(len(old)/minIndex)) + 1)
 	mask := len(c.index) - 1
 	for _, s := range old {
 		if s.ref == 0 {
@@ -381,7 +449,7 @@ func (c *Cache) insertAt(i int, lba int64, dirty bool) int32 {
 		// store has handed out here, below the capacity.
 		x = c.n
 		if x&chunkMask == 0 {
-			c.store = append(c.store, make([]Entry, min(chunkLen, c.cfg.Blocks-int(x))))
+			c.store = append(c.store, c.chunk(min(chunkLen, c.cfg.Blocks-int(x))))
 		}
 		c.n++
 	}

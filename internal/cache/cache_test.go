@@ -627,6 +627,43 @@ func TestCacheAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRecycledCacheGrowsAsNew: a cache reset for a smaller capacity
+// reuses its full store chunks, and fills and grows its index exactly as
+// a new cache does, position for position.
+func TestRecycledCacheGrowsAsNew(t *testing.T) {
+	c := newCache(1000, true)
+	for l := int64(0); l < 600; l++ {
+		c.Insert(3*l, l%2 == 0)
+	}
+	kept := map[*Entry]bool{}
+	for _, ch := range c.store {
+		if len(ch) == chunkLen {
+			kept[&ch[0]] = true
+		}
+	}
+	cfg := Config{Blocks: 300, KeepOldData: false}
+	c.reset(cfg)
+	fresh := new(Cache)
+	fresh.reset(cfg)
+	if c.Len() != 0 || c.Used() != 0 || c.S != (Stats{}) || len(c.index) != minIndex {
+		t.Fatalf("reset cache: len %d, used %d, stats %+v, index %d", c.Len(), c.Used(), c.S, len(c.index))
+	}
+	for l := int64(0); l < 300; l++ {
+		c.Insert(5*l, l%3 == 0)
+		fresh.Insert(5*l, l%3 == 0)
+		if !slices.Equal(c.index, fresh.index) {
+			t.Fatalf("after %d inserts the recycled index differs from a new cache's", l+1)
+		}
+		checkIndex(t, c)
+	}
+	if !kept[&c.store[0][0]] || len(c.store[1]) != 300-chunkLen {
+		t.Errorf("recycled store did not reuse a full chunk, or sized its last one %d", len(c.store[1]))
+	}
+	if got, want := lruOrder(t, c), lruOrder(t, fresh); !slices.Equal(got, want) {
+		t.Errorf("LRU order %v, want %v", got, want)
+	}
+}
+
 // TestNewRejectsCapacity: a capacity must be positive, and its store
 // indices must fit the int32 links.
 func TestNewRejectsCapacity(t *testing.T) {

@@ -566,7 +566,9 @@ func compareToRef(t testing.TB, step int, c *Cache, r *refCache, from ParityKey)
 // capacity (1–48 blocks) and whether old data is kept; each later pair is
 // an op and its argument, which picks a pool block or a parity key.
 // An insert into a full cache evicts the LRU victim first, or failing
-// that releases a pending parity block. Every op runs
+// that releases a pending parity block. One op releases the cache and
+// takes a new one, with a capacity its argument picks, from New: the
+// recycled cache must match a new reference from then on. Every op runs
 // on both caches, including ops that panic: which ones do is compared
 // too. Both caches carry on after a panic that leaves them intact (a
 // duplicate insert, a drop or destage in the wrong state); the run ends
@@ -588,7 +590,7 @@ func runAgainstRef(t testing.TB, data []byte) {
 		dirty := arg&0x80 != 0
 		key := ParityKey{Disk: int(arg>>5) & 1, Block: int64(arg & 0x1f)}
 		var gotPanic, wantPanic bool
-		if op%12 <= 1 && r.FreeSlots() == 0 {
+		if op%13 <= 1 && r.FreeSlots() == 0 {
 			// An insert into a full cache first evicts, as the
 			// controllers do, so runs stay long.
 			if v := r.Victim(); v != nil {
@@ -600,7 +602,7 @@ func runAgainstRef(t testing.TB, data []byte) {
 				r.RemoveParityPending(p.Key)
 			}
 		}
-		switch op % 12 {
+		switch op % 13 {
 		case 0:
 			gotPanic = panics(func() { c.Insert(lba, dirty) })
 			wantPanic = panics(func() { r.Insert(lba, dirty) })
@@ -646,9 +648,16 @@ func runAgainstRef(t testing.TB, data []byte) {
 		case 11:
 			c.NoteDirtyEviction()
 			r.NoteDirtyEviction()
+		case 12:
+			cfg = Config{Blocks: 1 + int(arg>>1)%48, KeepOldData: arg&1 == 1}
+			c.Release()
+			c = mustNew(cfg)
+			if r, err = newRef(cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if gotPanic != wantPanic {
-			t.Fatalf("op %d (%d on block %d): panicked %v, reference %v", step, op%12, lba, gotPanic, wantPanic)
+			t.Fatalf("op %d (%d on block %d): panicked %v, reference %v", step, op%13, lba, gotPanic, wantPanic)
 		}
 		if wantPanic && r.Used() > r.Capacity() {
 			// An insert over capacity breaks the occupancy bound every
@@ -678,6 +687,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add([]byte{0x21, 0, 0, 0, 1, 0, 2, 4, 0, 6, 1})
 	f.Add([]byte{0x0a, 0, 0x80, 0, 0x81, 0, 0x82, 7, 0, 3, 1, 8, 0, 4, 0, 9, 0x45, 10, 0x05})
 	f.Add([]byte{0x07, 1, 16, 1, 17, 1, 0, 1, 18, 6, 16, 2, 18, 5, 0})
+	f.Add([]byte{0x21, 0, 0x80, 0, 1, 7, 0, 12, 0x14, 0, 2, 1, 0x80, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { runAgainstRef(t, data) })
 }
 

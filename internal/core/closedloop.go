@@ -61,7 +61,7 @@ func RunClosedLoop(cfg Config, tr *trace.Trace, cl ClosedLoopConfig) (*ClosedLoo
 // think-time delays go through the engine's Call free list, so
 // admission allocates nothing per request.
 type closedFeeder struct {
-	feeder
+	*feeder
 	eng      *sim.Engine
 	think    sim.Time
 	next     int // index of the next record to submit
@@ -98,6 +98,7 @@ func (cl ClosedLoopConfig) drive(eng *sim.Engine, ctrl array.Controller, sub *tr
 		eng:    eng,
 		think:  cl.ThinkTime,
 	}
+	defer f.release()
 	f.complete = f.onComplete
 	for i := 0; i < cl.MPL && i < sub.Len(); i++ {
 		f.submitNext()

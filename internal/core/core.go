@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"raidsim/internal/array"
@@ -116,6 +117,13 @@ func (c Config) Validate() error {
 	}
 	if err := c.Fault.Validate(); err != nil {
 		return err
+	}
+	// Retries act only on transient read errors, which only a sick disk
+	// with a positive TransientRate raises. (Fault.Seed without a
+	// stochastic stream is rejected by cliflag alone: callers that seed
+	// every run, such as the benchmark, set it regardless.)
+	if c.Robust.Retries > 0 && !slices.ContainsFunc(c.Fault.SickDisks, func(s fault.SickDisk) bool { return s.TransientRate > 0 }) {
+		return fmt.Errorf("core: Robust.Retries does nothing without a sick disk with a positive TransientRate")
 	}
 	return c.Unread(Config{})
 }

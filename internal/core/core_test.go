@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"raidsim/internal/array"
+	"raidsim/internal/fault"
 	"raidsim/internal/geom"
 	"raidsim/internal/sim"
 	"raidsim/internal/trace"
@@ -25,9 +26,20 @@ func TestConfigValidate(t *testing.T) {
 	if wide.arrays() != 1 || wide.PhysicalDisks() != 21 {
 		t.Errorf("wide array: %d arrays, %d disks", wide.arrays(), wide.PhysicalDisks())
 	}
+	// Retries need a sick disk with transient errors to retry.
+	retries := Config{Org: array.OrgRAID5, DataDisks: 10, N: 5, Spec: geom.Default(), Robust: array.RobustConfig{Retries: 2}}
+	slow := retries
+	slow.Fault.SickDisks = []fault.SickDisk{{Disk: 1, SlowFactor: 4}}
+	flaky := retries
+	flaky.Fault.SickDisks = []fault.SickDisk{{Disk: 1, SlowFactor: 4}, {Disk: 3, TransientRate: 0.1}}
+	if err := flaky.Validate(); err != nil {
+		t.Errorf("retries with a flaky sick disk rejected: %v", err)
+	}
 	bad := []Config{
 		{Org: array.OrgBase, DataDisks: 0, N: 5, Spec: geom.Default()},
 		{Org: array.OrgBase, DataDisks: 10, N: 1, Spec: geom.Default()},
+		retries,
+		slow,
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

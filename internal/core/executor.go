@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"raidsim/internal/array"
 	"raidsim/internal/campaign/shard"
@@ -21,10 +22,11 @@ type driveFunc func(eng *sim.Engine, ctrl array.Controller, sub *trace.Group) (s
 // against tr, partitions the trace into per-array group views
 // (trace.Groups: an index of record positions, no copy of the records),
 // and runs the arrays on shard.MapStats with min(Workers, arrays)
-// workers. Each worker creates one engine the first time it claims an
-// array and keeps it for the whole run: it builds array g's controller
-// on that engine, lets drive replay the group, and Resets the engine
-// before its next array.
+// workers. Each worker takes one engine from idleEngines the first time
+// it claims an array and keeps it for the whole run: it builds array g's
+// controller on that engine, lets drive replay the group, releases the
+// controller after taking its Results, and Resets the engine before its
+// next array. The engines go back to idleEngines when the run ends.
 // Every output lands in a slot addressed by g and is folded in index
 // order afterwards, so results are bit-identical at any worker count:
 // arrays share nothing but the workload, which they only read, every
@@ -82,6 +84,7 @@ func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) 
 			return
 		}
 		parts[g], events[g] = ctrl.Results(), eng.Steps()-steps0
+		ctrl.Release()
 		if m != nil {
 			meters[g] = m.Stop()
 		}
@@ -90,11 +93,16 @@ func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) 
 	engines := make([]*sim.Engine, shard.Workers(cfg.Workers, n))
 	shard.MapStats(cfg.Workers, n, func(w, g int) {
 		if engines[w] == nil {
-			engines[w] = sim.New()
+			engines[w] = idleEngines.Get().(*sim.Engine)
 		}
 		runArray(engines[w], g)
 		engines[w].Reset()
 	})
+	for _, eng := range engines {
+		if eng != nil {
+			idleEngines.Put(eng)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
@@ -108,6 +116,12 @@ func execute(ctx context.Context, cfg Config, tr *trace.Trace, drive driveFunc) 
 	return out, ends, nil
 }
 
+// idleEngines holds reset worker engines between runs. Each keeps its
+// heap slab and Call free list, so a campaign of short runs schedules on
+// warm engines instead of growing new ones run after run; the garbage
+// collector empties the pool.
+var idleEngines = sync.Pool{New: func() any { return sim.New() }}
+
 // drainGrace bounds how long past the last arrival an array may take to
 // finish in-flight work before the run is declared wedged. Generous: a
 // severely overloaded trace-speed-2 run needs time to empty its queues.
@@ -116,14 +130,15 @@ const drainGrace = 3600 * sim.Second
 // feedWindow is how many records a feeder copies out of the parent
 // trace at a time. Reading one record at a time through the group's
 // index puts a dependent cache miss inside the event loop; a batched
-// Group.Fill lets those misses overlap. 256 records are 8 KB per array.
+// Group.Fill lets those misses overlap. 256 records are 8 KB per feeder.
 const feedWindow = 256
 
 // feeder submits one array's trace records to its controller. The open
 // loop chains its records through feedStep; the closed loop's
 // closedFeeder embeds it. Both read the group's records in order, so
 // the window only ever moves forward: it holds records [lo, hi) and
-// refills from the cursor once the cursor passes hi.
+// refills from the cursor once the cursor passes hi. Feeders come from
+// idleFeeders and go back to it when their array's replay ends.
 type feeder struct {
 	ctrl   array.Controller
 	sub    *trace.Group
@@ -132,8 +147,24 @@ type feeder struct {
 	win    [feedWindow]trace.Record
 }
 
-func newFeeder(ctrl array.Controller, sub *trace.Group) feeder {
-	return feeder{ctrl: ctrl, sub: sub, cap64: ctrl.DataBlocks()}
+// idleFeeders holds feeders between replays, windows and all.
+var idleFeeders = sync.Pool{New: func() any { return new(feeder) }}
+
+// newFeeder takes a feeder for sub's records. An empty window (hi = 0)
+// makes the first record refill it, so a recycled window's stale
+// records are never read.
+func newFeeder(ctrl array.Controller, sub *trace.Group) *feeder {
+	f := idleFeeders.Get().(*feeder)
+	f.ctrl, f.sub, f.cap64 = ctrl, sub, ctrl.DataBlocks()
+	f.lo, f.hi = 0, 0
+	return f
+}
+
+// release hands f back to idleFeeders. An admission event still pending
+// on the engine may name f, but the engine is Reset before it runs again.
+func (f *feeder) release() {
+	f.ctrl, f.sub = nil, nil
+	idleFeeders.Put(f)
 }
 
 // record returns the group's record idx; idx never falls below lo.
@@ -169,12 +200,12 @@ func (f *feeder) submit(idx int, onComplete func()) {
 // feedStep admits open-loop record c.N0 and schedules the next one.
 // Each record is admitted by its own Call-form event whose callback
 // schedules the next record's event, so admission runs entirely through
-// the engine's Call free list: one *feeder allocation per array, zero
-// allocations per record, and on a reused worker engine the chain
-// recycles the previous array's payloads. Same-tick records stay
-// distinct events — the (at, seq) order pins their FIFO admission, and
-// the golden fingerprints pin the per-run event counts — they just share
-// the one free-list slot that hands off from record to record.
+// the engine's Call free list: no allocation per record, and on a
+// reused worker engine the chain recycles the previous array's payloads.
+// Same-tick records stay distinct events — the (at, seq) order pins
+// their FIFO admission, and the golden fingerprints pin the per-run
+// event counts — they just share the one free-list slot that hands off
+// from record to record.
 func feedStep(e *sim.Engine, c *sim.Call) {
 	f := c.A.(*feeder)
 	idx := int(c.N0)
@@ -192,8 +223,9 @@ func feedStep(e *sim.Engine, c *sim.Call) {
 func replayOpen(eng *sim.Engine, ctrl array.Controller, sub *trace.Group) (sim.Time, error) {
 	if sub.Len() > 0 {
 		f := newFeeder(ctrl, sub)
+		defer f.release()
 		c := eng.AtCall(f.record(0).At, feedStep)
-		c.A = &f
+		c.A = f
 		c.N0 = 0
 	}
 	eng.RunUntil(sub.Duration())

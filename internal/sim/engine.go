@@ -12,7 +12,10 @@
 // per-engine free list instead of allocating a fresh closure per event.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Time is a simulation timestamp or duration in nanoseconds.
 type Time = int64
@@ -64,7 +67,20 @@ type event struct {
 
 // Engine is a single-threaded discrete-event scheduler. An Engine must not
 // be shared between goroutines; independent arrays each get their own.
+//
+// An engine's state is padded to 128 bytes, a size class the allocator
+// aligns to 128 bytes, so no other object shares a cache line with it.
+// The state is written on every event, and an engine outlives its run in
+// core's pool of idle engines: a small object that another worker
+// allocates next to it later would otherwise share its line and stall
+// both workers' caches on every event.
 type Engine struct {
+	engineState
+	_ [128 - unsafe.Sizeof(engineState{})]byte
+}
+
+// engineState is an Engine's data, before the padding.
+type engineState struct {
 	now    Time
 	seq    uint64
 	events []event // 4-ary min-heap ordered by (at, seq)
@@ -76,7 +92,7 @@ type Engine struct {
 	// read back through Meter. Pure observation: they schedule nothing
 	// and consume no randomness, so results are bit-identical whether or
 	// not anyone ever looks at them.
-	heapHW     int    // high-water mark of the pending-event heap
+	heapHW     int    // heap high-water since New or the last StartMeter
 	callHits   uint64 // Calls served from the free list
 	callMisses uint64 // Calls that forced a fresh chunk allocation
 }
@@ -93,10 +109,10 @@ func (e *Engine) Now() Time { return e.now }
 // clock at zero, sequence counter at zero, no pending events. The heap
 // slab and the Call free list are kept — pending Call payloads are
 // recycled into the free list — so a worker running many simulations
-// back to back schedules without reallocating. The cumulative
-// self-metric counters (steps, heap high-water, free-list hits) carry
-// across the reset; per-simulation figures come from deltas (Steps
-// before/after, or a Meter spanning the interval).
+// back to back schedules without reallocating. The self-metric counters
+// (steps, heap high-water, free-list hits) carry across the reset;
+// per-simulation figures come from deltas (Steps before/after) or a
+// Meter armed for the simulation, which rebases the high-water mark.
 //
 // Determinism: every scheduling decision an engine makes is a function
 // of (now, seq, heap contents) — a reset engine replays any event

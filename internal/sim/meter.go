@@ -18,9 +18,10 @@ type MeterStats struct {
 	Events uint64 `json:"events"`
 	// WallNS is the host wall-clock nanoseconds the interval covered.
 	WallNS int64 `json:"wall_ns"`
-	// HeapHighWater is the deepest the pending-event heap has ever been
-	// on this engine (cumulative over the engine's life, not the
-	// interval: the high-water mark never resets).
+	// HeapHighWater is the deepest the pending-event heap grew in the
+	// interval: StartMeter rebases the engine's mark to the heap's depth
+	// at that moment, so an engine reused across simulations reports
+	// each one's own peak, not an earlier run's.
 	HeapHighWater int `json:"heap_high_water"`
 	// CallHits counts AtCall/AfterCall payloads served from the free
 	// list; CallMisses counts acquisitions that had to allocate a fresh
@@ -78,9 +79,11 @@ func (m MeterStats) String() string {
 // Meter is an armed measurement interval on one engine. StartMeter
 // captures the baseline; Stop returns the deltas. The engine's hot-path
 // counters (steps, heap high-water, free-list hits) are maintained
-// whether or not a meter is armed — arming only snapshots them — so a
-// metered run executes the same instructions as an unmetered one apart
-// from the two boundary reads.
+// whether or not a meter is armed — arming only snapshots them and
+// rebases the high-water mark — so a metered run executes the same
+// instructions as an unmetered one apart from the boundary reads. One
+// meter at a time per engine: arming a second rebases the first's
+// high-water mark too.
 type Meter struct {
 	eng       *Engine
 	wall      time.Time
@@ -99,6 +102,7 @@ type Meter struct {
 // stops the world, so callers metering thousands of short engines may
 // prefer readMem=false.
 func (e *Engine) StartMeter(readMem bool) *Meter {
+	e.heapHW = len(e.events)
 	m := &Meter{
 		eng:      e,
 		wall:     time.Now(),
@@ -139,8 +143,8 @@ func (m *Meter) Stop() MeterStats {
 	return s
 }
 
-// heapHighWater returns the deepest the pending-event heap has been over
-// the engine's lifetime.
+// heapHighWater returns the deepest the pending-event heap has been
+// since the engine was made or a meter was last armed on it.
 func (e *Engine) heapHighWater() int { return e.heapHW }
 
 // callFreeList returns the cumulative free-list hit and miss counts of

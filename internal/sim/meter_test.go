@@ -67,7 +67,7 @@ func TestMeterCallFreeList(t *testing.T) {
 }
 
 // TestMeterIntervalDeltas checks that a meter armed mid-run sees only its
-// own interval, while the heap high-water stays cumulative.
+// own interval, the heap high-water included.
 func TestMeterIntervalDeltas(t *testing.T) {
 	e := New()
 	for i := 0; i < 10; i++ {
@@ -83,8 +83,29 @@ func TestMeterIntervalDeltas(t *testing.T) {
 	if s.Events != 5 {
 		t.Errorf("metered interval saw %d events, want 5", s.Events)
 	}
-	if s.HeapHighWater != 10 {
-		t.Errorf("heap high-water %d, want cumulative 10", s.HeapHighWater)
+	if s.HeapHighWater != 5 {
+		t.Errorf("heap high-water %d, want the interval's own 5", s.HeapHighWater)
+	}
+}
+
+// TestMeterOnReusedEngine: a meter on an engine Reset after a deeper run
+// reports the shallow run's own high-water, counted from the depth the
+// heap had when the meter was armed.
+func TestMeterOnReusedEngine(t *testing.T) {
+	e := New()
+	for i := 0; i < 40; i++ {
+		e.At(Time(i), func() {})
+	}
+	e.Run()
+	e.Reset()
+	e.At(100, func() {}) // pending when the meter arms
+	m := e.StartMeter(false)
+	for i := 0; i < 3; i++ {
+		e.At(Time(i), func() {})
+	}
+	e.Run()
+	if s := m.Stop(); s.HeapHighWater != 4 {
+		t.Errorf("reused engine: heap high-water %d, want the shallow run's 4", s.HeapHighWater)
 	}
 }
 
