@@ -190,22 +190,22 @@ var equivalenceGolden = map[string]string{
 	"base":       "ev=12000 req=4000 resp=4000/0x1.cfc904b636f94p+05 rd=2856/0x1.bbe0f6d345a1bp+05 wr=1144/0x1.00bdaaf66395ep+06 norm=4000/0x1.cfc904b636f94p+05 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.282f86eb17bbfp+08 held=0 par=0 acc=[76 2059 76 132 695 289 62 147 382 82] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"base+f":     "ev=12001 req=4000 resp=4000/0x1.cfceb5113bb4ep+05 rd=2856/0x1.bbe0f6d345a1bp+05 wr=1144/0x1.00c79d09e039fp+06 norm=4000/0x1.cfceb5113bb4ep+05 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.28343cd589294p+08 held=0 par=0 acc=[76 2059 76 132 695 289 62 147 382 82] fault=1,1,0,1,1,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"base$":      "ev=13216 req=4000 resp=4000/0x1.ff8a794c8be43p+04 rd=2856/0x1.626400c4c4a0bp+05 wr=1144/0x1.32131b6135be9p+00 norm=4000/0x1.ff8a794c8be43p+04 deg=0/0x0p+00 hits=137,2719,296,848 seek=0x1.1e872422c214p+08 held=0 par=0 acc=[77 2012 74 130 691 289 61 144 376 80] fault=0,0,0,0,0,0,0,0,0,0 cache=7229,3531,0,0,2011,0,0,2048",
-	"base$+f":    "ev=13239 req=4000 resp=4000/0x1.028ecf6f5840ep+05 rd=2856/0x1.6645056b2fceep+05 wr=1144/0x1.341123944c3aap+00 norm=4000/0x1.028ecf6f5840ep+05 deg=0/0x0p+00 hits=110,2746,220,924 seek=0x1.1dd20bd20edbfp+08 held=0 par=0 acc=[77 2027 74 130 692 291 61 145 376 81] fault=1,1,0,1,1,0,0,0,0,0 cache=4519,1323,0,0,1183,0,0,2048",
+	"base$+f":    "ev=13239 req=4000 resp=4000/0x1.028ecf6f5840ep+05 rd=2856/0x1.6645056b2fceep+05 wr=1144/0x1.341123944c3aap+00 norm=4000/0x1.028ecf6f5840ep+05 deg=0/0x0p+00 hits=110,2746,220,924 seek=0x1.1dd20bd20edbfp+08 held=0 par=0 acc=[77 2027 74 130 692 291 61 145 376 81] fault=1,1,0,1,1,0,0,0,0,0 cache=7349,1552,0,0,2011,0,0,2048",
 	"mirror":     "ev=13144 req=4000 resp=4000/0x1.4d67fb90374dcp+05 rd=2856/0x1.25d1d4e8e2f03p+05 wr=1144/0x1.b03bed11bb253p+05 norm=4000/0x1.4d67fb90374dcp+05 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.03b5f3bb76232p+08 held=0 par=0 acc=[56 49 1453 1184 54 39 106 62 516 395 222 147 48 33 107 74 269 221 65 44] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"mirror+f":   "ev=22595 req=4000 resp=4000/0x1.50d3737b4cd2p+05 rd=2856/0x1.284ecb6604432p+05 wr=1144/0x1.b5fad312e552bp+05 norm=1473/0x1.0d0b39ec2e1f4p+05 deg=2527/0x1.785624af520c6p+05 hits=0,0,0,0 seek=0x1.c4e133a7498a1p+07 held=0 par=0 acc=[4800 4755 1453 1184 54 39 106 62 516 395 222 147 48 33 107 74 269 221 65 44] fault=1,1,1,1,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"mirror$":    "ev=15584 req=4000 resp=4000/0x1.5782eb69d71a4p+04 rd=2856/0x1.d96ec151e5a36p+04 wr=1144/0x1.3299fb05b1b6p+00 norm=4000/0x1.5782eb69d71a4p+04 deg=0/0x0p+00 hits=137,2719,296,848 seek=0x1.c0d4cbb8b1c89p+07 held=0 par=0 acc=[58 49 1466 1141 53 38 102 64 542 379 209 167 49 31 104 74 275 210 65 42] fault=0,0,0,0,0,0,0,0,0,0 cache=7229,3531,0,0,2011,0,0,2048",
-	"mirror$+f":  "ev=25818 req=4000 resp=4000/0x1.5eeb53bbd00c2p+04 rd=2856/0x1.e3d2e7b390b1p+04 wr=1144/0x1.31f587c433e7ap+00 norm=1474/0x1.27727d11befa5p+04 deg=2526/0x1.7f49f5e30e192p+04 hits=110,2746,220,924 seek=0x1.7a76067cb1c68p+07 held=0 par=0 acc=[4800 4757 1475 1147 53 38 102 64 542 380 210 168 49 31 104 75 274 211 65 43] fault=1,1,1,1,0,0,0,0,0,0 cache=4519,1323,0,0,1183,0,0,2048",
+	"mirror$+f":  "ev=25818 req=4000 resp=4000/0x1.5eeb53bbd00c2p+04 rd=2856/0x1.e3d2e7b390b1p+04 wr=1144/0x1.31f587c433e7ap+00 norm=1474/0x1.27727d11befa5p+04 deg=2526/0x1.7f49f5e30e192p+04 hits=110,2746,220,924 seek=0x1.7a76067cb1c68p+07 held=0 par=0 acc=[4800 4757 1475 1147 53 38 102 64 542 380 210 168 49 31 104 75 274 211 65 43] fault=1,1,1,1,0,0,0,0,0,0 cache=7349,1552,0,0,2011,0,0,2048",
 	"raid5":      "ev=19840 req=4000 resp=4000/0x1.8082a4fe51aa4p+05 rd=2856/0x1.30ac54da5bf23p+05 wr=1144/0x1.23e97b748cc84p+06 norm=4000/0x1.8082a4fe51aa4p+05 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.6df22b9d20c31p+08 held=108 par=1322 acc=[834 864 859 821 892 846 266 258 301 268 263 242] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"raid5+f":    "ev=53191 req=4000 resp=4000/0x1.692a8caf8c866p+06 rd=2856/0x1.29c48d7248ba4p+06 wr=1144/0x1.03b8659dfb8f8p+07 norm=1472/0x1.4bc691c78c9ep+05 deg=2528/0x1.dadf632633cadp+06 hits=0,0,0,0 seek=0x1.3ca026453d2p+08 held=61 par=1708 acc=[6296 5277 6319 6282 6347 6296 266 258 301 268 263 242] fault=1,1,1,1,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"raid5$":     "ev=21623 req=4000 resp=4000/0x1.6ad18dc979282p+04 rd=2856/0x1.f4a23e03ec1eap+04 wr=1144/0x1.2c33122128a07p+00 norm=4000/0x1.6ad18dc979282p+04 deg=0/0x0p+00 hits=137,2719,296,848 seek=0x1.568b0a9f05414p+08 held=110 par=1357 acc=[837 868 848 831 894 853 262 261 307 271 258 245] fault=0,0,0,0,0,0,0,0,0,0 cache=7229,3531,0,191,2011,0,0,2048",
-	"raid5$+f":   "ev=54651 req=4000 resp=4000/0x1.66642c8e8f8b3p+05 rd=2856/0x1.f2362e66e743p+05 wr=1144/0x1.2a89eaba26a06p+00 norm=1474/0x1.42a9979508e56p+04 deg=2526/0x1.d961cbfd832b2p+05 hits=110,2746,220,924 seek=0x1.3c06244e83d61p+08 held=53 par=1723 acc=[6266 5281 6279 6251 6312 6270 261 263 308 272 260 247] fault=1,1,1,1,0,0,0,0,0,0 cache=4519,1323,0,74,1183,0,0,2048",
+	"raid5$+f":   "ev=54651 req=4000 resp=4000/0x1.66642c8e8f8b3p+05 rd=2856/0x1.f2362e66e743p+05 wr=1144/0x1.2a89eaba26a06p+00 norm=1474/0x1.42a9979508e56p+04 deg=2526/0x1.d961cbfd832b2p+05 hits=110,2746,220,924 seek=0x1.3c06244e83d61p+08 held=53 par=1723 acc=[6266 5281 6279 6251 6312 6270 261 263 308 272 260 247] fault=1,1,1,1,0,0,0,0,0,0 cache=7349,1552,0,202,2011,0,0,2048",
 	"raid5-si":   "ev=20890 req=4000 resp=4000/0x1.96c853a7ae152p+05 rd=2856/0x1.50b35c1b78f16p+05 wr=1144/0x1.22df01bd0943ap+06 norm=4000/0x1.96c853a7ae152p+05 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.6bd363270c6f1p+08 held=1132 par=1322 acc=[834 864 859 821 892 846 266 258 301 268 263 242] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"pstripe":    "ev=17837 req=4000 resp=4000/0x1.e29df6690e9eep+05 rd=2856/0x1.a081af46b9123p+05 wr=1144/0x1.43d4bd9ef04cp+06 norm=4000/0x1.e29df6690e9eep+05 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.18d8a17a178edp+08 held=117 par=1144 acc=[232 1827 356 273 513 713 297 120 112 433 151 117] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"pstripe+f":  "ev=58501 req=4000 resp=4000/0x1.28d815d3ad4ddp+07 rd=2856/0x1.0550fd73b89a8p+07 wr=1144/0x1.818a05b31e81dp+07 norm=1473/0x1.90c784792b3a8p+05 deg=2527/0x1.9b78ca47f159dp+07 hits=0,0,0,0 seek=0x1.4b6176a0a7689p+08 held=62 par=1631 acc=[7194 5787 7256 7189 7511 7747 297 120 112 433 151 117] fault=1,1,1,1,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"pstripe$":   "ev=18931 req=4000 resp=4000/0x1.ad3afbdb71f0dp+04 rd=2856/0x1.28914ec3b60e2p+05 wr=1144/0x1.40a9df306c1a2p+00 norm=4000/0x1.ad3afbdb71f0dp+04 deg=0/0x0p+00 hits=137,2719,296,848 seek=0x1.0be199ef7d3bp+08 held=131 par=1184 acc=[245 1786 354 275 521 711 298 123 110 434 145 116] fault=0,0,0,0,0,0,0,0,0,0 cache=7229,3531,0,191,2011,0,0,2048",
-	"pstripe$+f": "ev=59333 req=4000 resp=4000/0x1.355eb7daaae42p+06 rd=2856/0x1.af4c1576419b8p+06 wr=1144/0x1.3e9c448d8df73p+00 norm=1474/0x1.77481e1242c6fp+04 deg=2526/0x1.b3266038b1436p+06 hits=110,2746,220,924 seek=0x1.44752a672061ep+08 held=55 par=1646 acc=[7100 5785 7154 7090 7414 7634 300 123 111 434 145 117] fault=1,1,1,1,0,0,0,0,0,0 cache=4519,1323,0,74,1183,0,0,2048",
+	"pstripe$+f": "ev=59333 req=4000 resp=4000/0x1.355eb7daaae42p+06 rd=2856/0x1.af4c1576419b8p+06 wr=1144/0x1.3e9c448d8df73p+00 norm=1474/0x1.77481e1242c6fp+04 deg=2526/0x1.b3266038b1436p+06 hits=110,2746,220,924 seek=0x1.44752a672061ep+08 held=55 par=1646 acc=[7100 5785 7154 7090 7414 7634 300 123 111 434 145 117] fault=1,1,1,1,0,0,0,0,0,0 cache=7349,1552,0,202,2011,0,0,2048",
 	"raid4$":     "ev=20849 req=4000 resp=4000/0x1.556b88b74095dp+04 rd=2856/0x1.d6b740516a79p+04 wr=1144/0x1.2a1f96de0f7bep+00 norm=4000/0x1.556b88b74095dp+04 deg=0/0x0p+00 hits=137,2719,296,848 seek=0x1.4e1e5238d45b6p+08 held=0 par=1331 acc=[705 759 709 774 771 1009 230 236 261 227 222 322] fault=0,0,0,0,0,0,0,0,0,0 cache=7229,3532,0,204,2011,1331,306,2048",
-	"raid4$+f":   "ev=54693 req=4000 resp=4000/0x1.b212d9539041ep+05 rd=2856/0x1.2e194a0f1c9b3p+06 wr=1144/0x1.2b79b6d6d1c7p+00 norm=1474/0x1.3894a0056e6fep+04 deg=2526/0x1.2a159e74daa96p+06 hits=110,2746,220,924 seek=0x1.2f49982ee9061p+08 held=6 par=1714 acc=[6213 5086 6208 6276 6275 6845 229 237 261 230 224 322] fault=1,1,1,1,0,0,0,0,0,0 cache=4519,1323,0,74,1183,199,0,2048",
+	"raid4$+f":   "ev=54693 req=4000 resp=4000/0x1.b212d9539041ep+05 rd=2856/0x1.2e194a0f1c9b3p+06 wr=1144/0x1.2b79b6d6d1c7p+00 norm=1474/0x1.3894a0056e6fep+04 deg=2526/0x1.2a159e74daa96p+06 hits=110,2746,220,924 seek=0x1.2f49982ee9061p+08 held=6 par=1714 acc=[6213 5086 6208 6276 6275 6845 229 237 261 230 224 322] fault=1,1,1,1,0,0,0,0,0,0 cache=7349,1552,0,202,2011,488,0,2048",
 	"raid3":      "ev=29144 req=4000 resp=4000/0x1.96e3d7a13c256p+06 rd=2856/0x1.8ec4928b91fe1p+06 wr=1144/0x1.ab2abf2d403a6p+06 norm=4000/0x1.96e3d7a13c256p+06 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.5c87182d1093bp+08 held=0 par=1144 acc=[3038 3038 3038 3038 3038 876 962 962 962 962 962 268] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 	"plog":       "ev=16147 req=4000 resp=4000/0x1.333898d751e0ap+05 rd=2856/0x1.117d5d9380c11p+05 wr=1144/0x1.876e7b90bca1p+05 norm=4000/0x1.333898d751e0ap+05 deg=0/0x0p+00 hits=0,0,0,0 seek=0x1.74623b8a4ad11p+08 held=0 par=0 acc=[670 701 721 664 738 703 221 202 234 223 219 205] fault=0,0,0,0,0,0,0,0,0,0 cache=0,0,0,0,0,0,0,0",
 }

@@ -510,3 +510,27 @@ func TestFaultRejectsComparators(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheResultsSpanNVRAMFailure: the cache counters cover the whole
+// run, the module an NVRAM failure swapped out included, not only the
+// time since the failure.
+func TestCacheResultsSpanNVRAMFailure(t *testing.T) {
+	cfg := faultConfig(OrgRAID5, true)
+	cfg.DestagePeriod = 10 * sim.Second // don't destage before the failure
+	cfg.Fault = fault.Config{CacheFailAt: 50 * sim.Millisecond}
+	eng, ctrl := build(t, cfg)
+	eng.At(sim.Millisecond, func() {
+		ctrl.Submit(Request{Op: trace.Write, LBA: 0, Blocks: 8})
+	})
+	eng.At(100*sim.Millisecond, func() {
+		ctrl.Submit(Request{Op: trace.Read, LBA: 100, Blocks: 1})
+		ctrl.Submit(Request{Op: trace.Write, LBA: 200, Blocks: 1})
+	})
+	eng.RunUntil(sim.Second)
+	drain(t, eng, ctrl)
+	// Eight blocks land before the failure, two after: the read miss
+	// and the write.
+	if got := ctrl.Results().Cache; got.Inserts != 10 || got.PeakUsed != 8 {
+		t.Fatalf("inserts %d, peak %d; want 10 and 8 over the run", got.Inserts, got.PeakUsed)
+	}
+}

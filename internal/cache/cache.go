@@ -65,6 +65,20 @@ type Stats struct {
 	PeakParity     int
 }
 
+// Merge folds o into s: counts add and peaks take the larger.
+func (s *Stats) Merge(o *Stats) {
+	s.Inserts += o.Inserts
+	s.Evictions += o.Evictions
+	s.DirtyEvictions += o.DirtyEvictions
+	s.OldCaptured += o.OldCaptured
+	s.OldSkipped += o.OldSkipped
+	s.Destages += o.Destages
+	s.ParityQueued += o.ParityQueued
+	s.ParityStalls += o.ParityStalls
+	s.PeakUsed = max(s.PeakUsed, o.PeakUsed)
+	s.PeakParity = max(s.PeakParity, o.PeakParity)
+}
+
 // Cache is a fixed-capacity write-back LRU block cache.
 //
 // Its one index is an open-addressed, linear-probing table from LBA to

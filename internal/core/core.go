@@ -474,7 +474,7 @@ func merge(cfg Config, parts []*array.Results, events []uint64) *Results {
 		out.HeldRotations += p.HeldRotations
 		out.ParityAccesses += p.ParityAccesses
 		out.Stages.Add(&p.Stages)
-		mergeCacheStats(&out.Cache, &p.Cache)
+		out.Cache.Merge(&p.Cache)
 	}
 	// Weighted mean of per-array seek distances, weighted by accesses.
 	var wsum, w float64
@@ -515,21 +515,4 @@ func mergeFaultResults(dst, src *array.FaultResults) {
 	dst.SickClears += src.SickClears
 	dst.Hangs += src.Hangs
 	dst.TransientErrors += src.TransientErrors
-}
-
-func mergeCacheStats(dst, src *cache.Stats) {
-	dst.Inserts += src.Inserts
-	dst.Evictions += src.Evictions
-	dst.DirtyEvictions += src.DirtyEvictions
-	dst.OldCaptured += src.OldCaptured
-	dst.OldSkipped += src.OldSkipped
-	dst.Destages += src.Destages
-	dst.ParityQueued += src.ParityQueued
-	dst.ParityStalls += src.ParityStalls
-	if src.PeakUsed > dst.PeakUsed {
-		dst.PeakUsed = src.PeakUsed
-	}
-	if src.PeakParity > dst.PeakParity {
-		dst.PeakParity = src.PeakParity
-	}
 }
