@@ -107,9 +107,13 @@ func (c *common) classResults() []ClassResults {
 }
 
 // MergeClasses folds per-class tables index-wise; either side may be nil.
+// An empty dst becomes a copy of src that shares none of its histograms.
 func MergeClasses(dst, src []ClassResults) []ClassResults {
-	if len(dst) == 0 {
-		return append([]ClassResults(nil), src...)
+	if len(dst) == 0 && len(src) > 0 {
+		dst = make([]ClassResults, len(src))
+		for i := range src {
+			dst[i].Name, dst[i].SLO = src[i].Name, src[i].SLO
+		}
 	}
 	for i := range src {
 		if i < len(dst) {

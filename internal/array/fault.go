@@ -351,10 +351,10 @@ func (c *common) readRun(rn run, pri disk.Priority, op *obs.Span, onDone func())
 func (c *common) mediaRead(rn run, pri disk.Priority, tries, att int, op *obs.Span, onDone func()) {
 	m := c.recs.reads.take()
 	if m == nil {
-		m = &readRec{c: c}
+		m = new(readRec)
 		m.doneFn = m.done
 	}
-	m.rn, m.pri, m.tries, m.att, m.op, m.onDone = rn, pri, tries, att, op, onDone
+	m.c, m.rn, m.pri, m.tries, m.att, m.op, m.onDone = c, rn, pri, tries, att, op, onDone
 	m.req = disk.Request{
 		StartBlock: rn.start, Blocks: int(rn.blocks), TransferSectors: int(rn.sectors),
 		Priority: pri, Span: op, OnDone: m.doneFn,
@@ -367,7 +367,7 @@ func (c *common) mediaRead(rn run, pri disk.Priority, tries, att int, op *obs.Sp
 // OnDone, which the drive allows.
 func (m *readRec) done() {
 	c, rn, pri, tries, att, op, onDone := m.c, m.rn, m.pri, m.tries, m.att, m.op, m.onDone
-	m.rn, m.op, m.onDone = run{}, nil, nil
+	m.rn, m.op, m.onDone, m.req.Span = run{}, nil, nil, nil
 	c.recs.reads.put(m)
 
 	// The drive may have died while this access was queued (it was

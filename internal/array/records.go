@@ -1,6 +1,8 @@
 package array
 
 import (
+	"sync"
+
 	"raidsim/internal/disk"
 	"raidsim/internal/obs"
 	"raidsim/internal/sim"
@@ -12,7 +14,12 @@ import (
 // free lists instead of allocating closures, latches and slices for
 // every request. A record's continuations are method values bound once,
 // when the record is first made, so handing one to the buffer pool, the
-// channel or a drive as a func() allocates nothing. A record goes back
+// channel or a drive as a func() allocates nothing. The free lists
+// outlive their controller: Release hands them to idleRecs, and the next
+// controller New builds takes them, so a record's slices keep the
+// capacity earlier runs grew. A method value is bound to the record
+// itself, so only the record's back-pointer to its controller changes
+// hands: every take sets it, and Release clears it. A record goes back
 // to its free list in its own final callback, after copying out what
 // that callback still needs, and nothing reads it afterwards: a
 // continuation that submits new work (a closed-loop client's OnComplete)
@@ -45,6 +52,15 @@ func (p *pool[T]) put(x *T) {
 	p.free = append(p.free, x)
 }
 
+// detach runs cut on every free record, to clear its back-pointer, and
+// forgets the records still live: they belong to a run that is over.
+func (p *pool[T]) detach(cut func(*T)) {
+	for _, x := range p.free {
+		cut(x)
+	}
+	p.live = 0
+}
+
 // recPools holds a controller's free lists. hedges serves hedged reads
 // (robust.go); the last three serve only the cache front-end
 // (cached.go).
@@ -58,10 +74,31 @@ type recPools struct {
 	writeBacks pool[wbRec]
 }
 
+// idleRecs holds the free lists of released controllers for New to
+// recycle. An item survives one garbage collection in it, not two.
+var idleRecs = sync.Pool{New: func() any { return new(recPools) }}
+
+// Release implements Controller: the free lists go to idleRecs, each
+// free record cut loose from c, so that a pooled record reaches nothing
+// of this run. A record still live when the run ends (a destage in
+// flight) is left to the garbage collector.
+func (c *common) Release() {
+	r := c.recs
+	r.reqs.detach(func(q *reqRec) { q.c = nil })
+	r.reads.detach(func(m *readRec) { m.c = nil })
+	r.hedges.detach(func(h *hedgeOp) { h.c = nil })
+	r.batches.detach(func(b *batchRec) { b.c = nil })
+	r.creqs.detach(func(q *creqRec) { q.cc = nil })
+	r.rooms.detach(func(m *roomRec) { m.cc = nil })
+	r.writeBacks.detach(func(w *wbRec) { w.cc = nil })
+	idleRecs.Put(r)
+	c.recs = nil
+}
+
 // liveRecords counts records taken and not yet returned: zero once the
 // controller has drained and no destage batch is in flight.
 func (c *common) liveRecords() int {
-	r := &c.recs
+	r := c.recs
 	return r.reqs.live + r.reads.live + r.hedges.live + r.batches.live + r.creqs.live + r.rooms.live + r.writeBacks.live
 }
 
@@ -100,10 +137,10 @@ type reqRec struct {
 func (c *common) newReq(r Request, start sim.Time, sp *obs.Span) *reqRec {
 	q := c.recs.reqs.take()
 	if q == nil {
-		q = &reqRec{c: c}
+		q = new(reqRec)
 		q.admitFn, q.runDoneFn, q.xferDoneFn, q.finishFn = q.admit, q.runDone, q.xferDone, q.finish
 	}
-	q.r, q.start, q.sp = r, start, sp
+	q.c, q.r, q.start, q.sp = c, r, start, sp
 	q.lbas = appendSpan(q.lbas[:0], r.LBA, r.Blocks)
 	return q
 }
@@ -229,11 +266,11 @@ type legRec struct {
 func (c *common) newBatch(w writeOp) *batchRec {
 	b := c.recs.batches.take()
 	if b == nil {
-		b = &batchRec{c: c}
+		b = new(batchRec)
 		b.admitFn, b.xferDoneFn, b.legDoneFn, b.dataDoneFn, b.finishFn = b.admitted, b.xferDone, b.legDone, b.dataDone, b.finish
 		b.plainFn, b.updateFn = b.issuePlain, b.executeUpdate
 	}
-	b.w = w
+	b.c, b.w = c, w
 	return b
 }
 
@@ -243,6 +280,9 @@ func (b *batchRec) finish() {
 	c, n, onDone := b.c, b.nbuf, b.w.onDone
 	b.w, b.runs, b.rmw, b.afterIssue, b.issue = writeOp{}, nil, nil, nil, nil
 	b.policy, b.stagger, b.parityIssuer, b.dataBufs, b.nbuf = SI, 0, nil, 0, 0
+	for _, lg := range b.legs {
+		lg.req.Span = nil
+	}
 	c.recs.batches.put(b)
 	c.buf.Release(n)
 	onDone()

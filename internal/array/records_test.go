@@ -2,7 +2,11 @@ package array
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"raidsim/internal/disk"
 	"raidsim/internal/fault"
@@ -393,4 +397,133 @@ func TestRecordCountDownOverReleasePanics(t *testing.T) {
 		}
 	}()
 	b.legDone()
+}
+
+// tracedRun runs burst's requests, one every 5 ms, on a raid10 array
+// with the telemetry-faults benchmark's layers armed: a recorder with
+// span tracing, deadlines, retries of transient errors, hedged reads,
+// shedding, a disk failure with a spare and a sick disk. It releases the
+// controller and returns its record pools and a flag that a finalizer
+// sets once the run's recorder is collected.
+func tracedRun(t *testing.T, eng *sim.Engine, cached bool) (*recPools, *atomic.Bool) {
+	t.Helper()
+	cfg := faultConfig(OrgRAID10, cached)
+	cfg.Rec = obs.NewRecorder(obs.Config{Window: 10 * sim.Millisecond, Disks: 8, TraceCap: 4096, SpanTopK: 8})
+	cfg.Robust = RobustConfig{Deadline: 100 * sim.Millisecond, Retries: 2, HedgeQuantile: 0.95, ShedQueue: 64}
+	cfg.Fault = fault.Config{
+		DiskFails: []fault.DiskFail{{Disk: 0, At: 2 * sim.Second}},
+		SickDisks: []fault.SickDisk{{Disk: 3, Until: sim.Second, SlowFactor: 2, TransientRate: 0.05}},
+		Seed:      5,
+	}
+	cfg.Spares = 1
+	ctrl, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range burst(ctrl.DataBlocks()) {
+		eng.At(sim.Time(i)*5*sim.Millisecond, func() { ctrl.Submit(r) })
+	}
+	eng.RunUntil(3 * sim.Second)
+	runUntilRepaired(t, eng, ctrl)
+	c := commonOf(t, ctrl)
+	if c.rb.retries == 0 || c.rb.hedges == 0 || c.fs.rebuilds != 1 {
+		t.Fatalf("retries %d, hedges %d, rebuilds %d; want every layer to act", c.rb.retries, c.rb.hedges, c.fs.rebuilds)
+	}
+	ctrl.Results()
+	recs := c.recs
+	ctrl.Release()
+	collected := new(atomic.Bool)
+	runtime.SetFinalizer(cfg.Rec, func(*obs.Recorder) { collected.Store(true) })
+	return recs, collected
+}
+
+// strayPointer returns the path of the first pointer v holds, walking
+// structs, arrays, slices, interfaces and pointers, that leads anywhere
+// but to a record: a free record may reach other records (a batch its
+// legs, a leg its batch) and nothing else. Func values are not walked;
+// every one a record holds is a method value bound to a record.
+func strayPointer(v reflect.Value, path string, records map[reflect.Type]bool, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return ""
+		}
+		if !records[v.Type().Elem()] {
+			return path + " (" + v.Type().String() + ")"
+		}
+		if seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		return strayPointer(v.Elem(), path, records, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return ""
+		}
+		return strayPointer(v.Elem(), path, records, seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := strayPointer(v.Field(i), path+"."+v.Type().Field(i).Name, records, seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if p := strayPointer(v.Index(i), fmt.Sprintf("%s[%d]", path, i), records, seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// TestReleasedRecordsReachNothing: a controller's records outlive it, so
+// a released free record must reach nothing of its run. After a traced,
+// faulted run is released, every free record points only to records (no
+// controller, span or drive), and once a new controller has taken the
+// pools, the run's recorder, which its shared state holds, is collected.
+// The recorder stands for the whole run: a finalizer never runs on an
+// object in a reference cycle, such as the shared state (through its
+// scheme) or the tracer (through its span trees).
+func TestReleasedRecordsReachNothing(t *testing.T) {
+	records := map[reflect.Type]bool{}
+	for _, r := range []any{reqRec{}, readRec{}, hedgeOp{}, batchRec{}, legRec{}, creqRec{}, roomRec{}, wbRec{}} {
+		records[reflect.TypeOf(r)] = true
+	}
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cached=%v", cached), func(t *testing.T) {
+			eng := sim.New()
+			recs, collected := tracedRun(t, eng, cached)
+			used := []string{"reqs", "reads", "hedges", "batches"}
+			if cached {
+				used = append(used, "creqs", "writeBacks")
+			}
+			pools := reflect.ValueOf(recs).Elem()
+			for _, name := range used {
+				if pools.FieldByName(name).FieldByName("free").Len() == 0 {
+					t.Errorf("the run left no free %s records to check", name)
+				}
+			}
+			if p := strayPointer(pools, "recPools", records, map[uintptr]bool{}); p != "" {
+				t.Errorf("free record %s reaches the released run", p)
+			}
+
+			eng.Reset()
+			next, err := New(eng, testConfig(OrgRAID10, cached))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if commonOf(t, next).recs != recs {
+				t.Skip("the pool dropped the released records (as it may under -race)")
+			}
+			for i := 0; i < 50 && !collected.Load(); i++ {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			if !collected.Load() {
+				t.Error("the released run's recorder is still reachable")
+			}
+			runtime.KeepAlive(next)
+		})
+	}
 }

@@ -379,10 +379,10 @@ func (c *common) readRunHedged(rn run, pri disk.Priority, op *obs.Span, onDone f
 	rn.lbas = nil
 	h := c.recs.hedges.take()
 	if h == nil {
-		h = &hedgeOp{c: c}
+		h = new(hedgeOp)
 		h.priDoneFn, h.hedgeDoneFn = h.priDone, h.hedgeDone
 	}
-	h.alt, h.pri, h.op, h.onDone, h.legs = alt, pri, op, onDone, 1
+	h.c, h.alt, h.pri, h.op, h.onDone, h.legs = c, alt, pri, op, onDone, 1
 	h.timer = c.eng.AfterCall(delay, hedgeFire)
 	h.timer.A = h
 	c.readRun(rn, pri, op, h.priDoneFn)

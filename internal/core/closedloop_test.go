@@ -129,7 +129,10 @@ func TestClosedLoopSelfMetrics(t *testing.T) {
 // TestClosedLoopAllocBudget: closed-loop admission allocates nothing per
 // request. Doubling a non-cached base array's request stream may add at
 // most 0.05 allocations per extra request; what remains is per-run setup
-// and amortized growth of result buffers.
+// and amortized growth of result buffers. Each run starts with the pools
+// emptied, so its setup is the same at both lengths: under -race a
+// sync.Pool drops a random quarter of what it is given, and a run that
+// lost its request records rebuilds them.
 func TestClosedLoopAllocBudget(t *testing.T) {
 	cfg := Config{Org: array.OrgBase, DataDisks: 10, N: 10, Spec: geom.Default(), Seed: 1, Workers: 1}
 	allocs := func(requests int) float64 {
@@ -141,6 +144,7 @@ func TestClosedLoopAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(3, func() {
+			emptyPools()
 			if _, err := RunClosedLoop(cfg, tr, ClosedLoopConfig{MPL: 8, ThinkTime: sim.Millisecond}); err != nil {
 				t.Fatal(err)
 			}

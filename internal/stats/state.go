@@ -20,9 +20,9 @@ type SummaryState struct {
 // State captures the summary for serialization.
 func (s *Summary) State() SummaryState {
 	st := SummaryState{N: s.n, Mean: s.mean, M2: s.m2, Min: s.min, Max: s.max}
-	for b, c := range s.hist.counts {
+	for i, c := range s.hist.counts {
 		if c != 0 {
-			st.Bins = append(st.Bins, [2]int64{int64(b), c})
+			st.Bins = append(st.Bins, [2]int64{int64(s.hist.lo + i), c})
 		}
 	}
 	return st
@@ -33,6 +33,7 @@ func (s *Summary) State() SummaryState {
 // journal record, not a format this package ever wrote).
 func FromState(st SummaryState) (Summary, error) {
 	s := Summary{n: st.N, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max}
+	lo, hi := nBins, 0
 	for _, bc := range st.Bins {
 		b, c := bc[0], bc[1]
 		if b < 0 || b >= nBins {
@@ -41,7 +42,13 @@ func FromState(st SummaryState) (Summary, error) {
 		if c < 0 {
 			return Summary{}, fmt.Errorf("stats: negative count %d in histogram bin %d", c, b)
 		}
-		s.hist.counts[b] = c
+		lo, hi = min(lo, int(b)), max(hi, int(b)+1)
+	}
+	if lo < hi {
+		s.hist.cover(lo, hi)
+		for _, bc := range st.Bins {
+			s.hist.counts[int(bc[0])-s.hist.lo] = bc[1]
+		}
 	}
 	return s, nil
 }

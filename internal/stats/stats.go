@@ -1,6 +1,7 @@
 // Package stats provides the streaming statistics the simulator collects:
-// response-time summaries (mean, variance, quantiles via a fixed-bin
-// histogram), time-weighted utilization, and per-disk counters.
+// response-time summaries (mean, variance, quantiles via a log-bin
+// histogram that keeps only its occupied bins), time-weighted
+// utilization, and per-disk counters.
 package stats
 
 import (
@@ -12,6 +13,11 @@ import (
 
 // Summary accumulates scalar samples with Welford's online algorithm plus
 // a log-scale histogram good enough for the quantiles the paper reports.
+//
+// The histogram holds only the range of bins its samples occupy, so a
+// copied Summary shares its counts with the original: adding to one
+// changes the other's quantiles. Merge into an empty Summary for an
+// independent copy.
 type Summary struct {
 	n        int64
 	mean     float64
@@ -84,13 +90,14 @@ func (s *Summary) Quantile(q float64) float64 {
 }
 
 // Merge folds other into s. Use it to aggregate per-array summaries.
+// Merged into an empty s, o is copied, counts and all.
 func (s *Summary) Merge(o *Summary) {
 	if o.n == 0 {
 		return
 	}
 	if s.n == 0 {
 		*s = *o
-		s.hist = o.hist
+		s.hist.counts = append([]int64(nil), o.hist.counts...)
 		return
 	}
 	n1, n2 := float64(s.n), float64(o.n)
@@ -117,14 +124,25 @@ func (s *Summary) String() string {
 // growing by a fixed ratio. Values are expected to be positive
 // response times in milliseconds-ish magnitude; bin 0 also absorbs
 // zero/negative values.
+//
+// counts covers only the occupied range of bins, plus a margin:
+// counts[i] is bin lo+i. It starts empty and grows when a sample or a
+// merge lands outside it, so a summary of a few thousand response times
+// keeps a few dozen bins, not nBins.
 type histogram struct {
-	counts [nBins]int64
+	counts []int64
+	lo     int
 }
 
 const (
 	nBins    = 256
 	histLo   = 1e-3 // smallest resolved value
 	histStep = 1.07 // bin growth ratio; 256 bins reach ~3.3e4 * histLo
+
+	// binPad is the margin, in bins, a histogram grows past a sample
+	// that lands outside its range (a factor of 3 in value), so the next
+	// few such samples do not each reallocate the counts.
+	binPad = 16
 )
 
 // A sample's bin is defined as int(log(x/histLo) / log(histStep)),
@@ -169,12 +187,40 @@ func binLow(b int) float64 {
 }
 
 func (h *histogram) add(x float64) {
-	h.counts[binOf(x)]++
+	b := binOf(x)
+	if i := uint(b - h.lo); i < uint(len(h.counts)) {
+		h.counts[i]++
+		return
+	}
+	h.cover(b, b+1)
+	h.counts[b-h.lo]++
+}
+
+// cover widens counts, unless they already span bins [lo, hi), to span
+// them and the current range, with a margin of binPad bins each way.
+func (h *histogram) cover(lo, hi int) {
+	if len(h.counts) > 0 && lo >= h.lo && hi <= h.lo+len(h.counts) {
+		return
+	}
+	lo, hi = max(lo-binPad, 0), min(hi+binPad, nBins)
+	if len(h.counts) == 0 {
+		h.counts, h.lo = make([]int64, hi-lo), lo
+		return
+	}
+	lo, hi = min(lo, h.lo), max(hi, h.lo+len(h.counts))
+	c := make([]int64, hi-lo)
+	copy(c[h.lo-lo:], h.counts)
+	h.counts, h.lo = c, lo
 }
 
 func (h *histogram) merge(o *histogram) {
+	if len(o.counts) == 0 {
+		return
+	}
+	h.cover(o.lo, o.lo+len(o.counts))
+	off := o.lo - h.lo
 	for i, c := range o.counts {
-		h.counts[i] += c
+		h.counts[off+i] += c
 	}
 }
 
@@ -201,11 +247,11 @@ func (h *histogram) quantile(q float64, min, max float64) float64 {
 	}
 	target := int64(math.Ceil(q * float64(total)))
 	var cum int64
-	for b, c := range h.counts {
+	for i, c := range h.counts {
 		cum += c
 		if cum >= target {
 			// Midpoint of the bin, clamped to observed range.
-			v := binLow(b) * math.Sqrt(histStep)
+			v := binLow(h.lo+i) * math.Sqrt(histStep)
 			if v < min {
 				v = min
 			}
