@@ -6,130 +6,45 @@ import (
 	"raidsim/internal/logbin"
 )
 
-// Histogram is a log-bucketed latency histogram: geometric bins over
-// [histLo, ∞) milliseconds with a fixed growth ratio. Quantiles are read
+// Histogram is a log-bucketed latency histogram: logbin's geometric bins
+// over [histLo, ∞) milliseconds growing by histGrowth. Quantiles are read
 // back as the geometric midpoint of the target bin, so the relative error
 // of any quantile is bounded by half a bin: |est/true - 1| <= sqrt(g) - 1
 // (about 3.9% at the 1.08 growth used here). The exact max and sum are
 // tracked separately, so Max() and Mean() carry no binning error.
 //
-// counts covers only the occupied range of bins, plus a margin:
-// counts[i] is bin lo+i. It starts empty and grows when a sample or a
-// Merge lands outside it, so a window of a few dozen samples keeps a few
-// dozen bins, not 256. A copied Histogram shares its counts with the
-// original; merge into an empty one for an independent copy.
+// A copied Histogram shares its counts with the original (see
+// logbin.Counts); merge into an empty one for an independent copy.
 type Histogram struct {
-	counts []int64
-	lo     int
-	n      int64
-	sum    float64
-	max    float64
+	c   logbin.Counts
+	n   int64
+	sum float64
+	max float64
 }
 
 const (
-	histBins   = 256
 	histLo     = 1e-3 // smallest resolved latency, ms
 	histGrowth = 1.08 // bin growth ratio; 256 bins reach ~3e5 ms
-
-	// histPad is the margin, in bins, a Histogram grows past a sample
-	// that lands outside its range (a factor of 3.4 in latency), so the
-	// next few such samples do not each reallocate the counts.
-	histPad = 16
 )
 
-// histBinLog is the histogram's defining bin formula. Add does not call
-// it: histBin looks the same bin up in tables built from it at init.
-func histBinLog(x float64) int {
-	if x <= histLo {
-		return 0
-	}
-	b := int(math.Log(x/histLo) / histLogGrowth)
-	if b >= histBins {
-		b = histBins - 1
-	}
-	return b
-}
-
-var (
-	histLogGrowth = math.Log(histGrowth)
-
-	// The logbin lookup tables of histBinLog.
-	histThresh     [histBins]float64
-	histGuide      []uint8
-	histGuideFirst uint64
-
-	// binMids[b] is the geometric midpoint of bin b, the value a
-	// quantile reads back from it.
-	binMids [histBins]float64
-)
-
-func init() {
-	t := logbin.Build(histLo, histLo*math.Pow(histGrowth, histBins+1), histBins, histBinLog)
-	copy(histThresh[:], t.Thresh)
-	histGuide, histGuideFirst = t.Guide, t.First
-	for b := range binMids {
-		binMids[b] = histLo * math.Pow(histGrowth, float64(b)+0.5)
-	}
-}
-
-// histBin returns histBinLog(x) without a logarithm.
-func histBin(x float64) int {
-	if x <= histLo {
-		return 0
-	}
-	if x >= histThresh[histBins-1] {
-		return histBins - 1
-	}
-	b := int(histGuide[logbin.Cell(x)-histGuideFirst])
-	if x >= histThresh[b+1] {
-		b++
-	}
-	return b
-}
+// histTable reads each bin back as its geometric midpoint.
+var histTable = logbin.Build(histLo, histGrowth, func(b int) float64 {
+	return histLo * math.Pow(histGrowth, float64(b)+0.5)
+})
 
 // Add records one latency sample in milliseconds.
 func (h *Histogram) Add(ms float64) { h.add(ms) }
 
 // add is Add, returning the sample's bin.
 func (h *Histogram) add(ms float64) int {
-	b := histBin(ms)
-	if i := uint(b - h.lo); i < uint(len(h.counts)) {
-		h.counts[i]++
-	} else {
-		h.cover(b, b+1)
-		h.counts[b-h.lo]++
-	}
+	b := histTable.Bin(ms)
+	h.c.Add(b, 1)
 	h.n++
 	h.sum += ms
 	if ms > h.max {
 		h.max = ms
 	}
 	return b
-}
-
-// cover widens counts, unless they already span bins [lo, hi), to span
-// them and the current range, with a margin of histPad bins each way.
-func (h *Histogram) cover(lo, hi int) {
-	if len(h.counts) > 0 && lo >= h.lo && hi <= h.lo+len(h.counts) {
-		return
-	}
-	lo, hi = max(lo-histPad, 0), min(hi+histPad, histBins)
-	if len(h.counts) == 0 {
-		h.counts, h.lo = make([]int64, hi-lo), lo
-		return
-	}
-	lo, hi = min(lo, h.lo), max(hi, h.lo+len(h.counts))
-	c := make([]int64, hi-lo)
-	copy(c[h.lo-lo:], h.counts)
-	h.counts, h.lo = c, lo
-}
-
-// count returns the samples in bin b (0 outside the occupied range).
-func (h *Histogram) count(b int) int64 {
-	if i := uint(b - h.lo); i < uint(len(h.counts)) {
-		return h.counts[i]
-	}
-	return 0
 }
 
 // N returns the sample count.
@@ -159,25 +74,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if target >= h.n {
 		return h.max
 	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			return min(binMids[h.lo+i], h.max)
-		}
+	if b := h.c.Rank(target); b >= 0 {
+		return min(histTable.Rep[b], h.max)
 	}
 	return h.max
 }
 
 // Merge folds o into h.
 func (h *Histogram) Merge(o *Histogram) {
-	if len(o.counts) > 0 {
-		h.cover(o.lo, o.lo+len(o.counts))
-		off := o.lo - h.lo
-		for i, c := range o.counts {
-			h.counts[off+i] += c
-		}
-	}
+	h.c.Merge(&o.c)
 	h.n += o.n
 	h.sum += o.sum
 	if o.max > h.max {
@@ -212,13 +117,13 @@ func (t *TrackedQuantile) Add(ms float64) {
 	}
 	t.rank = max(int64(math.Ceil(t.q*float64(t.h.n))), 1)
 	// Invariant: below < rank <= below + count(cur).
-	for t.below+t.h.count(t.cur) < t.rank {
-		t.below += t.h.count(t.cur)
+	for t.below+t.h.c.Count(t.cur) < t.rank {
+		t.below += t.h.c.Count(t.cur)
 		t.cur++
 	}
 	for t.below >= t.rank {
 		t.cur--
-		t.below -= t.h.count(t.cur)
+		t.below -= t.h.c.Count(t.cur)
 	}
 }
 
@@ -233,5 +138,5 @@ func (t *TrackedQuantile) Value() float64 {
 	if t.rank >= t.h.n {
 		return t.h.max
 	}
-	return min(binMids[t.cur], t.h.max)
+	return min(histTable.Rep[t.cur], t.h.max)
 }

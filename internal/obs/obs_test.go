@@ -10,13 +10,14 @@ import (
 
 	"raidsim/internal/rng"
 	"raidsim/internal/sim"
+	"raidsim/internal/stats"
 )
 
-// TestHistogramQuantileErrorBounds checks the documented guarantee: any
-// quantile estimate is within sqrt(growth)-1 relative error of the exact
-// order statistic, across distributions with very different shapes.
+// TestHistogramQuantileErrorBounds checks the documented guarantee of
+// both logbin histograms, Histogram and stats.Summary: any quantile
+// estimate is within sqrt(growth)-1 relative error of the exact order
+// statistic, across distributions with very different shapes.
 func TestHistogramQuantileErrorBounds(t *testing.T) {
-	bound := math.Sqrt(histGrowth) - 1
 	src := rng.New(7)
 	dists := map[string]func() float64{
 		"uniform": func() float64 { return 0.1 + 99.9*src.Float64() },
@@ -27,18 +28,25 @@ func TestHistogramQuantileErrorBounds(t *testing.T) {
 	}
 	for name, draw := range dists {
 		var h Histogram
+		var s stats.Summary
 		samples := make([]float64, 20000)
 		for i := range samples {
 			samples[i] = draw()
 			h.Add(samples[i])
+			s.Add(samples[i])
 		}
 		sort.Float64s(samples)
 		for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
 			exact := samples[int(math.Ceil(q*float64(len(samples))))-1]
-			got := h.Quantile(q)
-			if rel := math.Abs(got-exact) / exact; rel > bound+1e-9 {
-				t.Errorf("%s q%.2f: got %.4f exact %.4f rel err %.4f > bound %.4f",
-					name, q, got, exact, rel, bound)
+			for _, e := range []struct {
+				name        string
+				got, growth float64
+			}{{"Histogram", h.Quantile(q), histGrowth}, {"stats.Summary", s.Quantile(q), 1.07 /* stats.histStep */}} {
+				bound := math.Sqrt(e.growth) - 1
+				if rel := math.Abs(e.got-exact) / exact; rel > bound+1e-9 {
+					t.Errorf("%s %s q%.2f: got %.4f exact %.4f rel err %.4f > bound %.4f",
+						e.name, name, q, e.got, exact, rel, bound)
+				}
 			}
 		}
 		if h.Max() != samples[len(samples)-1] {

@@ -7,16 +7,19 @@ import (
 	"reflect"
 	"testing"
 
+	"raidsim/internal/logbin"
 	"raidsim/internal/rng"
 )
 
 // denseSummary is the reference Summary: the same Welford accumulators
-// over a dense histogram of all nBins bins.
+// over a dense histogram of all logbin.Bins bins. Binning and the counts
+// themselves are held to their own references in logbin; this one checks
+// what Summary adds.
 type denseSummary struct {
 	n        int64
 	mean, m2 float64
 	min, max float64
-	counts   [nBins]int64
+	counts   [logbin.Bins]int64
 }
 
 func (d *denseSummary) add(x float64) {
@@ -29,7 +32,7 @@ func (d *denseSummary) add(x float64) {
 	delta := x - d.mean
 	d.mean += delta / float64(d.n)
 	d.m2 += delta * (x - d.mean)
-	d.counts[binOf(x)]++
+	d.counts[binTable.Bin(x)]++
 }
 
 func (d *denseSummary) merge(o *denseSummary) {
@@ -75,7 +78,7 @@ func (d *denseSummary) quantile(q float64) float64 {
 	for b, c := range d.counts {
 		cum += c
 		if cum >= target {
-			return min(max(binLow(b)*math.Sqrt(histStep), lo), hi)
+			return min(max(histLo*math.Pow(histStep, float64(b))*math.Sqrt(histStep), lo), hi)
 		}
 	}
 	return hi
@@ -151,8 +154,8 @@ func (p *pairSummary) check(t testing.TB, what string) {
 			t.Fatalf("%s: Quantile(%g) %v, dense %v", what, q, got, want)
 		}
 	}
-	if h := &s.hist; h.lo < 0 || h.lo+len(h.counts) > nBins {
-		t.Fatalf("%s: bins [%d, %d) outside [0, %d)", what, h.lo, h.lo+len(h.counts), nBins)
+	if lo, c := s.hist.Occupied(); lo < 0 || lo+len(c) > logbin.Bins {
+		t.Fatalf("%s: bins [%d, %d) outside [0, %d)", what, lo, lo+len(c), logbin.Bins)
 	}
 	if got, want := s.State(), d.state(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: State %+v, dense %+v", what, got, want)
@@ -172,13 +175,17 @@ func copyOf(t testing.TB, p *pairSummary, x float64, what string) *pairSummary {
 	return &cp
 }
 
+// lastEdge is about where the last bin starts: samples past it all land
+// there.
+var lastEdge = histLo * math.Pow(histStep, logbin.Bins-1)
+
 // TestSummaryMatchesDense holds Summary to the dense reference after
 // every sample of seeded streams that reach below histLo and past the
-// last threshold, after merges of disjoint, overlapping, nested and
+// last bin edge, after merges of disjoint, overlapping, nested and
 // empty summaries in both directions and of a summary into itself, and
 // after a FromState round trip.
 func TestSummaryMatchesDense(t *testing.T) {
-	top := binThresh[nBins-1]
+	top := lastEdge
 	src := rng.New(31)
 	// logUniform draws from [lo, hi), uniform in log space.
 	logUniform := func(lo, hi float64) float64 {
@@ -203,7 +210,7 @@ func TestSummaryMatchesDense(t *testing.T) {
 			case 4:
 				return top * (1 + 9*src.Float64())
 			case 5:
-				return binThresh[1+src.Intn(nBins-1)]
+				return histLo * math.Pow(histStep, float64(1+src.Intn(logbin.Bins-1)))
 			}
 			return src.Exp(3)
 		}},
@@ -285,12 +292,12 @@ func TestSummaryMatchesDense(t *testing.T) {
 // merge into an empty summary, merges in both directions and into
 // itself, and round-trips the result through State. Each pair of input
 // bytes is one sample, log-uniform from a tenth of histLo to ten times
-// the last threshold; the pairs 0 and 1 are the samples 0 and -1.5.
+// the last bin edge; the pairs 0 and 1 are the samples 0 and -1.5.
 func FuzzSummaryMatchesDense(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0, 0, 0xff, 0xff, 0x80, 0x00, 0x12, 0x34}, uint8(2))
 	f.Add([]byte{0x40, 0x00, 0x40, 0x10, 0xc0, 0x00, 0xc0, 0x20, 0x00, 0x01}, uint8(3))
-	lo, hi := math.Log(histLo/10), math.Log(binThresh[nBins-1]*10)
+	lo, hi := math.Log(histLo/10), math.Log(lastEdge*10)
 	f.Fuzz(func(t *testing.T, data []byte, cut uint8) {
 		var a, b pairSummary
 		sample := func(v uint16) float64 {

@@ -1,6 +1,10 @@
 package stats
 
-import "fmt"
+import (
+	"fmt"
+
+	"raidsim/internal/logbin"
+)
 
 // SummaryState is the exported, JSON-serializable form of a Summary:
 // the Welford accumulators plus the histogram as sparse (bin, count)
@@ -20,34 +24,43 @@ type SummaryState struct {
 // State captures the summary for serialization.
 func (s *Summary) State() SummaryState {
 	st := SummaryState{N: s.n, Mean: s.mean, M2: s.m2, Min: s.min, Max: s.max}
-	for i, c := range s.hist.counts {
+	lo, counts := s.hist.Occupied()
+	for i, c := range counts {
 		if c != 0 {
-			st.Bins = append(st.Bins, [2]int64{int64(s.hist.lo + i), c})
+			st.Bins = append(st.Bins, [2]int64{int64(lo + i), c})
 		}
 	}
 	return st
 }
 
-// FromState reconstructs a Summary from a captured state. Bin indexes
-// outside the histogram range are an error (a corrupt or foreign
-// journal record, not a format this package ever wrote).
+// FromState reconstructs a Summary from a captured state. State writes
+// strictly ascending bins whose counts sum to N, so anything else — a bin
+// out of range, out of order or repeated, a negative count, or a count
+// total other than N — is an error: a corrupt or foreign journal record,
+// not a format this package ever wrote.
 func FromState(st SummaryState) (Summary, error) {
 	s := Summary{n: st.N, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max}
-	lo, hi := nBins, 0
-	for _, bc := range st.Bins {
+	var total int64
+	for i, bc := range st.Bins {
 		b, c := bc[0], bc[1]
-		if b < 0 || b >= nBins {
-			return Summary{}, fmt.Errorf("stats: histogram bin %d out of range [0, %d)", b, nBins)
+		if b < 0 || b >= logbin.Bins {
+			return Summary{}, fmt.Errorf("stats: histogram bin %d out of range [0, %d)", b, logbin.Bins)
+		}
+		if i > 0 && b <= st.Bins[i-1][0] {
+			return Summary{}, fmt.Errorf("stats: histogram bin %d follows bin %d; bins must ascend strictly", b, st.Bins[i-1][0])
 		}
 		if c < 0 {
 			return Summary{}, fmt.Errorf("stats: negative count %d in histogram bin %d", c, b)
 		}
-		lo, hi = min(lo, int(b)), max(hi, int(b)+1)
+		total += c
 	}
-	if lo < hi {
-		s.hist.cover(lo, hi)
+	if total != st.N {
+		return Summary{}, fmt.Errorf("stats: histogram bins hold %d samples, summary counts %d", total, st.N)
+	}
+	if len(st.Bins) > 0 {
+		s.hist.Cover(int(st.Bins[0][0]), int(st.Bins[len(st.Bins)-1][0])+1)
 		for _, bc := range st.Bins {
-			s.hist.counts[int(bc[0])-s.hist.lo] = bc[1]
+			s.hist.Add(int(bc[0]), bc[1])
 		}
 	}
 	return s, nil

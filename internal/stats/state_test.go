@@ -3,8 +3,10 @@ package stats
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
+	"raidsim/internal/logbin"
 	"raidsim/internal/rng"
 )
 
@@ -51,14 +53,25 @@ func TestStateEmptySummary(t *testing.T) {
 	}
 }
 
+// TestFromStateRejectsCorruptBins: State writes strictly ascending bins
+// whose counts sum to N, so FromState rejects anything else, naming what
+// is wrong. Each state is corrupt in one way only.
 func TestFromStateRejectsCorruptBins(t *testing.T) {
-	if _, err := FromState(SummaryState{Bins: [][2]int64{{nBins, 1}}}); err == nil {
-		t.Fatal("out-of-range bin accepted")
-	}
-	if _, err := FromState(SummaryState{Bins: [][2]int64{{-1, 1}}}); err == nil {
-		t.Fatal("negative bin accepted")
-	}
-	if _, err := FromState(SummaryState{Bins: [][2]int64{{3, -4}}}); err == nil {
-		t.Fatal("negative count accepted")
+	for _, c := range []struct {
+		name string
+		st   SummaryState
+		want string
+	}{
+		{"bin past the last", SummaryState{N: 1, Bins: [][2]int64{{logbin.Bins, 1}}}, "out of range"},
+		{"negative bin", SummaryState{N: 1, Bins: [][2]int64{{-1, 1}}}, "out of range"},
+		{"negative count", SummaryState{N: -4, Bins: [][2]int64{{3, -4}}}, "negative count"},
+		{"repeated bin", SummaryState{N: 3, Bins: [][2]int64{{3, 1}, {3, 2}}}, "bin 3 follows bin 3"},
+		{"descending bins", SummaryState{N: 3, Bins: [][2]int64{{5, 1}, {3, 2}}}, "bin 3 follows bin 5"},
+		{"count total is not N", SummaryState{N: 5, Bins: [][2]int64{{3, 1}}}, "hold 1 samples, summary counts 5"},
+	} {
+		_, err := FromState(c.st)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: FromState(%+v) error %v, want one containing %q", c.name, c.st, err, c.want)
+		}
 	}
 }

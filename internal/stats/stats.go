@@ -1,7 +1,6 @@
 // Package stats provides the streaming statistics the simulator collects:
-// response-time summaries (mean, variance, quantiles via a log-bin
-// histogram that keeps only its occupied bins), time-weighted
-// utilization, and per-disk counters.
+// response-time summaries (mean, variance, quantiles via a logbin
+// histogram), time-weighted utilization, and per-disk counters.
 package stats
 
 import (
@@ -12,19 +11,28 @@ import (
 )
 
 // Summary accumulates scalar samples with Welford's online algorithm plus
-// a log-scale histogram good enough for the quantiles the paper reports.
+// a logbin histogram good enough for the quantiles the paper reports:
+// geometric bins over [histLo, ∞) growing by histStep.
 //
-// The histogram holds only the range of bins its samples occupy, so a
-// copied Summary shares its counts with the original: adding to one
-// changes the other's quantiles. Merge into an empty Summary for an
-// independent copy.
+// A copied Summary shares its histogram counts with the original (see
+// logbin.Counts). Merge into an empty Summary for an independent copy.
 type Summary struct {
 	n        int64
 	mean     float64
 	m2       float64
 	min, max float64
-	hist     histogram
+	hist     logbin.Counts
 }
+
+const (
+	histLo   = 1e-3 // smallest resolved value
+	histStep = 1.07 // bin growth ratio; 256 bins reach ~3.3e4
+)
+
+// binTable reads each bin back as its geometric midpoint.
+var binTable = logbin.Build(histLo, histStep, func(b int) float64 {
+	return histLo * math.Pow(histStep, float64(b)) * math.Sqrt(histStep)
+})
 
 // Add records one sample.
 func (s *Summary) Add(x float64) {
@@ -42,7 +50,7 @@ func (s *Summary) Add(x float64) {
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-	s.hist.add(x)
+	s.hist.Add(binTable.Bin(x), 1)
 }
 
 // N returns the sample count.
@@ -83,10 +91,37 @@ func (s *Summary) Max() float64 {
 	return s.max
 }
 
-// Quantile returns an approximation of the q-quantile (0 <= q <= 1) from
-// the histogram. Accuracy is within one bin width (~7% relative).
+// Quantile returns an approximation of the q-quantile (0 <= q <= 1): the
+// geometric midpoint of the bin holding the target rank, clamped to
+// [Min, Max]. For samples inside the histogram's range the relative
+// error is at most half a bin, sqrt(histStep) - 1 (about 3.4%).
 func (s *Summary) Quantile(q float64) float64 {
-	return s.hist.quantile(q, s.min, s.max)
+	total := s.hist.Total()
+	if total == 0 {
+		return 0
+	}
+	lo, hi := s.min, s.max
+	if lo > hi {
+		// Degenerate bounds (e.g. summaries assembled from partial state,
+		// or merged in an order that never saw a real sample range): treat
+		// the observed range as [max, min] so the result stays inside it
+		// and remains monotone in q.
+		lo, hi = hi, lo
+	}
+	if q <= 0 {
+		return lo
+	}
+	if q >= 1 {
+		return hi
+	}
+	v := binTable.Rep[s.hist.Rank(int64(math.Ceil(q*float64(total))))]
+	if v < lo {
+		v = lo
+	}
+	if v > hi {
+		v = hi
+	}
+	return v
 }
 
 // Merge folds other into s. Use it to aggregate per-array summaries.
@@ -97,7 +132,8 @@ func (s *Summary) Merge(o *Summary) {
 	}
 	if s.n == 0 {
 		*s = *o
-		s.hist.counts = append([]int64(nil), o.hist.counts...)
+		s.hist = logbin.Counts{}
+		s.hist.Merge(&o.hist)
 		return
 	}
 	n1, n2 := float64(s.n), float64(o.n)
@@ -112,154 +148,10 @@ func (s *Summary) Merge(o *Summary) {
 	if o.max > s.max {
 		s.max = o.max
 	}
-	s.hist.merge(&o.hist)
+	s.hist.Merge(&o.hist)
 }
 
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f max=%.3f",
 		s.n, s.Mean(), s.Std(), s.Min(), s.Max())
-}
-
-// histogram is a geometric-bin histogram covering [lo, inf) with bins
-// growing by a fixed ratio. Values are expected to be positive
-// response times in milliseconds-ish magnitude; bin 0 also absorbs
-// zero/negative values.
-//
-// counts covers only the occupied range of bins, plus a margin:
-// counts[i] is bin lo+i. It starts empty and grows when a sample or a
-// merge lands outside it, so a summary of a few thousand response times
-// keeps a few dozen bins, not nBins.
-type histogram struct {
-	counts []int64
-	lo     int
-}
-
-const (
-	nBins    = 256
-	histLo   = 1e-3 // smallest resolved value
-	histStep = 1.07 // bin growth ratio; 256 bins reach ~3.3e4 * histLo
-
-	// binPad is the margin, in bins, a histogram grows past a sample
-	// that lands outside its range (a factor of 3 in value), so the next
-	// few such samples do not each reallocate the counts.
-	binPad = 16
-)
-
-// A sample's bin is defined as int(log(x/histLo) / log(histStep)),
-// clamped to the last bin. Add runs on every response, so binOf finds
-// that bin without a logarithm, in logbin lookup tables built once from
-// the definition itself and therefore bit-exact with it.
-var (
-	binThresh  [nBins]float64
-	binGuide   []uint8
-	guideFirst uint64 // the guide cell of histLo
-)
-
-func init() {
-	logStep := math.Log(histStep)
-	defined := func(x float64) int {
-		if x <= histLo {
-			return 0
-		}
-		return min(int(math.Log(x/histLo)/logStep), nBins-1)
-	}
-	t := logbin.Build(histLo, histLo*math.Pow(histStep, nBins+1), nBins, defined)
-	copy(binThresh[:], t.Thresh)
-	binGuide, guideFirst = t.Guide, t.First
-}
-
-func binOf(x float64) int {
-	if x <= histLo {
-		return 0
-	}
-	if x >= binThresh[nBins-1] {
-		return nBins - 1
-	}
-	b := int(binGuide[logbin.Cell(x)-guideFirst])
-	if x >= binThresh[b+1] {
-		b++
-	}
-	return b
-}
-
-func binLow(b int) float64 {
-	return histLo * math.Pow(histStep, float64(b))
-}
-
-func (h *histogram) add(x float64) {
-	b := binOf(x)
-	if i := uint(b - h.lo); i < uint(len(h.counts)) {
-		h.counts[i]++
-		return
-	}
-	h.cover(b, b+1)
-	h.counts[b-h.lo]++
-}
-
-// cover widens counts, unless they already span bins [lo, hi), to span
-// them and the current range, with a margin of binPad bins each way.
-func (h *histogram) cover(lo, hi int) {
-	if len(h.counts) > 0 && lo >= h.lo && hi <= h.lo+len(h.counts) {
-		return
-	}
-	lo, hi = max(lo-binPad, 0), min(hi+binPad, nBins)
-	if len(h.counts) == 0 {
-		h.counts, h.lo = make([]int64, hi-lo), lo
-		return
-	}
-	lo, hi = min(lo, h.lo), max(hi, h.lo+len(h.counts))
-	c := make([]int64, hi-lo)
-	copy(c[h.lo-lo:], h.counts)
-	h.counts, h.lo = c, lo
-}
-
-func (h *histogram) merge(o *histogram) {
-	if len(o.counts) == 0 {
-		return
-	}
-	h.cover(o.lo, o.lo+len(o.counts))
-	off := o.lo - h.lo
-	for i, c := range o.counts {
-		h.counts[off+i] += c
-	}
-}
-
-func (h *histogram) quantile(q float64, min, max float64) float64 {
-	var total int64
-	for _, c := range h.counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if min > max {
-		// Degenerate bounds (e.g. summaries assembled from partial state,
-		// or merged in an order that never saw a real sample range): treat
-		// the observed range as [max, min] so the result stays inside it
-		// and remains monotone in q.
-		min, max = max, min
-	}
-	if q <= 0 {
-		return min
-	}
-	if q >= 1 {
-		return max
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			// Midpoint of the bin, clamped to observed range.
-			v := binLow(h.lo+i) * math.Sqrt(histStep)
-			if v < min {
-				v = min
-			}
-			if v > max {
-				v = max
-			}
-			return v
-		}
-	}
-	return max
 }
